@@ -91,7 +91,6 @@ def test_service_report(results_dir):
     server = build_server(
         port=0,
         cache_dir=tempfile.mkdtemp(prefix="audit-cache-bench-"),
-        workers=2,
         capacity=1,
         queue_limit=8,
     )
@@ -131,7 +130,7 @@ def test_service_report(results_dir):
                 }
             )
         health = _get(base, "/healthz")
-        assert health["ok"] and health["mode"] == "pool"
+        assert health["ok"] and health["mode"] == "serial"
     finally:
         server.close()
         thread.join(timeout=10)

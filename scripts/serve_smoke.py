@@ -2,10 +2,8 @@
 """CI smoke of the audit service under injected faults (DESIGN.md §10).
 
 Starts ``repro.cli serve`` as a real subprocess on an ephemeral port with
-two faults armed through the environment channel:
+one fault armed through the environment channel:
 
-* ``kill:chunk=0`` — a pool worker is SIGKILLed at its first chunk (the
-  service must recover: runtime retry or in-request serial fallback);
 * ``torn-write:path=<cache dir>`` — one cache entry is torn in half on
   its final path (the checksum must quarantine it and the answer must be
   recomputed, never served corrupt).
@@ -39,15 +37,14 @@ from repro.graphs import random_connected_gnm  # noqa: E402
 from repro.graphs.graph6 import to_graph6  # noqa: E402
 from repro.service.handlers import _violation_payload  # noqa: E402
 
-#: The server arms SAFE_PID with its own pid before the pools fork, so a
-#: fault matching an owner-side site degrades to a raise instead of
-#: killing the service itself.
+#: The server arms SAFE_PID with its own pid, so a fault matching an
+#: owner-side site degrades to a raise instead of killing the service.
 _BOOT = (
     "import os; "
     "os.environ['REPRO_FAULTS_SAFE_PID'] = str(os.getpid()); "
     "from repro.cli import main; "
     "raise SystemExit(main(["
-    "'serve', '--port', '0', '--cache-dir', {cache!r}, '--workers', '2'"
+    "'serve', '--port', '0', '--cache-dir', {cache!r}"
     "]))"
 )
 
@@ -73,9 +70,7 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONUNBUFFERED"] = "1"
-    env["REPRO_FAULTS"] = (
-        f"kill:chunk=0;torn-write:path={os.path.basename(cache_dir)}"
-    )
+    env["REPRO_FAULTS"] = f"torn-write:path={os.path.basename(cache_dir)}"
     env["REPRO_FAULTS_DIR"] = token_dir
 
     proc = subprocess.Popen(
@@ -122,10 +117,10 @@ def main() -> int:
         assert stats["store_failures"] >= 1, stats
         assert cache["quarantined"] >= 1, stats
         assert (Path(cache_dir) / "quarantine").is_dir()
-        # Both faults actually consumed their budgets (token files exist).
-        assert len(os.listdir(token_dir)) == 2, os.listdir(token_dir)
+        # The fault consumed exactly its one-shot budget (one token file).
+        assert len(os.listdir(token_dir)) == 1, os.listdir(token_dir)
         health = _get(base, "/healthz")
-        assert health["ok"], health
+        assert health["ok"] and health["mode"] == "serial", health
 
         proc.send_signal(signal.SIGINT)
         code = proc.wait(timeout=30)

@@ -82,7 +82,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--cache-dir", default="results/audit_cache",
         help="result-cache root (content-addressed, crash-safe)",
     )
-    serve_p.add_argument("--workers", type=int, default=2)
     serve_p.add_argument(
         "--default-timeout", type=float, default=30.0, metavar="SECONDS",
         help="per-request deadline when the request sets no timeout_s",
@@ -135,7 +134,6 @@ def main(argv: "list[str] | None" = None) -> int:
             args.host,
             args.port,
             cache_dir=args.cache_dir,
-            workers=args.workers,
             default_timeout=args.default_timeout,
             capacity=args.capacity,
             queue_limit=args.queue_limit,

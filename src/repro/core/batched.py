@@ -35,9 +35,7 @@ Every scan outcome is bit-identical to the ``mode="repair"`` /
 ``mode="rebuild"`` paths — same costs, same argmin tie-breaking, same
 directed-edge order — because the bound only ever *skips* movers whose
 exact evaluation could not have produced a violation, and survivors are
-re-evaluated with the repair-path code itself.  Scans compose with
-``workers=`` (chunks of edges, each worker planning its own chunk against
-the shared base matrix; see :mod:`repro.core.equilibrium`).
+re-evaluated with the repair-path code itself.
 
 The same machinery also powers the **per-vertex best-response kernel**
 (:func:`best_swap_scan` — ``best_swap(mode="batched")`` and the dynamics
@@ -98,11 +96,11 @@ class BatchedRemovalPlan:
     graph, lifted:
         The audited graph and its lifted base APSP matrix.
     edges:
-        The (undirected) edges to plan, as ``(a, b)`` pairs — an audit
-        chunk, or every edge.
+        The (undirected) edges to plan, as ``(a, b)`` pairs — one block
+        of an audit scan, or one agent's incident edges.
     pred_counts:
         Optional precomputed :func:`repro.graphs.predecessor_counts`
-        (shared across chunks / workers).  When absent, only the rows the
+        (shared across a scan's plan blocks).  When absent, only the rows the
         planned edges' endpoints need are computed — O(deg) rows for a
         per-vertex plan instead of the full table.
     sources:
@@ -392,7 +390,7 @@ def exact_costs_from_bound(
 
 
 # ---------------------------------------------------------------------------
-# Scans (used serially over all edges, and per worker chunk)
+# Scans over every edge of an audit
 # ---------------------------------------------------------------------------
 
 #: Edges planned per lazily-built block.  Scans that can stop early (a
@@ -402,13 +400,13 @@ _SCAN_BLOCK = 128
 
 
 def _plan_blocks(graph, lifted, edges, pred_counts):
-    """Yield ``(block_offset, plan)`` for lazily planned edge blocks."""
+    """Yield a lazily built plan per block of ``_SCAN_BLOCK`` edges."""
     edges = [(int(a), int(b)) for a, b in edges]
     if len(edges) > _SCAN_BLOCK and pred_counts is None:
         # Amortize the predecessor-count table across blocks.
         pred_counts = predecessor_counts(graph, lifted)
     for lo in range(0, len(edges), _SCAN_BLOCK):
-        yield lo, BatchedRemovalPlan(
+        yield BatchedRemovalPlan(
             graph, lifted, edges[lo : lo + _SCAN_BLOCK],
             pred_counts=pred_counts,
         )
@@ -419,13 +417,12 @@ def scan_swap_violations(
     lifted: np.ndarray,
     base: np.ndarray,
     edges,
-    start: int,
     objective,
     *,
     pred_counts: np.ndarray | None = None,
     deadline: "float | None" = None,
-):
-    """First swap violation among ``edges``, tagged by directed-edge index.
+) -> "Violation | None":
+    """First swap violation among ``edges``, or ``None``.
 
     The batched analog of the per-edge repair scan: same directed order
     (``(a, b)`` then ``(b, a)`` per canonical edge), same tie-breaking —
@@ -438,10 +435,10 @@ def scan_swap_violations(
     model = resolve_cost_model(objective, n)
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
-    for lo, plan in _plan_blocks(graph, lifted, edges, pred_counts):
+    for plan in _plan_blocks(graph, lifted, edges, pred_counts):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
-            for j, (v, w) in enumerate(((a, b), (b, a))):
+            for v, w in ((a, b), (b, a)):
                 mask = model.target_mask(graph, v, w)
                 bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
                 raw = bound.copy()  # unmasked, for the exact patch path
@@ -456,12 +453,9 @@ def scan_swap_violations(
                 costs[w] = math.inf
                 best = int(np.argmin(costs))
                 if costs[best] < base[v]:
-                    return (
-                        2 * (start + lo + i) + j,
-                        Violation(
-                            model.violation_kind, v, w, best,
-                            float(base[v]), float(costs[best]),
-                        ),
+                    return Violation(
+                        model.violation_kind, v, w, best,
+                        float(base[v]), float(costs[best]),
                     )
     return None
 
@@ -472,7 +466,6 @@ def scan_gap(
     base_sum: np.ndarray,
     edges,
     *,
-    pred_counts: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> float:
     """Largest sum-swap improvement within ``edges`` (batched kernel).
@@ -485,7 +478,7 @@ def scan_gap(
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
     gap = 0.0
-    for _, plan in _plan_blocks(graph, lifted, edges, pred_counts):
+    for plan in _plan_blocks(graph, lifted, edges, None):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
             for v, w in ((a, b), (b, a)):
@@ -507,30 +500,24 @@ def scan_deletion_violations(
     lifted: np.ndarray,
     base_ecc: np.ndarray,
     edges,
-    start: int,
     *,
-    pred_counts: np.ndarray | None = None,
     deadline: "float | None" = None,
-):
+) -> "Violation | None":
     """First deletion-criticality violation among ``edges`` (batched).
 
     Needs only the two endpoint rows per edge — no dense matrix at all —
     so this audit drops from O(m·n²) to O(m·n) plus the shared plan.
     """
-    for lo, plan in _plan_blocks(graph, lifted, edges, pred_counts):
+    for plan in _plan_blocks(graph, lifted, edges, None):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
-            for j, v in enumerate((a, b)):
+            for v in (a, b):
                 ecc_v = int(plan.endpoint_row(i, v).max())
                 after = math.inf if ecc_v >= INT_INF else float(ecc_v)
                 if not after > float(base_ecc[v]):
                     other = b if v == a else a
-                    return (
-                        2 * (start + lo + i) + j,
-                        Violation(
-                            "deletion", v, other, None,
-                            float(base_ecc[v]), after,
-                        ),
+                    return Violation(
+                        "deletion", v, other, None, float(base_ecc[v]), after
                     )
     return None
 
@@ -716,7 +703,7 @@ def certify_at_rest(
     if not prefer_deletions_on_tie:
         return (
             scan_swap_violations(
-                graph, lifted, base, edges, 0, model,
+                graph, lifted, base, edges, model,
                 pred_counts=pred_counts, deadline=deadline,
             )
             is None
@@ -730,7 +717,7 @@ def certify_at_rest(
     degrees = np.diff(graph.indptr)
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
-    for _, plan in _plan_blocks(graph, lifted, edges, pred_counts):
+    for plan in _plan_blocks(graph, lifted, edges, pred_counts):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
             for v, w in ((a, b), (b, a)):

@@ -127,7 +127,7 @@ def _census_task(task: tuple) -> CensusRecord:
     """
     (
         n, family, seed, objective, schedule, responder,
-        max_steps, verify, verify_workers, audit_mode,
+        max_steps, verify, audit_mode,
     ) = task
     # A spec string resolves per-n here (interest sets carry their own seed
     # inside the spec, so the model is a pure function of (spec, n)); a
@@ -145,9 +145,7 @@ def _census_task(task: tuple) -> CensusRecord:
     final = result.graph
     verified: bool | None = None
     if verify and result.converged:
-        verified = is_equilibrium(
-            final, model, workers=verify_workers, mode=audit_mode
-        )
+        verified = is_equilibrium(final, model, mode=audit_mode)
     return CensusRecord(
         n=n,
         family=family,
@@ -222,7 +220,6 @@ def run_census(
     root_seed: int = 0,
     max_steps: int = 20_000,
     verify: bool = True,
-    verify_workers: int = 1,
     workers: int = 1,
     audit_mode: str = "batched",
     jsonl_path: "str | Path | None" = None,
@@ -239,15 +236,12 @@ def run_census(
     ``verify`` re-checks every converged terminal graph with the exact
     equilibrium auditor (``audit_mode`` selects its kernel; the default is
     the batched one) — the census is only evidence if the endpoints really
-    are equilibria.  ``verify_workers`` chunks each audit's edge loop
-    across processes (see :func:`repro.core.equilibrium.find_sum_violation`).
+    are equilibria.
 
     ``workers > 1`` shards whole *trajectories* across the persistent
-    process pool instead: seeds derive from grid position, so the record
-    list (and the streamed JSONL) is bit-identical to the serial run for
-    any worker count.  Trajectory sharding and per-audit sharding are
-    mutually exclusive (``verify_workers`` must stay 1 when ``workers > 1``
-    — nested pools would oversubscribe).
+    process pool: seeds derive from grid position, so the record list (and
+    the streamed JSONL) is bit-identical to the serial run for any worker
+    count.  Each audit inside a trajectory runs serially.
 
     ``objective`` is a cost-model spec string (``"sum"``, ``"max"``,
     ``"interest-sum:k=4,seed=9"``, ``"budget-max:cap=3"``, …) or a
@@ -278,11 +272,6 @@ def run_census(
     before continuing with unfinished tasks.  ``durability`` sets the
     stream's flush cadence (:class:`~repro.io.jsonl_store.JsonlStore`).
     """
-    if workers > 1 and verify_workers > 1:
-        raise ConfigurationError(
-            "choose one sharding axis: workers (trajectories) or "
-            "verify_workers (audit edges), not both"
-        )
     experiment = census_experiment(
         n_values,
         families=families,
@@ -293,7 +282,6 @@ def run_census(
         root_seed=root_seed,
         max_steps=max_steps,
         verify=verify,
-        verify_workers=verify_workers,
         audit_mode=audit_mode,
     )
     return run_fleet(
@@ -320,7 +308,6 @@ def census_experiment(
     root_seed: int = 0,
     max_steps: int = 20_000,
     verify: bool = True,
-    verify_workers: int = 1,
     audit_mode: str = "batched",
 ) -> Experiment:
     """The equilibrium census as a declarative :class:`Experiment`.
@@ -351,7 +338,7 @@ def census_experiment(
         grid={"n": list(n_values), "family": list(families)},
         task_fields=(
             "n", "family", "seed", "objective", "schedule", "responder",
-            "max_steps", "verify", "verify_workers", "audit_mode",
+            "max_steps", "verify", "audit_mode",
         ),
         coord_fields=(
             "n", "family", "seed", "objective", "schedule", "responder",
@@ -365,7 +352,6 @@ def census_experiment(
             "responder": responder,
             "max_steps": max_steps,
             "verify": verify,
-            "verify_workers": verify_workers,
             "audit_mode": audit_mode,
         },
         # A CostModel instance rides the task tuple, but the stream's

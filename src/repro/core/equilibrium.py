@@ -31,16 +31,8 @@ reads the base matrix in place instead of copying it per edge (DESIGN.md
 §2.6 / :mod:`repro.core.batched`).  ``mode="rebuild"`` restores the seed
 behaviour (a fresh APSP per edge) as the cross-validation oracle.
 
-The directed-edge loop can additionally be chunked across
-:func:`repro.parallel.parallel_map` workers (``workers=``): the base matrix,
-the CSR adjacency arrays, and (for the batched kernel) the predecessor-count
-table are published once via shared memory
-(:class:`repro.parallel.SharedArrayBundle`) and attached zero-copy in the
-persistent worker pool — no per-chunk re-pickling of anything n×n-sized.
-Results are deterministic and identical to the serial order regardless of
-worker count.  ``workers`` applies to the repair and batched modes — the
-``mode="rebuild"`` oracle always runs serially, so cross-validation
-exercises the exact seed code path.
+Each audit is one serial scan: parallelism lives at the fleet grain, where
+whole dynamics runs are independent tasks (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -54,8 +46,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, DisconnectedGraphError
 from ..graphs import CSRGraph, distance_matrix, is_connected
-from ..graphs.repair import predecessor_counts, removal_matrix_repair
-from ..parallel import check_deadline, chunk_evenly, parallel_map
+from ..graphs.repair import removal_matrix_repair
+from ..parallel import check_deadline
 from .costmodel import CostModel, resolve_cost_model
 from .costs import INT_INF, ensure_lifted, lift_distances
 from .moves import Swap
@@ -175,213 +167,6 @@ def _iter_drop_contexts(
 
 
 # ---------------------------------------------------------------------------
-# Parallel audit plumbing: chunked directed-edge loops over a shared-memory
-# base matrix.  Each worker function takes ``(payload, arrays)`` where
-# ``arrays`` holds the zero-copy published inputs — the CSR adjacency, the
-# lifted base matrix, and (batched mode) the predecessor-count table —
-# attached once per worker process, never pickled per chunk.
-# ---------------------------------------------------------------------------
-
-def _shared_graph(arrays) -> tuple[CSRGraph, np.ndarray]:
-    """Rebuild the audited graph + base matrix from a shared payload."""
-    indptr = arrays["indptr"]
-    graph = CSRGraph.from_csr_arrays(
-        indptr.shape[0] - 1, indptr, arrays["indices"]
-    )
-    return graph, arrays["dm"]
-
-
-def _detach_model(model):
-    """Split a model into a small pickle stub + shared n×n-sized arrays.
-
-    Chunk payloads cross the pickle boundary per chunk, so anything
-    matrix-sized (an ``InterestCost`` weight matrix) rides the shared-array
-    channel next to the base matrix instead — the same rule that keeps
-    ``dm``/``pc`` out of the payloads (DESIGN.md §5).
-    """
-    from .costmodel import InterestCost
-
-    if isinstance(model, InterestCost):
-        return ("interest", model.kind, model.spec), {"cmw": model.weights}
-    return (model, {})
-
-
-def _attach_model(stub, arrays):
-    """Inverse of :func:`_detach_model`, run inside the worker."""
-    from .costmodel import InterestCost
-
-    if isinstance(stub, tuple) and stub and stub[0] == "interest":
-        _, kind, spec = stub
-        return InterestCost(kind, arrays["cmw"], spec=spec)
-    return stub
-
-
-def _swap_violation_chunk(payload, arrays):
-    """First swap violation in one edge chunk, tagged by directed-edge index."""
-    edges, start, stub = payload
-    model = _attach_model(stub, arrays)
-    graph, lifted = _shared_graph(arrays)
-    base = model.base_costs(lifted)
-    for i, (a, b) in enumerate(edges):
-        removal_dm = removal_matrix_repair(graph, lifted, (a, b))
-        for j, (v, w) in enumerate(((a, b), (b, a))):
-            costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
-            mask = model.target_mask(graph, v, w)
-            if mask is not None:
-                costs[~mask] = math.inf
-            costs[w] = math.inf
-            best = int(np.argmin(costs))
-            if costs[best] < base[v]:
-                return (
-                    2 * (start + i) + j,
-                    Violation(
-                        model.violation_kind, v, w, best,
-                        float(base[v]), float(costs[best]),
-                    ),
-                )
-    return None
-
-
-def _batched_violation_chunk(payload, arrays):
-    """Batched-kernel analog of :func:`_swap_violation_chunk`."""
-    from .batched import scan_swap_violations
-
-    edges, start, stub = payload
-    model = _attach_model(stub, arrays)
-    graph, lifted = _shared_graph(arrays)
-    return scan_swap_violations(
-        graph,
-        lifted,
-        model.base_costs(lifted),
-        edges,
-        start,
-        model,
-        pred_counts=arrays["pc"],
-    )
-
-
-def _gap_chunk(payload, arrays):
-    """Largest sum-swap improvement within one edge chunk."""
-    (edges,) = payload
-    graph, lifted = _shared_graph(arrays)
-    base_sum = lifted.sum(axis=1)
-    gap = 0.0
-    for a, b in edges:
-        removal_dm = removal_matrix_repair(graph, lifted, (a, b))
-        for v, w in ((a, b), (b, a)):
-            costs = all_swap_costs_for_drop(graph, v, w, "sum", removal_dm)
-            costs[w] = math.inf
-            best = float(np.min(costs))
-            if best < base_sum[v]:
-                gap = max(gap, float(base_sum[v]) - best)
-    return gap
-
-
-def _batched_gap_chunk(payload, arrays):
-    """Batched-kernel analog of :func:`_gap_chunk`."""
-    from .batched import scan_gap
-
-    (edges,) = payload
-    graph, lifted = _shared_graph(arrays)
-    return scan_gap(
-        graph, lifted, lifted.sum(axis=1), edges, pred_counts=arrays["pc"]
-    )
-
-
-def _deletion_chunk(payload, arrays):
-    """First deletion-criticality violation in one edge chunk."""
-    edges, start = payload
-    graph, lifted = _shared_graph(arrays)
-    base_ecc = lifted.max(axis=1)
-    for i, (a, b) in enumerate(edges):
-        removal_dm = removal_matrix_repair(graph, lifted, (a, b))
-        ecc_after = removal_dm.max(axis=1)
-        for j, v in enumerate((a, b)):
-            after = math.inf if ecc_after[v] >= INT_INF else float(ecc_after[v])
-            if not after > float(base_ecc[v]):
-                other = b if v == a else a
-                return (
-                    2 * (start + i) + j,
-                    Violation(
-                        "deletion", v, other, None, float(base_ecc[v]), after
-                    ),
-                )
-    return None
-
-
-def _batched_deletion_chunk(payload, arrays):
-    """Batched-kernel analog of :func:`_deletion_chunk`."""
-    from .batched import scan_deletion_violations
-
-    edges, start = payload
-    graph, lifted = _shared_graph(arrays)
-    return scan_deletion_violations(
-        graph, lifted, lifted.max(axis=1), edges, start,
-        pred_counts=arrays["pc"],
-    )
-
-
-def _audit_arrays(
-    graph: CSRGraph, lifted: np.ndarray, mode: AuditMode
-) -> dict[str, np.ndarray]:
-    arrays = {
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "dm": lifted,
-    }
-    if mode == "batched":
-        arrays["pc"] = predecessor_counts(graph, lifted)
-    return arrays
-
-
-def _scan_parallel(
-    graph, lifted, mode, workers, fn_by_mode, make_payload,
-    extra_arrays=None, deadline=None,
-):
-    """Chunk the edge loop, map over shared-memory workers, keep order."""
-    chunks = chunk_evenly(list(graph.iter_edges()), workers)
-    payloads = [make_payload(start, chunk) for start, chunk in chunks]
-    shared = _audit_arrays(graph, lifted, mode)
-    if extra_arrays:
-        shared.update(extra_arrays)
-    return parallel_map(
-        fn_by_mode[mode],
-        payloads,
-        workers=min(workers, len(payloads)),
-        chunk_size=1,
-        shared=shared,
-        deadline=deadline,
-    )
-
-
-def _first_violation_parallel(graph, lifted, model, workers, mode, deadline):
-    stub, model_arrays = _detach_model(model)
-    results = _scan_parallel(
-        graph,
-        lifted,
-        mode,
-        workers,
-        {"repair": _swap_violation_chunk, "batched": _batched_violation_chunk},
-        lambda start, chunk: (chunk, start, stub),
-        extra_arrays=model_arrays,
-        deadline=deadline,
-    )
-    hits = [r for r in results if r is not None]
-    return min(hits)[1] if hits else None
-
-
-def _batched_first_violation(graph, lifted, base, model, deadline=None):
-    """Serial batched scan over every edge (workers == 1 path)."""
-    from .batched import scan_swap_violations
-
-    hit = scan_swap_violations(
-        graph, lifted, base, list(graph.iter_edges()), 0, model,
-        deadline=deadline,
-    )
-    return hit[1] if hit else None
-
-
-# ---------------------------------------------------------------------------
 # The generalized swap audit (sum / max / interest / budget cost models)
 # ---------------------------------------------------------------------------
 
@@ -389,7 +174,6 @@ def find_swap_violation(
     graph: CSRGraph,
     objective: "str | CostModel" = "sum",
     *,
-    workers: int = 1,
     mode: AuditMode = "repair",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
@@ -401,16 +185,12 @@ def find_swap_violation(
     (same violations, same tie-breaks, same directed-edge order).  Models
     with constrained move sets (budget caps) only audit the legal moves.
 
-    ``workers > 1`` chunks the directed-edge loop across shared-memory
-    processes; the returned violation is the same one the serial scan
-    finds.  Chunking applies to ``mode="repair"`` and ``mode="batched"`` —
-    the rebuild oracle stays serial.  ``base_dm`` is an optional
-    precomputed distance matrix of ``graph`` (see :func:`_prepare`) so
-    callers that already hold it — dynamics endpoints, census probes —
-    skip the audit's APSP.  ``deadline`` (absolute ``time.monotonic()``
-    instant) bounds the whole audit: the serial scan checks it between
-    drop contexts and the parallel scan propagates it into the pool, both
-    raising :class:`~repro.errors.DeadlineExceeded` once it passes.
+    ``base_dm`` is an optional precomputed distance matrix of ``graph``
+    (see :func:`_prepare`) so callers that already hold it — dynamics
+    endpoints, census probes — skip the audit's APSP.  ``deadline``
+    (absolute ``time.monotonic()`` instant) bounds the whole audit: the
+    scan checks it between drop contexts and raises
+    :class:`~repro.errors.DeadlineExceeded` once it passes.
     """
     _check_mode(mode)
     model = resolve_cost_model(objective, graph.n)
@@ -421,15 +201,14 @@ def find_swap_violation(
             )
         return None
     lifted = _prepare(graph, base_dm)
-    if workers > 1 and mode in ("repair", "batched"):
-        return _first_violation_parallel(
-            graph, lifted, model, workers, mode, deadline
-        )
     base = model.base_costs(lifted)
     if mode == "batched":
+        from .batched import scan_swap_violations
+
         check_deadline(deadline)
-        return _batched_first_violation(
-            graph, lifted, base, model, deadline=deadline
+        return scan_swap_violations(
+            graph, lifted, base, list(graph.iter_edges()), model,
+            deadline=deadline,
         )
     for v, w, removal_dm in _iter_drop_contexts(graph, lifted, mode):
         check_deadline(deadline)
@@ -451,7 +230,6 @@ def is_equilibrium(
     graph: CSRGraph,
     objective: "str | CostModel" = "sum",
     *,
-    workers: int = 1,
     mode: AuditMode = "repair",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
@@ -468,8 +246,7 @@ def is_equilibrium(
     model = resolve_cost_model(objective, graph.n)
     if (
         find_swap_violation(
-            graph, model, workers=workers, mode=mode, base_dm=base_dm,
-            deadline=deadline,
+            graph, model, mode=mode, base_dm=base_dm, deadline=deadline
         )
         is not None
     ):
@@ -477,8 +254,7 @@ def is_equilibrium(
     if model.requires_deletion_criticality:
         return (
             find_deletion_criticality_violation(
-                graph, workers=workers, mode=mode, base_dm=base_dm,
-                deadline=deadline,
+                graph, mode=mode, base_dm=base_dm, deadline=deadline
             )
             is None
         )
@@ -490,25 +266,18 @@ def is_equilibrium(
 # ---------------------------------------------------------------------------
 
 def find_sum_violation(
-    graph: CSRGraph,
-    *,
-    workers: int = 1,
-    mode: AuditMode = "repair",
+    graph: CSRGraph, *, mode: AuditMode = "repair"
 ) -> Violation | None:
     """First improving sum-swap found, or ``None`` if in sum equilibrium."""
-    return find_swap_violation(graph, "sum", workers=workers, mode=mode)
+    return find_swap_violation(graph, "sum", mode=mode)
 
 
-def is_sum_equilibrium(
-    graph: CSRGraph, *, workers: int = 1, mode: AuditMode = "repair"
-) -> bool:
+def is_sum_equilibrium(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
     """Whether ``graph`` is a sum (swap) equilibrium."""
-    return find_sum_violation(graph, workers=workers, mode=mode) is None
+    return find_sum_violation(graph, mode=mode) is None
 
 
-def sum_equilibrium_gap(
-    graph: CSRGraph, *, workers: int = 1, mode: AuditMode = "repair"
-) -> float:
+def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "repair") -> float:
     """The largest improvement any single swap offers (0.0 at equilibrium).
 
     A quantitative "distance from equilibrium" used by dynamics diagnostics;
@@ -519,16 +288,6 @@ def sum_equilibrium_gap(
         return 0.0
     lifted = _prepare(graph)
     base_sum = lifted.sum(axis=1)
-    if workers > 1 and mode in ("repair", "batched"):
-        gaps = _scan_parallel(
-            graph,
-            lifted,
-            mode,
-            workers,
-            {"repair": _gap_chunk, "batched": _batched_gap_chunk},
-            lambda start, chunk: (chunk,),
-        )
-        return max(gaps, default=0.0)
     if mode == "batched":
         from .batched import scan_gap
 
@@ -548,19 +307,15 @@ def sum_equilibrium_gap(
 # ---------------------------------------------------------------------------
 
 def find_max_swap_violation(
-    graph: CSRGraph,
-    *,
-    workers: int = 1,
-    mode: AuditMode = "repair",
+    graph: CSRGraph, *, mode: AuditMode = "repair"
 ) -> Violation | None:
     """First swap strictly decreasing the mover's local diameter, or ``None``."""
-    return find_swap_violation(graph, "max", workers=workers, mode=mode)
+    return find_swap_violation(graph, "max", mode=mode)
 
 
 def find_deletion_criticality_violation(
     graph: CSRGraph,
     *,
-    workers: int = 1,
     mode: AuditMode = "repair",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
@@ -573,27 +328,14 @@ def find_deletion_criticality_violation(
     _check_mode(mode)
     lifted = _prepare(graph, base_dm)
     base_ecc = lifted.max(axis=1)
-    if workers > 1 and mode in ("repair", "batched"):
-        results = _scan_parallel(
-            graph,
-            lifted,
-            mode,
-            workers,
-            {"repair": _deletion_chunk, "batched": _batched_deletion_chunk},
-            lambda start, chunk: (chunk, start),
-            deadline=deadline,
-        )
-        hits = [r for r in results if r is not None]
-        return min(hits)[1] if hits else None
     if mode == "batched":
         from .batched import scan_deletion_violations
 
         check_deadline(deadline)
-        hit = scan_deletion_violations(
-            graph, lifted, base_ecc, list(graph.iter_edges()), 0,
+        return scan_deletion_violations(
+            graph, lifted, base_ecc, list(graph.iter_edges()),
             deadline=deadline,
         )
-        return hit[1] if hit else None
     for a, b in graph.iter_edges():
         check_deadline(deadline)
         removal_dm = _removal_for(graph, lifted, (a, b), mode)
@@ -608,26 +350,16 @@ def find_deletion_criticality_violation(
     return None
 
 
-def is_deletion_critical(
-    graph: CSRGraph, *, workers: int = 1, mode: AuditMode = "repair"
-) -> bool:
+def is_deletion_critical(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
     """Whether deleting any edge strictly increases both endpoints' ecc."""
-    return (
-        find_deletion_criticality_violation(graph, workers=workers, mode=mode)
-        is None
-    )
+    return find_deletion_criticality_violation(graph, mode=mode) is None
 
 
-def is_max_equilibrium(
-    graph: CSRGraph, *, workers: int = 1, mode: AuditMode = "repair"
-) -> bool:
+def is_max_equilibrium(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
     """The paper's max equilibrium: swap-stable (max) **and** deletion-critical."""
-    if find_max_swap_violation(graph, workers=workers, mode=mode) is not None:
+    if find_max_swap_violation(graph, mode=mode) is not None:
         return False
-    return (
-        find_deletion_criticality_violation(graph, workers=workers, mode=mode)
-        is None
-    )
+    return find_deletion_criticality_violation(graph, mode=mode) is None
 
 
 # ---------------------------------------------------------------------------

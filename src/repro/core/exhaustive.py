@@ -151,9 +151,7 @@ def exhaustive_equilibrium_census(
             for blo, bhi in zip(bounds[:-1], bounds[1:])
             if bhi > blo
         ]
-        parts = parallel_map(
-            _census_shard, payloads, workers=workers, backend="persistent"
-        )
+        parts = parallel_map(_census_shard, payloads, workers=workers)
         return merge_censuses(parts)
     lo, hi = (0, total_masks) if mask_range is None else mask_range
     if not (0 <= lo <= hi <= total_masks):

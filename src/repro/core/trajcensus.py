@@ -23,16 +23,16 @@ Execution and persistence reuse the library's hardened infrastructure:
 
 * the grid is a :class:`~repro.parallel.Sweep` — seeds derive from grid
   position, so records are bit-identical at any worker count;
-* ``workers > 1`` shards trajectories over the persistent shared-memory
-  pool (:func:`~repro.parallel.get_shared_pool`), consuming chunk futures
-  in submission order so the stream keeps serial order;
+* ``workers > 1`` shards trajectories over the persistent process pool
+  (:func:`~repro.parallel.get_shared_pool`), consuming chunk futures in
+  submission order so the stream keeps serial order;
 * ``jsonl_path`` streams records through the shared
   :class:`~repro.io.jsonl_store.JsonlStore` (the same audited header /
   atomic-rewrite / torn-line machinery the equilibrium census runs on), so
   ``resume=True`` picks an interrupted fleet back up losslessly and a
   changed configuration raises instead of mixing games.
 
-``scripts/trajectory_fleet.py`` is the command-line fleet runner; the
+``repro experiment run trajectory`` is the command-line fleet runner; the
 ``dynamics-census`` CLI experiment renders aggregate tables.
 """
 

@@ -17,10 +17,6 @@ progress, quarantined grid coordinates, and a ready-to-paste
 ``--retry-failed`` resume command, with no recomputation; ``--json``
 emits the same report machine-readably, including live per-slot
 checkpoint progress (DESIGN.md §13).
-
-``scripts/census_fleet.py`` and ``scripts/trajectory_fleet.py`` are thin
-deprecation shims forwarding here (``experiment run census`` /
-``experiment run trajectory``).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ one buys the whole hardened execution stack with no new code:
 * **enumeration** — the grid compiles to a :class:`~repro.parallel.Sweep`
   (explicit ``order=``, reserved-column checks, position-derived seeds);
 * **execution** — :func:`run_fleet` shards tasks over the persistent
-  shared-memory pool via :func:`~repro.parallel.map_streamed` with the
+  process pool via :func:`~repro.parallel.map_streamed` with the
   DESIGN.md §9 timeout/retry/quarantine semantics, records bit-identical
   to a serial run at any worker count;
 * **persistence** — records stream through

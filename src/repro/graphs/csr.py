@@ -94,46 +94,6 @@ class CSRGraph:
         self._hash: int | None = None
         self._scipy = None
 
-    @classmethod
-    def from_csr_arrays(
-        cls, n: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> "CSRGraph":
-        """Adopt existing CSR arrays without copying or re-sorting.
-
-        The zero-copy constructor used by shared-memory workers: ``indptr``
-        and ``indices`` may be read-only views into a shared segment and are
-        used as-is.  The caller guarantees the arrays came from a
-        :class:`CSRGraph` (doubled undirected edges, each adjacency slice
-        sorted); only cheap shape/bounds invariants are re-checked.
-        """
-        n = int(n)
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        if indptr.shape != (n + 1,) or int(indptr[0]) != 0:
-            raise GraphError(
-                f"indptr must have shape ({n + 1},) and start at 0"
-            )
-        if int(indptr[-1]) != indices.shape[0]:
-            raise GraphError("indptr[-1] must equal len(indices)")
-        obj = object.__new__(cls)
-        obj.n = n
-        obj.indptr = indptr
-        obj.indices = indices
-        # Canonical u < v edge array, recovered from the doubled adjacency.
-        # Scanning rows in order yields pairs sorted by (u, v) since each
-        # adjacency slice is sorted.
-        counts = np.asarray(indptr[1:]) - np.asarray(indptr[:-1])
-        src = np.repeat(
-            np.arange(n, dtype=np.int32), counts.astype(np.int64)
-        )
-        mask = src < indices
-        arr = np.stack([src[mask], indices[mask]], axis=1).astype(np.int32)
-        obj._edge_array = arr
-        obj._edge_array.setflags(write=False)
-        obj._hash = None
-        obj._scipy = None
-        return obj
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------

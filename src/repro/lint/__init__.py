@@ -3,14 +3,14 @@
 The codebase rests on a stack of documented contracts — seed-derived RNG
 discipline (:mod:`repro.rng`), ``deadline=`` propagation through every
 audit loop (DESIGN.md §10), the :mod:`repro.errors` taxonomy, bit-exact
-oracle parity for every kernel ``mode=``, shared-memory read-only worker
-views (DESIGN.md §5), and JSONL record/header stability (DESIGN.md §7).
+oracle parity for every kernel ``mode=``, and JSONL record/header
+stability (DESIGN.md §7).
 Each of these was violated at least once between PRs 4 and 7 and fixed by
 hand; this package enforces them mechanically.
 
 The engine is a small rule framework over :mod:`ast` (stdlib only):
 
-* per-file **visitor rules** (R1, R2, R4, R6, R7, R8) walk one module's
+* per-file **visitor rules** (R1, R2, R4, R7, R8, R10) walk one module's
   tree;
 * **project rules** (R3, R5, R9) see every parsed file at once — R3
   first collects the set of ``deadline=``-accepting functions, R5
@@ -38,13 +38,16 @@ R4      error taxonomy: no ``raise ValueError``/``raise Exception`` in
         library code outside :mod:`repro.errors`; blanket ``except
         Exception`` needs a pragma or justified suppression
 R5      oracle coverage: every kernel mode literal must appear in tests/
-R6      shared-memory safety: no writes to ``arrays``-parameter views
+R6      retired (guarded the removed shared-memory worker views); the
+        ID is not reused, so existing suppressions keep their meaning
 R7      JSONL stability: record-defining modules never write files
         directly (serialization goes through ``jsonl_store`` or the
         ``repro.experiments`` layer that feeds it)
 R8      no mutable default arguments
 R9      golden pins: every ``register_experiment`` name must appear in
         a golden-file test, keeping its stream bytes pinned
+R10     durable writes: raw ``os.replace`` / ``os.rename`` / ``os.fsync``
+        only inside :mod:`repro.io`
 ======  ==============================================================
 
 Entry points: :func:`lint_paths` (library), ``python -m repro.lint`` and

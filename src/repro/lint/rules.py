@@ -1,4 +1,7 @@
-"""Per-file visitor rules: R1, R2, R4, R6, R7, R8, R10.
+"""Per-file visitor rules: R1, R2, R4, R7, R8, R10.
+
+(R6 — no writes through shared-memory worker views — is retired with the
+shared-memory channel it guarded; its ID is not reused.)
 
 Each rule is a generator over one parsed module.  Rules are deliberately
 syntactic — they match the patterns this codebase actually uses (see the
@@ -26,13 +29,6 @@ def dotted_name(node: ast.AST) -> "str | None":
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _root_name(node: ast.AST) -> "str | None":
-    """Base variable of a Subscript/Attribute chain (``a[0].x`` -> ``a``)."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _imported_names(tree: ast.Module) -> "dict[str, str]":
@@ -208,84 +204,6 @@ def _handler_type_names(type_node: "ast.expr | None") -> "set[str]":
         list(type_node.elts) if isinstance(type_node, ast.Tuple) else [type_node]
     )
     return {e.id for e in exprs if isinstance(e, ast.Name)}
-
-
-_INPLACE_METHODS = {
-    "fill", "sort", "partition", "put", "setfield", "resize", "itemset",
-    "byteswap",
-}
-
-
-@file_rule("R6", "worker functions must not write shared array views")
-def rule_shared_memory(ctx: FileContext, config: LintConfig) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            all_args = args.posonlyargs + args.args + args.kwonlyargs
-            if any(a.arg == "arrays" for a in all_args):
-                yield from _check_worker_body(ctx, node)
-
-
-def _check_worker_body(
-    ctx: FileContext, func: ast.AST
-) -> Iterator[Finding]:
-    # Direct aliases only: name = arrays or name = arrays[...] / arrays.attr.
-    tracked = {"arrays"}
-    changed = True
-    while changed:
-        changed = False
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id not in tracked
-                    and _root_name(node.value) in tracked
-                    and isinstance(
-                        node.value, (ast.Name, ast.Subscript, ast.Attribute)
-                    )
-                ):
-                    tracked.add(target.id)
-                    changed = True
-
-    def _is_tracked_view(expr: ast.AST) -> bool:
-        return _root_name(expr) in tracked and isinstance(
-            expr, (ast.Subscript, ast.Attribute, ast.Name)
-        )
-
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and _is_tracked_view(target):
-                    yield ctx.finding(
-                        node, "R6",
-                        "write into a shared worker view ('arrays' is "
-                        "read-only in workers; copy first)",
-                    )
-        elif isinstance(node, ast.AugAssign) and _is_tracked_view(node.target):
-            yield ctx.finding(
-                node, "R6",
-                "in-place update of a shared worker view ('arrays' is "
-                "read-only in workers; copy first)",
-            )
-        elif isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg == "out" and _is_tracked_view(kw.value):
-                    yield ctx.finding(
-                        node, "R6",
-                        "out= targets a shared worker view ('arrays' is "
-                        "read-only in workers; allocate a local buffer)",
-                    )
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _INPLACE_METHODS
-                and _is_tracked_view(node.func.value)
-            ):
-                yield ctx.finding(
-                    node, "R6",
-                    f"'.{node.func.attr}()' mutates a shared worker view "
-                    "('arrays' is read-only in workers)",
-                )
 
 
 _WRITE_MODES = set("wax+")

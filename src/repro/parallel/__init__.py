@@ -1,9 +1,10 @@
-"""Deterministic parallel execution: process pools, shared memory, sweeps.
+"""Deterministic parallel execution at the fleet grain: pool, sweeps, faults.
 
-Since ISSUE 6 the runtime is fault-tolerant (DESIGN.md §9): per-chunk
-timeouts, bounded deterministic retries with chunk splitting, executor
-rebuild on worker death, task quarantine (:class:`TaskFailure`), a
-``/dev/shm`` orphan reaper (:func:`reap_orphan_segments`), and a
+One persistent process pool (:mod:`repro.parallel.shared`) runs fleets of
+independent tasks; audits and other per-task work stay serial (DESIGN.md
+§5).  The runtime is fault-tolerant (DESIGN.md §9): per-chunk timeouts,
+bounded deterministic retries with chunk splitting, executor rebuild on
+worker death, task quarantine (:class:`TaskFailure`), and a
 deterministic fault-injection harness (:mod:`repro.parallel.faults`).
 """
 
@@ -11,37 +12,31 @@ from .faults import InjectedFault, injected_env
 from .pool import (
     TaskFailure,
     check_deadline,
-    chunk_evenly,
     current_task_deadline,
     default_workers,
     parallel_map,
 )
 from .shared import (
-    SharedArrayBundle,
     SharedArrayPool,
     get_shared_pool,
     map_streamed,
-    reap_orphan_segments,
     shutdown_shared_pools,
 )
 from .sweep import Sweep, SweepPoint, run_sweep
 
 __all__ = [
     "InjectedFault",
-    "SharedArrayBundle",
     "SharedArrayPool",
     "Sweep",
     "SweepPoint",
     "TaskFailure",
     "check_deadline",
-    "chunk_evenly",
     "current_task_deadline",
     "default_workers",
     "get_shared_pool",
     "injected_env",
     "map_streamed",
     "parallel_map",
-    "reap_orphan_segments",
     "run_sweep",
     "shutdown_shared_pools",
 ]

@@ -16,15 +16,11 @@ The hpc-parallel guides' discipline applied to a laptop-scale library:
 Functions submitted must be module-level (picklable); closures are rejected
 early with a clear error rather than a confusing pickle traceback.
 
-Since the shared-memory runtime (DESIGN.md §5), ``parallel_map`` also has a
-``shared=`` payload channel: a mapping of large read-only numpy arrays that
-is published once via :class:`~repro.parallel.shared.SharedArrayBundle` and
-attached zero-copy in the workers, instead of being pickled into every chunk.
-``backend`` selects the execution substrate — ``"persistent"`` reuses one
-long-lived pool across calls, ``"fork"`` keeps the original fork-per-call
-executor (the oracle both for determinism tests and for callers that must
-not leave worker processes behind).  Results are identical across backends,
-worker counts, and chunkings by construction.
+Parallelism lives at the fleet grain (DESIGN.md §5): ``workers > 1`` always
+runs on the one persistent process pool of :mod:`repro.parallel.shared`,
+whose tasks are plain picklable tuples, and ``workers=1`` is its serial
+oracle.  Results are identical across worker counts and chunkings by
+construction.
 
 Since the fault-tolerance layer (DESIGN.md §9), ``parallel_map`` also takes
 ``timeout=`` (per-chunk wall clock), ``retries=`` (bounded, with
@@ -44,11 +40,8 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Literal, Sequence, TypeVar
 
 from ..errors import ConfigurationError, DeadlineExceeded, TaskExecutionError
 from . import faults
@@ -56,7 +49,6 @@ from . import faults
 __all__ = [
     "TaskFailure",
     "check_deadline",
-    "chunk_evenly",
     "current_task_deadline",
     "default_workers",
     "parallel_map",
@@ -129,10 +121,6 @@ class _TaskError:
         return RuntimeError(f"{self.exc_repr}\n{self.tb_text}")
 
 
-def _call_task(fn: Callable, task, arrays) -> object:
-    return fn(task) if arrays is None else fn(task, arrays)
-
-
 #: The request deadline governing the task currently being mapped, set by
 #: the chunk/serial runners for the duration of each task body and read via
 #: :func:`current_task_deadline`.  Per-process (workers set their own copy
@@ -171,15 +159,17 @@ class _deadline_scope:
         _ambient_deadline = self._prev
 
 
-def _run_tasks(fn, arrays, tasks, chunk_id, start, deadline=None) -> list:
+def _run_tasks(fn, tasks, chunk_id, start, deadline=None) -> list:
     """Run a contiguous chunk, catching per-task exceptions into markers.
 
-    The single chunk body shared by every process backend (and the
-    degraded serial path): checks the fault-injection sites (``chunk=`` at
-    chunk start, ``task=`` per task) and returns one entry per task —
-    the result, or a :class:`_TaskError` carrying the task's identity.
-    ``deadline`` is published to the task bodies via
-    :func:`current_task_deadline` for checkpoint-and-yield support.
+    The worker entry point of the persistent pool: checks the
+    fault-injection sites (``chunk=`` at chunk start, ``task=`` per task)
+    and returns one entry per task — the result, or a :class:`_TaskError`
+    carrying the task's identity, so a poisoned task never poisons its
+    chunk-mates.  ``deadline`` (the map call's request budget) is
+    published to the task bodies via :func:`current_task_deadline`, so
+    checkpoint-capable tasks snapshot-and-yield at the cutoff instead of
+    running on past the owner's patience.
     """
     faults.maybe_fault(chunk=chunk_id)
     out: list = []
@@ -188,7 +178,7 @@ def _run_tasks(fn, arrays, tasks, chunk_id, start, deadline=None) -> list:
             abs_idx = start + i
             try:
                 faults.maybe_fault(task=abs_idx)
-                out.append(_call_task(fn, task, arrays))
+                out.append(fn(task))
             except Exception as exc:  # repro-lint: disable=R4 -- task bodies raise anything; quarantined as a typed marker
                 out.append(_TaskError.from_exception(abs_idx, task, exc))
     return out
@@ -244,7 +234,6 @@ def _permanent_failure(
 def _serial_map(
     fn: Callable,
     tasks: Sequence,
-    arrays,
     *,
     retries: int = 0,
     backoff: float = 0.05,
@@ -273,7 +262,7 @@ def _serial_map(
             try:
                 faults.maybe_fault(task=abs_idx)
                 with _deadline_scope(deadline):
-                    value = _call_task(fn, task, arrays)
+                    value = fn(task)
                 break
             except Exception as exc:  # repro-lint: disable=R4 -- retry loop must catch whatever the task body raises
                 # A task-body DeadlineExceeded is a deliberate yield (the
@@ -292,28 +281,6 @@ def _serial_map(
     return out
 
 
-def chunk_evenly(items: Sequence[T], parts: int) -> list[tuple[int, list[T]]]:
-    """Split ``items`` into ≤ ``parts`` contiguous chunks of near-equal size.
-
-    Returns ``(start_offset, chunk)`` pairs; offsets let workers report
-    positions in the original order so chunked scans stay deterministic
-    (the equilibrium audits key their "first violation" on them).  Empty
-    chunks are dropped; ``parts`` is clamped to ``len(items)``.
-    """
-    if parts < 1:
-        raise ConfigurationError(f"parts must be >= 1, got {parts}")
-    items = list(items)
-    k = max(1, min(parts, len(items)))
-    if not items:
-        return []
-    bounds = [round(i * len(items) / k) for i in range(k + 1)]
-    return [
-        (lo, items[lo:hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-
-
 def default_workers() -> int:
     """CPU count minus one (floor 1): leave a core for the orchestrator."""
     return max(1, (os.cpu_count() or 1) - 1)
@@ -329,57 +296,12 @@ def _check_picklable(fn: Callable) -> None:
         ) from exc
 
 
-Backend = Literal["auto", "persistent", "fork"]
-
-
-def _resolve_shared(shared):
-    """Normalize a ``shared=`` payload to (bundle-or-None, owner-arrays).
-
-    Publishing to shared memory is deferred to the persistent-pool branch:
-    the serial and fork paths work off the caller's own arrays, so they
-    never pay a segment copy.
-    """
-    from .shared import SharedArrayBundle
-
-    if shared is None:
-        return None, None
-    if isinstance(shared, SharedArrayBundle):
-        return shared, shared.arrays()
-    if isinstance(shared, Mapping):
-        return None, dict(shared)
-    raise ConfigurationError(
-        f"shared must be a mapping of numpy arrays or a SharedArrayBundle, "
-        f"got {type(shared).__name__}"
-    )
-
-
-def _fork_chunk(payload):
-    """Fork-backend worker: arrays (if any) arrive pickled in the payload.
-
-    This is the re-pickling oracle the shared-memory path is validated
-    against — deliberately unoptimized, but it shares the per-task error
-    capture so worker exceptions still carry task identity.
-    """
-    fn, arrays, start, chunk = payload
-    return _run_tasks(fn, arrays, chunk, None, start)
-
-
-def _raise_first_marker(results: list) -> list:
-    """Raise on the first :class:`_TaskError`; otherwise pass through."""
-    for item in results:
-        if isinstance(item, _TaskError):
-            _permanent_failure(item, 1, "raise")
-    return results
-
-
 def parallel_map(
     fn: Callable[[T], R],
     tasks: Sequence[T],
     workers: "int | None" = None,
     chunk_size: "int | None" = None,
     *,
-    shared: "Mapping[str, np.ndarray] | None" = None,
-    backend: Backend = "auto",
     timeout: "float | None" = None,
     deadline: "float | None" = None,
     retries: int = 0,
@@ -392,26 +314,15 @@ def parallel_map(
     ----------
     workers:
         Process count; ``None`` → :func:`default_workers`; ``1`` → serial
-        in-process execution (no pool, exact same semantics).
+        in-process execution (no pool, exact same semantics); ``> 1`` →
+        the persistent pool of :func:`~repro.parallel.shared.
+        get_shared_pool`, reused across calls.
     chunk_size:
         Tasks per submission; ``None`` → ``ceil(len / (4·workers))`` with a
         floor of 1 (a standard latency/throughput compromise).
-    shared:
-        Optional mapping of large read-only numpy arrays (or an existing
-        :class:`~repro.parallel.shared.SharedArrayBundle`).  When given,
-        ``fn`` is called as ``fn(task, arrays)`` where ``arrays`` maps the
-        same keys to ndarray views — zero-copy shared memory on the
-        persistent backend, plain pickled copies on the fork backend, the
-        caller's own arrays on the serial path.  A mapping passed here is
-        published for the duration of the call and unlinked before return.
-    backend:
-        ``"auto"`` — persistent pool when ``shared`` or any fault-tolerance
-        knob is given, fork-per-call otherwise (the pre-shared-runtime
-        behaviour); ``"persistent"`` / ``"fork"`` force one substrate.
-        Results are identical either way.
     timeout:
-        Per-chunk wall-clock budget in seconds (process backends only —
-        the serial path cannot preempt itself).  A chunk that exceeds it is
+        Per-chunk wall-clock budget in seconds (pool path only — the
+        serial path cannot preempt itself).  A chunk that exceeds it is
         presumed hung: its workers are killed, the executor is rebuilt, and
         the chunk is retried/split under the ``retries`` budget.
     deadline:
@@ -446,70 +357,34 @@ def parallel_map(
         workers = default_workers()
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if backend not in ("auto", "persistent", "fork"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
     if on_error not in ("raise", "record"):
         raise ConfigurationError(f"unknown on_error policy {on_error!r}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-    fault_tolerant = (
-        timeout is not None
-        or deadline is not None
-        or retries > 0
-        or on_error != "raise"
-    )
-    if backend == "fork" and fault_tolerant:
-        raise ConfigurationError(
-            "backend='fork' is the plain per-call oracle and does not "
-            "support timeout/retries/on_error; use the persistent backend"
-        )
     if not tasks:
         return []
-    bundle, owner_arrays = _resolve_shared(shared)
     if workers == 1 or len(tasks) == 1:
+        fault_tolerant = (
+            timeout is not None
+            or deadline is not None
+            or retries > 0
+            or on_error != "raise"
+        )
         if fault_tolerant:
             return _serial_map(
-                fn, tasks, owner_arrays,
+                fn, tasks,
                 retries=retries, backoff=backoff, on_error=on_error,
                 deadline=deadline,
             )
-        if owner_arrays is None:
-            return [fn(t) for t in tasks]
-        return [fn(t, owner_arrays) for t in tasks]
+        return [fn(t) for t in tasks]
     _check_picklable(fn)
-    if chunk_size is None:
-        chunk_size = max(1, (len(tasks) + 4 * workers - 1) // (4 * workers))
-    if backend == "persistent" or (
-        backend == "auto" and (shared is not None or fault_tolerant)
-    ):
-        from .shared import SharedArrayBundle, get_shared_pool
+    from .shared import get_shared_pool
 
-        owns_bundle = bundle is None and owner_arrays is not None
-        if owns_bundle:
-            bundle = SharedArrayBundle(owner_arrays)
-        try:
-            return get_shared_pool(workers).map(
-                fn, tasks, shared=bundle, chunk_size=chunk_size,
-                timeout=timeout, deadline=deadline,
-                retries=retries, backoff=backoff,
-                on_error=on_error,
-            )
-        finally:
-            if owns_bundle:
-                bundle.close()
-    # Fork backend: one executor per call, arrays (if any) pickled into
-    # every chunk (the oracle for the zero-copy path).
-    payloads = [
-        (fn, owner_arrays, i, tasks[i : i + chunk_size])
-        for i in range(0, len(tasks), chunk_size)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        out: list[R] = []
-        # stdlib executor.map has no deadline=; enforce ours per chunk.
-        # repro-lint: disable=R3 -- stdlib map cannot forward; checked below
-        for part in pool.map(_fork_chunk, payloads):
-            _check_deadline(deadline)
-            out.extend(_raise_first_marker(part))
-        return out
+    return get_shared_pool(workers).map(
+        fn, tasks, chunk_size=chunk_size,
+        timeout=timeout, deadline=deadline,
+        retries=retries, backoff=backoff,
+        on_error=on_error,
+    )

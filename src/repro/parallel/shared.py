@@ -1,47 +1,21 @@
-"""Shared-memory array publishing and a persistent worker pool.
+"""The persistent, fault-tolerant process pool at the fleet grain.
 
-PR 1 made the per-edge distance question cheap; the orchestration around it
-was still paying two process-level taxes on every parallel call:
+Parallelism in this library lives at one grain: a fleet of independent
+dynamics runs, each a plain picklable task tuple (DESIGN.md §5).  An
+equilibrium audit is a small serial job — the paper's point is that it is
+polynomial, even locally checkable — so nothing below the task is sharded.
 
-* a fresh :class:`~concurrent.futures.ProcessPoolExecutor` was forked per
-  call (worker start-up dominates short audits);
-* every chunk payload re-pickled the large read-only inputs — the n×n base
-  distance matrix and the CSR adjacency arrays — once per chunk.
-
-This module removes both.  :class:`SharedArrayBundle` publishes a set of
-numpy arrays into POSIX shared memory (``multiprocessing.shared_memory``);
-workers attach by segment name and get **zero-copy read-only views**, cached
-per process so repeated chunks pay nothing.  :class:`SharedArrayPool` keeps
-one :class:`ProcessPoolExecutor` alive per worker count and reuses it across
-calls; :func:`repro.parallel.parallel_map` routes through it when given a
-``shared=`` payload (the fork-per-call path survives as ``backend="fork"``,
-the determinism oracle).
-
-Lifetime discipline (DESIGN.md §5):
-
-* the **owner** process creates segments and keeps them registered with its
-  ``resource_tracker`` — if the owner is killed, the tracker (a separate
-  process) unlinks the segments, so a test-process crash leaks nothing in
-  ``/dev/shm``;
-* :meth:`SharedArrayBundle.close` unlinks eagerly and is idempotent;
-  bundles also self-close via ``atexit`` and ``__del__`` as a backstop;
-* **workers** are forked, so they share the owner's tracker process:
-  attaching re-registers the same name (a set-idempotent no-op) and worker
-  exit goes through ``os._exit`` (no atexit), so workers can neither leak
-  nor double-unlink a segment; attached views are cached per segment name
-  with a small LRU bound;
-* if owner *and* tracker die together (``kill -9`` of the process group, a
-  host reset), the segment survives — the **startup reaper**
-  (:func:`reap_orphan_segments`) scans ``/dev/shm`` for our name pattern,
-  extracts the embedded creator pid, and unlinks segments whose owner is
-  dead.  A liveness-stamped registry entry (pid + process start time,
-  written at publish) protects concurrent fleets from pid reuse: a live
-  pid with a matching start time is never reaped.
+:class:`SharedArrayPool` keeps one :class:`ProcessPoolExecutor` alive per
+worker count and reuses it across calls, so fleets pay worker start-up
+once, not per call; :func:`get_shared_pool` hands out the process-wide
+instance, :func:`map_streamed` is the fleets' streaming loop over it, and
+:func:`repro.parallel.parallel_map` routes every ``workers > 1`` call
+through it.  Workers are forked and exit through ``os._exit``.
 
 Fault tolerance (DESIGN.md §9): :meth:`SharedArrayPool.map` survives worker
-death (``BrokenProcessPool`` — the executor is rebuilt and shared bundles
-re-validated/re-published), hangs (per-chunk ``timeout=`` kills the stuck
-workers), and poisoned tasks (bounded ``retries=`` with deterministic
+death (``BrokenProcessPool`` — the executor is rebuilt and every
+unfinished chunk resubmitted), hangs (per-chunk ``timeout=`` kills the
+stuck workers), and poisoned tasks (bounded ``retries=`` with deterministic
 exponential backoff; failing chunks split to isolate the poison; a task
 that keeps failing is degraded to one serial in-process attempt, then
 raised with its identity or quarantined per ``on_error=``).
@@ -55,24 +29,14 @@ count contract even across retries, splits, and executor rebuilds.
 from __future__ import annotations
 
 import atexit
-import itertools
-import json
-import os
-import tempfile
 import time
-import uuid
-import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing import shared_memory as _shm
-from pathlib import Path
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from ..errors import ConfigurationError, DeadlineExceeded
 from .pool import (
@@ -86,16 +50,12 @@ from .pool import (
 )
 
 __all__ = [
-    "SharedArrayBundle",
     "SharedArrayPool",
     "get_shared_pool",
     "map_streamed",
-    "reap_orphan_segments",
     "shutdown_shared_pools",
 ]
 
-#: Segment-name prefix: makes leak assertions in tests (and `ls /dev/shm`
-#: forensics in anger) trivially greppable.
 #: How long past a spent request deadline the pool waits for inflight
 #: chunks to hand back their checkpoint-and-yield markers before killing
 #: the workers.  Checkpoint-capable tasks yield at their next applied-move
@@ -103,336 +63,6 @@ __all__ = [
 #: schedule; it bounds the worst case (a non-yielding task body) so the
 #: deadline contract stays "never a hang".
 _DEADLINE_GRACE = 2.0
-
-_NAME_PREFIX = "repro-shm"
-
-_SPEC_FIELDS = 4  # (key, segment name, shape, dtype string)
-
-_name_counter = itertools.count()
-
-
-def _new_segment_name() -> str:
-    # pid + counter + random suffix: unique across processes and re-runs,
-    # short enough for the POSIX shm_open name limit.  The embedded pid is
-    # what lets the startup reaper attribute an orphaned segment to its
-    # (dead) creator.
-    return (
-        f"{_NAME_PREFIX}-{os.getpid()}-{next(_name_counter)}-"
-        f"{uuid.uuid4().hex[:8]}"
-    )
-
-
-# Bundles still open, for the atexit backstop.  Weak so that garbage
-# collection (which triggers __del__ -> close) drops entries naturally.
-_LIVE_BUNDLES: "weakref.WeakSet[SharedArrayBundle]" = weakref.WeakSet()
-
-
-# ---------------------------------------------------------------------------
-# Orphan reaper and liveness registry
-# ---------------------------------------------------------------------------
-
-#: Where POSIX shm segments materialize as files (Linux tmpfs).  When the
-#: directory does not exist (macOS, Windows) the reaper is a no-op.
-_SHM_DIR = Path("/dev/shm")
-
-#: Liveness registry: one small JSON file per published segment, carrying
-#: the owner's (pid, start time).  Advisory — registry I/O failures never
-#: fail a publish — but it is what makes reaping safe against pid reuse:
-#: a recycled pid has a different start time, so a stale segment whose
-#: embedded pid now names an unrelated live process is still reaped, while
-#: a concurrent fleet's segment (matching stamp) never is.
-_REGISTRY_DIR = Path(tempfile.gettempdir()) / "repro-shm-registry"
-
-
-def _proc_start_time(pid: int) -> "str | None":
-    """The kernel's start-time ticks for ``pid`` (None off-Linux/when gone)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-        # Field 22 (starttime); the comm field may contain spaces/parens,
-        # so split after the last ')'.
-        return stat[stat.rindex(")") + 1 :].split()[19]
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _pid_from_name(name: str) -> "int | None":
-    parts = name.split("-")
-    try:
-        return int(parts[2])
-    except (IndexError, ValueError):
-        return None
-
-
-def _register_segment(name: str) -> None:
-    try:
-        _REGISTRY_DIR.mkdir(parents=True, exist_ok=True)
-        (_REGISTRY_DIR / name).write_text(
-            json.dumps(
-                {
-                    "pid": os.getpid(),
-                    "starttime": _proc_start_time(os.getpid()),
-                }
-            )
-        )
-    except OSError:  # pragma: no cover - registry is advisory
-        pass
-
-
-def _unregister_segment(name: str) -> None:
-    try:
-        (_REGISTRY_DIR / name).unlink()
-    except OSError:
-        pass
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    return True
-
-
-def _owner_alive(name: str, pid: int) -> bool:
-    """Is the process that published segment ``name`` still the one running?"""
-    if not _pid_alive(pid):
-        return False
-    try:
-        entry = json.loads((_REGISTRY_DIR / name).read_text())
-    except (OSError, ValueError):
-        # No (readable) registry entry: a live pid is trusted —
-        # conservative, because reaping a live fleet's segment corrupts it,
-        # while a leaked segment merely waits for its pid to die.
-        return True
-    stamped = entry.get("starttime")
-    if stamped is None:
-        return True
-    return _proc_start_time(pid) == stamped
-
-
-def reap_orphan_segments() -> list[str]:
-    """Unlink ``/dev/shm`` segments of our name pattern from dead owners.
-
-    Covers the one leak path the per-process lifetime discipline cannot:
-    owner *and* resource tracker dying together (``kill -9`` of the
-    process group, a container stop).  Safe to run concurrently with live
-    fleets — a segment is only reaped when its embedded creator pid is
-    dead, or when the liveness registry proves the pid was recycled by an
-    unrelated process.  Returns the reaped segment names.  Runs
-    automatically once per process the first time a bundle or pool is
-    created.
-    """
-    reaped: list[str] = []
-    if not _SHM_DIR.is_dir():
-        return reaped
-    for path in _SHM_DIR.glob(f"{_NAME_PREFIX}-*"):
-        name = path.name
-        pid = _pid_from_name(name)
-        if pid is None or _owner_alive(name, pid):
-            continue
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - raced another reaper
-            pass
-        else:
-            reaped.append(name)
-        _unregister_segment(name)
-    # Registry entries whose segment is gone (normal close crash-raced the
-    # unregister) are stale bookkeeping: sweep them too.
-    try:
-        for entry in _REGISTRY_DIR.glob(f"{_NAME_PREFIX}-*"):
-            if not (_SHM_DIR / entry.name).exists():
-                _unregister_segment(entry.name)
-    except OSError:  # pragma: no cover
-        pass
-    return reaped
-
-
-_reaped_once = False
-
-
-def _reap_once() -> None:
-    global _reaped_once
-    if not _reaped_once:
-        _reaped_once = True
-        reap_orphan_segments()
-
-
-class SharedArrayBundle:
-    """A set of numpy arrays published once into shared memory.
-
-    Parameters
-    ----------
-    arrays:
-        Mapping of key -> array.  Each array is copied into its own shared
-        segment at construction (the one copy the whole parallel call pays);
-        views handed out afterwards are zero-copy and read-only.
-
-    Use as a context manager (or call :meth:`close`) to unlink eagerly;
-    otherwise ``atexit``/``__del__`` clean up, and the owner's resource
-    tracker covers abnormal exits.
-    """
-
-    def __init__(self, arrays: Mapping[str, np.ndarray]):
-        if not arrays:
-            raise ConfigurationError("SharedArrayBundle needs >= 1 array")
-        _reap_once()
-        self._segments: dict[str, _shm.SharedMemory] = {}
-        self._views: dict[str, np.ndarray] = {}
-        spec: list[tuple[str, str, tuple[int, ...], str]] = []
-        try:
-            for key, arr in arrays.items():
-                arr = np.ascontiguousarray(arr)
-                if arr.nbytes == 0:
-                    raise ConfigurationError(
-                        f"cannot share empty array {key!r}"
-                    )
-                seg = _shm.SharedMemory(
-                    create=True, size=arr.nbytes, name=_new_segment_name()
-                )
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-                view[...] = arr
-                view.flags.writeable = False
-                self._segments[key] = seg
-                self._views[key] = view
-                _register_segment(seg.name)
-                spec.append((key, seg.name, arr.shape, arr.dtype.str))
-        except BaseException:
-            self.close()
-            raise
-        self._spec = tuple(spec)
-        self._closed = False
-        _LIVE_BUNDLES.add(self)
-
-    # ------------------------------------------------------------------
-    @property
-    def spec(self) -> tuple:
-        """Picklable handle workers attach from: (key, name, shape, dtype)."""
-        return self._spec
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The owner's read-only zero-copy views, keyed as published."""
-        if self._closed:
-            raise ConfigurationError("bundle is closed")
-        return dict(self._views)
-
-    @property
-    def segment_names(self) -> tuple[str, ...]:
-        return tuple(seg.name for seg in self._segments.values())
-
-    def revalidate(self) -> "SharedArrayBundle":
-        """Self if every segment still exists; a re-published copy if not.
-
-        The executor-rebuild path calls this before resubmitting work: if
-        an external cleaner (or a crashed tracker) unlinked a segment while
-        the fleet ran, freshly forked workers could no longer attach.  The
-        owner's views stay readable even after an unlink (the mapping pins
-        the memory), so the bundle can re-publish itself from them.  The
-        caller owns any replacement bundle returned.
-        """
-        if self._closed:
-            raise ConfigurationError("cannot revalidate a closed bundle")
-        if _SHM_DIR.is_dir():
-            missing = [
-                name
-                for name in self.segment_names
-                if not (_SHM_DIR / name).exists()
-            ]
-            if missing:
-                return SharedArrayBundle(self._views)
-        return self
-
-    def close(self) -> None:
-        """Release and unlink every segment.  Idempotent."""
-        self._views = {}
-        segments, self._segments = self._segments, {}
-        for seg in segments.values():
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - teardown races
-                pass
-            try:
-                seg.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-            _unregister_segment(seg.name)
-        self._closed = True
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "SharedArrayBundle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - gc timing dependent
-        try:
-            self.close()
-        except Exception:  # repro-lint: disable=R4 -- __del__ may run at interpreter teardown where anything raises
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        keys = ", ".join(k for k, *_ in self._spec)
-        return f"SharedArrayBundle({keys}; closed={self._closed})"
-
-
-# ---------------------------------------------------------------------------
-# Worker side: attach-and-cache
-# ---------------------------------------------------------------------------
-
-#: Per-process cache of attached segments: name -> (SharedMemory, view).
-#: Bounded LRU so a long-lived worker serving many bundles does not pin
-#: unboundedly many mappings.
-_ATTACH_CACHE: "OrderedDict[str, tuple[_shm.SharedMemory, np.ndarray]]" = (
-    OrderedDict()
-)
-_ATTACH_CACHE_MAX = 8
-
-
-def _attach_one(name: str, shape, dtype: str) -> np.ndarray:
-    cached = _ATTACH_CACHE.get(name)
-    if cached is not None:
-        _ATTACH_CACHE.move_to_end(name)
-        return cached[1]
-    seg = _shm.SharedMemory(name=name)
-    view = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=seg.buf)
-    view.flags.writeable = False
-    _ATTACH_CACHE[name] = (seg, view)
-    while len(_ATTACH_CACHE) > _ATTACH_CACHE_MAX:
-        _, (old_seg, _) = _ATTACH_CACHE.popitem(last=False)
-        try:
-            old_seg.close()
-        except Exception:  # pragma: no cover
-            pass
-    return view
-
-
-def attach_spec(spec) -> dict[str, np.ndarray]:
-    """Attach a :attr:`SharedArrayBundle.spec` in this process (cached)."""
-    return {
-        key: _attach_one(name, shape, dtype)
-        for key, name, shape, dtype in spec
-    }
-
-
-def _run_chunk(
-    fn: Callable, spec, chunk: list, chunk_id=None, start=0, deadline=None,
-) -> list:
-    """Worker entry point: resolve the shared payload, run the chunk.
-
-    Per-task exceptions come back as markers in the task's slot (see
-    :func:`repro.parallel.pool._run_tasks`), so a poisoned task identifies
-    itself instead of poisoning its chunk; ``chunk_id``/``start`` also
-    locate the fault-injection sites.  ``deadline`` (the map call's
-    request budget) is published to the task bodies in this worker via
-    :func:`~repro.parallel.pool.current_task_deadline`, so
-    checkpoint-capable tasks snapshot-and-yield at the cutoff instead of
-    running on past the owner's patience.
-    """
-    arrays = None if spec is None else attach_spec(spec)
-    return _run_tasks(fn, arrays, chunk, chunk_id, start, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +93,12 @@ class _Unit:
 
 
 class SharedArrayPool:
-    """A persistent process pool with a shared-array payload channel.
+    """A persistent process pool that maps plain picklable task tuples.
 
-    Workers are created once and reused across :meth:`map` calls; large
-    read-only arrays travel via :class:`SharedArrayBundle` instead of being
-    pickled per chunk.  Results are gathered in submission order, so output
-    is independent of worker count and scheduling.  :meth:`map` recovers
-    from worker death, hangs, and poisoned tasks (DESIGN.md §9).
+    Workers are created once and reused across :meth:`map` calls.  Results
+    are gathered in submission order, so output is independent of worker
+    count and scheduling.  :meth:`map` recovers from worker death, hangs,
+    and poisoned tasks (DESIGN.md §9).
     """
 
     def __init__(self, workers: int):
@@ -515,39 +144,10 @@ class SharedArrayPool:
                 pass
 
     # ------------------------------------------------------------------
-    def submit_chunks(
-        self,
-        fn: Callable,
-        chunks: Sequence[list],
-        shared: "SharedArrayBundle | None" = None,
-        starts: "Sequence[int] | None" = None,
-    ):
-        """Submit chunks, returning futures in submission order.
-
-        The streaming primitive under :meth:`map` and the census fleet:
-        callers may consume futures in order while later chunks still run.
-        ``starts`` optionally carries each chunk's absolute task offset
-        (used for task identity in errors and fault-injection sites).
-        """
-        spec = None if shared is None else shared.spec
-        pool = self._ensure_executor()
-        if starts is None:
-            starts = []
-            off = 0
-            for c in chunks:
-                starts.append(off)
-                off += len(c)
-        return [
-            pool.submit(_run_chunk, fn, spec, list(c), i, s)
-            for i, (c, s) in enumerate(zip(chunks, starts))
-        ]
-
-    # ------------------------------------------------------------------
     def map(
         self,
         fn: Callable,
         tasks: Sequence,
-        shared: "SharedArrayBundle | None" = None,
         chunk_size: "int | None" = None,
         *,
         timeout: "float | None" = None,
@@ -557,22 +157,19 @@ class SharedArrayPool:
         on_error: str = "raise",
         consume: "Callable[[list], None] | None" = None,
     ) -> list:
-        """Map ``fn`` over ``tasks`` (order preserved), sharing ``shared``.
+        """Map ``fn`` over ``tasks`` (order preserved).
 
-        ``fn`` is called as ``fn(task)`` without a bundle and as
-        ``fn(task, arrays)`` with one.  ``deadline`` is an absolute
-        ``time.monotonic()`` instant bounding the whole call: every
-        blocking wait is capped at the remaining budget and every retry
-        decision re-checks it, so the call raises
+        ``deadline`` is an absolute ``time.monotonic()`` instant bounding
+        the whole call: every blocking wait is capped at the remaining
+        budget and every retry decision re-checks it, so the call raises
         :class:`~repro.errors.DeadlineExceeded` at the deadline instead of
         spending ``timeout × retries`` on a wedged chunk (the stuck
         workers are killed on the way out — the executor rebuilds lazily
         on next use).  Fault-tolerance contract (DESIGN.md §9):
 
         * **worker death** (``BrokenProcessPool``) — the executor is
-          rebuilt, shared bundles re-validated (re-published if a segment
-          vanished), and every unfinished chunk resubmitted; the chunk at
-          the head of the consumption line is charged one attempt;
+          rebuilt and every unfinished chunk resubmitted; the chunk at the
+          head of the consumption line is charged one attempt;
         * **hang** — with ``timeout=``, a chunk exceeding its wall-clock
           budget at the head of the line has the workers killed and is
           charged one attempt;
@@ -595,9 +192,6 @@ class SharedArrayPool:
             chunk_size = max(
                 1, (len(tasks) + 4 * self.workers - 1) // (4 * self.workers)
             )
-        owner_arrays = None if shared is None else shared.arrays()
-        bundle = shared
-        owned_republish: "SharedArrayBundle | None" = None
         units = [
             _Unit(chunk_id=ci, start=i, tasks=tasks[i : i + chunk_size])
             for ci, i in enumerate(range(0, len(tasks), chunk_size))
@@ -608,20 +202,12 @@ class SharedArrayPool:
         inflight: "OrderedDict" = OrderedDict()
 
         def submit(unit: _Unit) -> None:
-            spec = None if bundle is None else bundle.spec
+            args = (fn, unit.tasks, unit.chunk_id, unit.start, deadline)
             try:
-                pool = self._ensure_executor()
-                fut = pool.submit(
-                    _run_chunk, fn, spec, unit.tasks, unit.chunk_id,
-                    unit.start, deadline,
-                )
+                fut = self._ensure_executor().submit(_run_tasks, *args)
             except BrokenProcessPool:  # pragma: no cover - submit race
                 self._kill_executor()
-                pool = self._ensure_executor()
-                fut = pool.submit(
-                    _run_chunk, fn, spec, unit.tasks, unit.chunk_id,
-                    unit.start, deadline,
-                )
+                fut = self._ensure_executor().submit(_run_tasks, *args)
             inflight[fut] = unit
 
         def drain_deadline() -> None:
@@ -676,7 +262,7 @@ class SharedArrayPool:
             # raises) — completing genuinely fine tasks and giving the
             # poisoned one a final, identity-preserving verdict.
             part = _serial_map(
-                fn, unit.tasks, owner_arrays,
+                fn, unit.tasks,
                 retries=0, backoff=backoff, on_error=on_error,
                 deadline=deadline, start=unit.start,
             )
@@ -707,18 +293,9 @@ class SharedArrayPool:
                 requeue.append(unit)
 
         def rebuild_and_resubmit(extra: list) -> None:
-            nonlocal bundle, owned_republish
             self._kill_executor()
             pending = list(inflight.values())
             inflight.clear()
-            if bundle is not None:
-                fresh = bundle.revalidate()
-                if fresh is not bundle:
-                    # A segment vanished mid-fleet: the re-published bundle
-                    # is ours to close when the call finishes.
-                    if owned_republish is not None:
-                        owned_republish.close()
-                    bundle = owned_republish = fresh
             for unit in sorted(pending + extra, key=lambda u: u.start):
                 submit(unit)
 
@@ -773,10 +350,10 @@ class SharedArrayPool:
                     rebuild_and_resubmit(requeue)
                     emit_ready()
                     continue
-                except Exception:  # repro-lint: disable=R4 -- infra failures here are unbounded (attach, pickling); unit is retried, not dropped
-                    # Infrastructure failure outside the task body (attach
-                    # error, payload pickling): charge and retry the unit;
-                    # the rest of the pool is healthy.
+                except Exception:  # repro-lint: disable=R4 -- infra failures here are unbounded (payload pickling); unit is retried, not dropped
+                    # Infrastructure failure outside the task body (payload
+                    # pickling): charge and retry the unit; the rest of the
+                    # pool is healthy.
                     del inflight[fut]
                     requeue = []
                     handle_chunk_failure(unit, requeue)
@@ -824,8 +401,6 @@ class SharedArrayPool:
         finally:
             for fut in inflight:
                 fut.cancel()
-            if owned_republish is not None:
-                owned_republish.close()
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -869,13 +444,12 @@ def map_streamed(
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return _serial_map(
-            fn, tasks, None,
+            fn, tasks,
             retries=retries, backoff=backoff, on_error=on_error,
             deadline=deadline, consume=consume,
         )
-    chunk_size = max(1, (len(tasks) + 4 * workers - 1) // (4 * workers))
     return get_shared_pool(workers).map(
-        fn, tasks, chunk_size=chunk_size,
+        fn, tasks,
         timeout=timeout, deadline=deadline, retries=retries, backoff=backoff,
         on_error=on_error, consume=consume,
     )
@@ -893,7 +467,6 @@ def get_shared_pool(workers: int) -> SharedArrayPool:
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    _reap_once()
     pool = _POOLS.get(workers)
     if pool is None:
         pool = SharedArrayPool(workers)
@@ -902,15 +475,13 @@ def get_shared_pool(workers: int) -> SharedArrayPool:
 
 
 def shutdown_shared_pools() -> None:
-    """Shut down every cached pool and close every live bundle."""
+    """Shut down every cached pool; each restarts lazily on next use."""
     for pool in _POOLS.values():
         try:
             pool.shutdown()
         except Exception:  # pragma: no cover - teardown races
             pass
     _POOLS.clear()
-    for bundle in list(_LIVE_BUNDLES):
-        bundle.close()
 
 
 atexit.register(shutdown_shared_pools)

@@ -4,8 +4,8 @@ A long-running, stdlib-only HTTP service answering equilibrium audits
 (``is_equilibrium`` / ``find_swap_violation`` / ``best_swap`` /
 ``criticality``) backed by a content-addressed, integrity-verified result
 cache (:mod:`repro.io.result_cache`), with request deadlines propagated
-into the parallel runtime, bounded admission with typed load shedding,
-and a pool → serial → cache-only degradation ladder.
+into every audit loop, bounded admission with typed load shedding,
+and a serial → cache-only degradation ladder.
 """
 
 from .admission import AdmissionGate, LoadShed

@@ -2,7 +2,7 @@
 
 Cache hits are served by any handler thread without coordination; *compute*
 (a cache miss) funnels through :class:`AdmissionGate` — at most
-``capacity`` concurrent computes (the shared worker pool is one resource),
+``capacity`` concurrent computes (each a CPU-bound serial audit),
 at most ``queue_limit`` requests waiting for a slot, and everything beyond
 that is **shed immediately** with a typed :class:`LoadShed` carrying a
 retry-after hint.  A queued request's wait is capped by its own deadline,

@@ -1,19 +1,20 @@
-"""The audit service's degradation ladder: pool → serial → cache-only.
+"""The audit service's degradation ladder: serial → cache-only.
 
-Infrastructure failures (dead workers, poisoned pools, injected faults —
-*not* client errors, *not* spent deadlines) walk the service down a ladder
-of compute modes:
+Infrastructure failures (injected faults, a broken compute path — *not*
+client errors, *not* spent deadlines) walk the service down a ladder of
+compute modes:
 
-* ``pool`` — audits fan out over the shared worker pool;
-* ``serial`` — audits run in the owner process, ``workers=1``;
+* ``serial`` — audits run in the owner process (an audit is a small
+  serial job; parallelism lives at the fleet grain, DESIGN.md §5);
 * ``cache-only`` — no compute at all: hits are served, misses are shed
   with a typed retry-after.
 
 Descent needs ``threshold`` *consecutive* failures at the current rung (a
-single blip self-heals via the runtime's own retries).  Recovery is probed,
-not assumed: after ``recover_after`` seconds at a degraded rung, one
-request is allowed to attempt the rung above — success ascends, failure
-restarts the probe clock.  The clock is injectable for deterministic tests.
+single blip is one failed request, not a mode change).  Recovery is
+probed, not assumed: after ``recover_after`` seconds at a degraded rung,
+one request is allowed to attempt the rung above — success ascends,
+failure restarts the probe clock.  The clock is injectable for
+deterministic tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..errors import ConfigurationError
 __all__ = ["DegradationLadder", "MODES"]
 
 #: Best-first rungs; index = degradation depth.
-MODES = ("pool", "serial", "cache-only")
+MODES = ("serial", "cache-only")
 
 
 class DegradationLadder:
@@ -61,11 +62,10 @@ class DegradationLadder:
             return MODES[self._level]
 
     def plan(self) -> list[str]:
-        """Compute modes this request should attempt, best first.
+        """Compute modes this request may use, best first.
 
-        Normally the current rung and everything below it (a request that
-        fails at its rung degrades *in place* rather than erroring).  When
-        a recovery probe is due, the rung above is prepended — exactly one
+        Normally the current rung and everything below it.  When a
+        recovery probe is due, the rung above is prepended — exactly one
         request probes at a time.
         """
         with self._lock:

@@ -11,18 +11,19 @@ and a wall-clock budget — and the answer flow is:
 2. a verified cache hit is served immediately — no admission, no compute;
 3. a miss takes one admission slot (:class:`~repro.service.admission.
    AdmissionGate`; queueing respects the request deadline, overflow is
-   shed typed) and walks the degradation ladder's plan: ``pool`` compute,
-   then ``serial``, then ``cache-only`` (miss ⇒ typed shed).  Infra
-   failures feed the ladder; client errors and spent deadlines do not;
+   shed typed) and computes on the degradation ladder's ``serial`` rung —
+   in the owner process, since one audit is a small serial job — or, with
+   the ladder at ``cache-only``, is shed typed.  Infra failures feed the
+   ladder; client errors and spent deadlines do not;
 4. the answer is published to the cache (a torn cache write never corrupts
    the response — the computed answer is served and the torn entry is
    quarantined by the next reader).
 
 Instrumented fault site: every compute attempt calls
 ``faults.maybe_fault(query=<ordinal>)`` before dispatch, so tests inject
-deterministic infra failures into the service without touching the pool
-(the site has no ``chunk``/``task``/``batch`` coordinates, so worker- and
-store-targeted env specs never match it).
+deterministic infra failures into the service without touching the audit
+kernels (the site has no ``chunk``/``task``/``batch`` coordinates, so
+worker- and store-targeted env specs never match it).
 
 Non-finite floats in answers (disconnection ⇒ infinite cost) are encoded
 as the strings ``"inf"``/``"-inf"``/``"nan"`` — cache entries must be
@@ -141,7 +142,6 @@ class AuditEngine:
         self,
         cache: ResultCache,
         *,
-        workers: int = 2,
         audit_mode: str = "repair",
         default_timeout: float = 30.0,
         max_timeout: float = 300.0,
@@ -149,7 +149,6 @@ class AuditEngine:
         ladder: "DegradationLadder | None" = None,
     ):
         self.cache = cache
-        self.workers = max(1, int(workers))
         self.audit_mode = audit_mode
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
@@ -189,6 +188,10 @@ class AuditEngine:
             timeout = float(timeout)
         except (TypeError, ValueError):
             raise ClientError(f"timeout_s must be a number, got {timeout!r}")
+        if math.isnan(timeout):
+            # NaN compares false with everything: it would pass the > 0
+            # check and poison min() into a deadline that never expires.
+            raise ClientError("timeout_s must be a number, got NaN")
         if timeout <= 0:
             raise ClientError(f"timeout_s must be > 0, got {timeout}")
         return time.monotonic() + min(timeout, self.max_timeout)
@@ -233,7 +236,6 @@ class AuditEngine:
         model_spec: str,
         params: dict,
         *,
-        workers: int,
         deadline: float,
         base_dm=None,
     ) -> dict:
@@ -241,20 +243,20 @@ class AuditEngine:
             from ..core import is_equilibrium
 
             flag = is_equilibrium(
-                graph, model_spec, workers=workers, mode=self.audit_mode,
+                graph, model_spec, mode=self.audit_mode,
                 base_dm=base_dm, deadline=deadline,
             )
             return {"is_equilibrium": bool(flag)}
         if kind == "find_swap_violation":
             violation = find_swap_violation(
-                graph, model_spec, workers=workers, mode=self.audit_mode,
+                graph, model_spec, mode=self.audit_mode,
                 base_dm=base_dm, deadline=deadline,
             )
             return _violation_payload(violation)
         if kind == "criticality":
             violation = find_deletion_criticality_violation(
-                graph, workers=workers, mode=self.audit_mode,
-                base_dm=base_dm, deadline=deadline,
+                graph, mode=self.audit_mode, base_dm=base_dm,
+                deadline=deadline,
             )
             return _violation_payload(violation)
         if kind == "k_swap_stable":
@@ -285,46 +287,40 @@ class AuditEngine:
     def _compute_degraded(
         self, kind, graph, model_spec, params, *, deadline, base_dm=None
     ) -> tuple[dict, str]:
-        """Walk the ladder's plan; returns ``(payload, mode_used)``."""
+        """Compute on the ladder's rung; returns ``(payload, mode_used)``.
+
+        At ``cache-only`` (no recovery probe due) the miss is shed typed.
+        An infrastructure failure feeds the ladder and surfaces as a
+        compute failure; client errors and spent deadlines propagate
+        without touching the ladder.
+        """
         self.requests += 1
         ordinal = self.requests
-        last_error: "Exception | None" = None
-        plan = self.ladder.plan()
-        # Only the request's *planned* rung feeds the ladder: an in-request
-        # fallback failure would otherwise double-count one bad request
-        # against two rungs and descend twice as fast as the threshold says.
-        primary = plan[0]
-        for mode in plan:
-            if mode == "cache-only":
-                if last_error is not None:
-                    break  # in-request fallback exhausted: a real failure
-                raise LoadShed(
-                    "service degraded to cache-only and this answer is "
-                    "not cached",
-                    retry_after=self.ladder.recover_after,
-                )
-            workers = self.workers if mode == "pool" else 1
-            try:
-                faults.maybe_fault(query=ordinal)
-                payload = self._compute(
-                    kind, graph, model_spec, params,
-                    workers=workers, deadline=deadline, base_dm=base_dm,
-                )
-            except (DeadlineExceeded, LoadShed):
-                raise
-            except _CLIENT_ERRORS:
-                raise
-            except Exception as exc:  # repro-lint: disable=R4 -- any infra failure must trigger the degradation ladder, not a 500
-                self.compute_failures += 1
-                if mode == primary:
-                    self.ladder.record_failure(mode)
-                last_error = exc
-                continue
-            self.ladder.record_success(mode)
-            return payload, mode
-        raise RuntimeError(
-            f"compute failed at every ladder rung: {last_error!r}"
-        ) from last_error
+        mode = self.ladder.plan()[0]
+        if mode == "cache-only":
+            raise LoadShed(
+                "service degraded to cache-only and this answer is "
+                "not cached",
+                retry_after=self.ladder.recover_after,
+            )
+        try:
+            faults.maybe_fault(query=ordinal)
+            payload = self._compute(
+                kind, graph, model_spec, params,
+                deadline=deadline, base_dm=base_dm,
+            )
+        except (DeadlineExceeded, LoadShed):
+            raise
+        except _CLIENT_ERRORS:
+            raise
+        except Exception as exc:  # repro-lint: disable=R4 -- any infra failure must feed the degradation ladder, then fail typed
+            self.compute_failures += 1
+            self.ladder.record_failure(mode)
+            raise RuntimeError(
+                f"compute failed at the {mode} rung: {exc!r}"
+            ) from exc
+        self.ladder.record_success(mode)
+        return payload, mode
 
     def _store(self, key: str, payload: dict, meta: dict) -> None:
         """Publish an answer; a failed write must not fail the response.

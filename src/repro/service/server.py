@@ -26,7 +26,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import DeadlineExceeded
 from ..io import ResultCache
-from ..parallel import shutdown_shared_pools
 from .admission import AdmissionGate, LoadShed
 from .degradation import DegradationLadder
 from .handlers import AuditEngine, ClientError, NotModified
@@ -48,10 +47,9 @@ class AuditServer(ThreadingHTTPServer):
         super().__init__(address, AuditRequestHandler)
 
     def close(self) -> None:
-        """Stop accepting, then release sockets and worker pools."""
+        """Stop accepting, then release the listening socket."""
         self.shutdown()
         self.server_close()
-        shutdown_shared_pools()
 
 
 class AuditRequestHandler(BaseHTTPRequestHandler):
@@ -158,7 +156,6 @@ def build_server(
     port: int = 0,
     *,
     cache_dir: str = "results/audit_cache",
-    workers: int = 2,
     audit_mode: str = "repair",
     default_timeout: float = 30.0,
     capacity: int = 1,
@@ -175,7 +172,6 @@ def build_server(
     """
     engine = AuditEngine(
         ResultCache(cache_dir),
-        workers=workers,
         audit_mode=audit_mode,
         default_timeout=default_timeout,
         gate=AdmissionGate(

@@ -248,31 +248,6 @@ class TestVariantOracle:
         assert find_swap_violation(g, model, mode="batched") == repair
         assert find_swap_violation(g, model, mode="rebuild") == repair
 
-    @pytest.mark.parametrize("mode", ["repair", "batched"])
-    def test_interest_audit_workers_agree(self, mode):
-        g = random_connected_gnm(14, 26, seed=4)
-        model = resolve_cost_model("interest-sum:k=3,seed=2", g.n)
-        serial = find_swap_violation(g, model, mode=mode)
-        assert find_swap_violation(g, model, workers=4, mode=mode) == serial
-
-    def test_interest_weights_ride_shared_memory_not_payloads(self):
-        # Chunk payloads are pickled per chunk; the (n, n) weight matrix
-        # must go through the shared-array channel instead (DESIGN.md §5).
-        import pickle
-
-        from repro.core.equilibrium import _attach_model, _detach_model
-
-        model = resolve_cost_model("interest-sum:k=3,seed=2", 64)
-        stub, arrays = _detach_model(model)
-        assert "cmw" in arrays and arrays["cmw"] is model.weights
-        assert len(pickle.dumps(stub)) < 200  # spec-sized, not matrix-sized
-        rebuilt = _attach_model(stub, arrays)
-        assert rebuilt.spec == model.spec
-        assert np.array_equal(rebuilt.weights, model.weights)
-        # Plain models pass through untouched.
-        stub2, arrays2 = _detach_model(BudgetCost("sum", 3))
-        assert arrays2 == {} and stub2 == BudgetCost("sum", 3)
-
 
 # ---------------------------------------------------------------------------
 # Budget move-set semantics

@@ -1,18 +1,20 @@
 """DistanceEngine cross-validation: the fast paths vs the seed oracles.
 
 Every fast path introduced by the incremental engine — removal matrices,
-engine-backed best responses, repair-mode audits, parallel audits, and the
-incrementally maintained matrix inside the dynamics loop — is compared here
-against the corresponding rebuild/copy oracle on the deterministic battery
-(trees, sparse and dense G(n, m), bridges, n ≤ 3) plus targeted scenarios.
+engine-backed best responses, repair-mode audits, and the incrementally
+maintained matrix inside the dynamics loop — is compared here against the
+corresponding rebuild/copy oracle on the deterministic battery (trees,
+sparse and dense G(n, m), bridges, n ≤ 3) plus targeted scenarios.
 Agreement must be exact, tie-breaking included.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from repro.core import equilibrium
 from repro.core import (
     DistanceEngine,
     SwapDynamics,
@@ -129,26 +131,26 @@ class TestAuditModes:
         ) == find_deletion_criticality_violation(g, mode="rebuild")
 
 
-class TestParallelAudits:
-    # One spawn-heavy test per audit keeps the suite responsive; determinism
-    # across worker counts is the contract under test.
-    def test_violation_identical_across_worker_counts(self):
-        g = random_connected_gnm(14, 24, seed=8)
-        serial = find_sum_violation(g, workers=1)
-        parallel = find_sum_violation(g, workers=2)
-        assert serial == parallel
-        assert serial is not None  # a random graph this dense is not at rest
-
-    def test_equilibrium_verdict_with_workers(self):
-        g = star_graph(9)
-        assert is_sum_equilibrium(g, workers=2)
-        assert is_sum_equilibrium(g, workers=1)
-
-    def test_gap_with_workers(self):
-        g = random_connected_gnm(12, 18, seed=5)
-        assert sum_equilibrium_gap(g, workers=2) == pytest.approx(
-            sum_equilibrium_gap(g, workers=1)
-        )
+class TestSerialAudits:
+    # Parallelism lives at the fleet grain (DESIGN.md §5): an audit is one
+    # serial job and has no worker-count knob to shard it.
+    @pytest.mark.parametrize("name", [
+        "find_swap_violation",
+        "is_equilibrium",
+        "find_sum_violation",
+        "is_sum_equilibrium",
+        "sum_equilibrium_gap",
+        "find_max_swap_violation",
+        "find_deletion_criticality_violation",
+        "is_deletion_critical",
+        "is_max_equilibrium",
+    ])
+    def test_audit_takes_no_workers(self, name):
+        audit = getattr(equilibrium, name)
+        assert "workers" not in inspect.signature(audit).parameters
+        with pytest.raises(TypeError):
+            audit(star_graph(5), workers=2)
+        assert audit(star_graph(5)) in (None, True, 0.0)
 
 
 class TestIncrementalApply:

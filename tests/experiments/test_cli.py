@@ -143,28 +143,6 @@ class TestResumeVerb:
         assert summarize_stream(out).failures == []
 
 
-class TestDeprecatedShims:
-    @pytest.mark.parametrize("script, name", [
-        ("census_fleet.py", "census"),
-        ("trajectory_fleet.py", "trajectory"),
-    ])
-    def test_shim_forwards_to_experiment_cli(self, script, name, capsys):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            f"shim_{name}",
-            Path(__file__).parents[2] / "scripts" / script,
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        with pytest.raises(SystemExit):
-            mod.main(["--help"])
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--retry-failed" in captured.out
-
-
 class TestStatusJson:
     def _quarantine_slot_1(self, out, checkpoint=None):
         lines = out.read_text().splitlines(keepends=True)

@@ -7,11 +7,19 @@ shows up as a failing finding with its file:line in the assertion.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
+
+import pytest
 
 from repro.lint import LintConfig, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _src_trees():
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_src_and_scripts_are_violation_free():
@@ -22,3 +30,35 @@ def test_src_and_scripts_are_violation_free():
     assert checked > 50  # the real tree, not an empty glob
     report = "\n".join(f.format() for f in findings)
     assert findings == [], f"repro lint found violations:\n{report}"
+
+
+# Parallelism lives only at the fleet grain (DESIGN.md §5): one persistent
+# pool ships plain task tuples, so the library has no shared-memory channel
+# and none of the knobs that used to steer one.
+
+def test_src_never_imports_shared_memory():
+    offenders = []
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any("shared_memory" in name for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("knob", ["shared", "backend", "verify_workers"])
+def test_no_function_takes_removed_parallel_knob(knob):
+    offenders = []
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == knob for a in params):
+                    offenders.append(f"{path.name}:{node.name}")
+    assert offenders == []

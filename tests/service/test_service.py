@@ -1,14 +1,16 @@
 """The audit service end to end: correctness, faults, deadlines, HTTP.
 
-The acceptance contract of ISSUE 7: under injected faults the service
-returns only bit-correct results (cached answers equal fresh oracle
-answers), corrupted cache entries are quarantined and recomputed, the
-deadline-exceeded and load-shed responses are typed, and the degradation
-ladder reaches cache-only and recovers.
+Under injected faults the service returns only bit-correct results (cached
+answers equal fresh oracle answers), corrupted cache entries are
+quarantined and recomputed, the deadline-exceeded and load-shed responses
+are typed, the degradation ladder reaches cache-only and recovers, and
+audits run serially in the server process — it forks nothing.
 """
 
 import json
+import multiprocessing
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -47,7 +49,7 @@ def _clean_runtime():
 
 @pytest.fixture
 def engine(tmp_path):
-    return AuditEngine(ResultCache(tmp_path / "rc"), workers=2)
+    return AuditEngine(ResultCache(tmp_path / "rc"))
 
 
 class FakeClock:
@@ -146,7 +148,7 @@ class TestEngineBasics:
                     "graph": {"n": 4, "edges": [[0, 1], [2, 3]]},
                 }
             )
-        assert engine.ladder.mode == "pool"
+        assert engine.ladder.mode == "serial"
         assert engine.compute_failures == 0
 
 
@@ -222,21 +224,24 @@ class TestFaultsThroughEngine:
         assert third["cached"]
         assert third["result"] == first["result"]
 
-    def test_infra_fault_degrades_in_place(self, engine):
+    def test_single_serial_blip_fails_typed_without_descent(self, engine):
         calls = []
 
-        def poison_pool_attempts(site):
+        def poison_first_attempt(site):
             if "query" in site:
                 calls.append(site)
-                if len(calls) == 1:  # only the first (pool-mode) attempt
-                    raise InjectedFault("injected pool failure")
+                if len(calls) == 1:
+                    raise InjectedFault("injected compute failure")
 
-        faults.install_hook(poison_pool_attempts)
-        response = engine.handle_audit(
-            {"query": "is_equilibrium", "graph6": _g6(cycle_graph(5))}
-        )
+        faults.install_hook(poison_first_attempt)
+        request = {"query": "is_equilibrium", "graph6": _g6(cycle_graph(5))}
+        with pytest.raises(RuntimeError, match="injected compute failure"):
+            engine.handle_audit(request)
+        assert engine.compute_failures == 1
+        assert engine.ladder.mode == "serial"  # one blip: no descent
+        response = engine.handle_audit(request)  # the next request heals
         assert response["ok"] and response["compute_mode"] == "serial"
-        assert engine.ladder.mode == "pool"  # one blip: no descent
+        assert engine.ladder.snapshot()["consecutive_failures"] == 0
 
 
 class TestLadderLifecycle:
@@ -244,7 +249,6 @@ class TestLadderLifecycle:
         clock = FakeClock()
         engine = AuditEngine(
             ResultCache(tmp_path / "rc"),
-            workers=2,
             ladder=DegradationLadder(
                 threshold=2, recover_after=30.0, clock=clock
             ),
@@ -258,13 +262,11 @@ class TestLadderLifecycle:
 
         faults.install_hook(poison_all_compute)
         cold = {"query": "is_equilibrium", "graph6": _g6(cycle_graph(7))}
-        for _ in range(2):  # two pool-rung failures -> serial
-            with pytest.raises(RuntimeError):
-                engine.handle_audit(cold)
-        assert engine.ladder.mode == "serial"
-        for _ in range(2):  # two serial-rung failures -> cache-only
-            with pytest.raises(RuntimeError):
-                engine.handle_audit(cold)
+        with pytest.raises(RuntimeError):
+            engine.handle_audit(cold)
+        assert engine.ladder.mode == "serial"  # below the threshold
+        with pytest.raises(RuntimeError):  # second failure -> cache-only
+            engine.handle_audit(cold)
         assert engine.ladder.mode == "cache-only"
 
         # Cache-only: hits are still served, misses are shed typed.
@@ -273,16 +275,18 @@ class TestLadderLifecycle:
             engine.handle_audit(cold)
         assert shed.value.retry_after == 30.0
 
-        # Recovery: probes ascend one rung at a time once compute heals.
+        # Recovery: no probe before the cooldown, then one probe request
+        # computes on the serial rung and the ladder ascends.
         faults.clear_hooks()
-        clock.now += 31.0
+        clock.now += 29.0
+        with pytest.raises(LoadShed):
+            engine.handle_audit(cold)
+        clock.now += 2.0
         assert engine.handle_audit(cold)["compute_mode"] == "serial"
         assert engine.ladder.mode == "serial"
-        clock.now += 31.0
         fresh = {"query": "is_equilibrium", "graph6": _g6(star_graph(5))}
-        assert engine.handle_audit(fresh)["compute_mode"] == "pool"
-        assert engine.ladder.mode == "pool"
-        assert engine.ladder.snapshot()["recoveries"] == 2
+        assert engine.handle_audit(fresh)["compute_mode"] == "serial"
+        assert engine.ladder.snapshot()["recoveries"] == 1
 
 
 class TestDeadline:
@@ -295,13 +299,42 @@ class TestDeadline:
                     "timeout_s": 1e-6,
                 }
             )
-        assert engine.ladder.mode == "pool"  # a spent budget is not infra
+        assert engine.ladder.mode == "serial"  # a spent budget is not infra
 
     def test_cache_hit_beats_the_deadline(self, engine):
         request = {"query": "is_equilibrium", "graph6": _g6(path_graph(5))}
         engine.handle_audit(request)
         hit = engine.handle_audit({**request, "timeout_s": 1e-6})
         assert hit["cached"]
+
+
+class TestRequestBudget:
+    """``timeout_s`` must be a positive number; NaN is not one."""
+
+    REQUEST = {"query": "is_equilibrium"}
+
+    def _request(self, timeout_s):
+        return {**self.REQUEST, "graph6": _g6(star_graph(6)),
+                "timeout_s": timeout_s}
+
+    @pytest.mark.parametrize(
+        "timeout_s", [float("nan"), "nan", "NaN", "NAN", "-nan"]
+    )
+    def test_nan_budget_is_a_client_error(self, engine, timeout_s):
+        with pytest.raises(ClientError, match="NaN"):
+            engine.handle_audit(self._request(timeout_s))
+        assert engine.requests == 0  # rejected before any compute
+        assert engine.ladder.mode == "serial"
+
+    @pytest.mark.parametrize("timeout_s", [float("inf"), "inf"])
+    def test_infinite_budget_clamps_to_max_timeout(self, engine, timeout_s):
+        before = time.monotonic()
+        deadline = engine._deadline_from({"timeout_s": timeout_s})
+        after = time.monotonic()
+        assert before + engine.max_timeout <= deadline
+        assert deadline <= after + engine.max_timeout
+        response = engine.handle_audit(self._request(timeout_s))
+        assert response["ok"] and response["result"]["is_equilibrium"]
 
 
 class TestKSwapAudit:
@@ -344,7 +377,7 @@ class TestKSwapAudit:
             engine.handle_audit(
                 {"query": "k_swap_stable", "graph6": g6, "k": "two"}
             )
-        assert engine.ladder.mode == "pool"
+        assert engine.ladder.mode == "serial"
 
     def test_spent_deadline_is_typed(self, engine):
         with pytest.raises(DeadlineExceeded):
@@ -356,7 +389,7 @@ class TestKSwapAudit:
                     "timeout_s": 1e-6,
                 }
             )
-        assert engine.ladder.mode == "pool"  # a spent budget is not infra
+        assert engine.ladder.mode == "serial"  # a spent budget is not infra
 
 
 class TestETag:
@@ -432,8 +465,7 @@ class _Client:
 @pytest.fixture
 def http(tmp_path):
     server = build_server(
-        port=0, cache_dir=str(tmp_path / "rc"), workers=2,
-        capacity=1, queue_limit=4,
+        port=0, cache_dir=str(tmp_path / "rc"), capacity=1, queue_limit=4,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -450,7 +482,7 @@ class TestHTTP:
     def test_healthz_and_stats(self, http):
         client, _ = http
         status, body, _ = client.get("/healthz")
-        assert status == 200 and body["ok"] and body["mode"] == "pool"
+        assert status == 200 and body["ok"] and body["mode"] == "serial"
         status, body, _ = client.get("/stats")
         assert status == 200
         for section in ("cache", "admission", "degradation"):
@@ -538,6 +570,52 @@ class TestHTTP:
         assert "retry_after_s" in body
         assert "Retry-After" in headers
 
+    def test_compute_failure_is_a_typed_500(self, http):
+        client, server = http
+
+        def poison_compute(site):
+            if "query" in site:
+                raise InjectedFault("injected compute failure")
+
+        faults.install_hook(poison_compute)
+        status, body, _ = client.post(
+            "/audit", {"query": "is_equilibrium", "graph6": _g6(path_graph(5))}
+        )
+        assert status == 500 and body["error"] == "compute-failed"
+        _, health, _ = client.get("/healthz")
+        assert health["mode"] == "serial"  # one failure: no descent
+        assert server.engine.compute_failures == 1
+
+    def test_nan_literal_budget_is_a_typed_400(self, http):
+        client, _ = http
+        # Python's json emits (and parses) a bare NaN literal.
+        body = json.dumps(
+            {"query": "is_equilibrium", "graph6": _g6(cycle_graph(6)),
+             "timeout_s": float("nan")}
+        ).encode()
+        assert b"NaN" in body
+        status, answer, _ = client.post("/audit", body)
+        assert status == 400 and answer["error"] == "bad-request"
+        assert "NaN" in answer["detail"]
+
+    def test_nan_string_budget_is_a_typed_400(self, http):
+        client, _ = http
+        status, answer, _ = client.post(
+            "/audit",
+            {"query": "is_equilibrium", "graph6": _g6(cycle_graph(6)),
+             "timeout_s": "nan"},
+        )
+        assert status == 400 and answer["error"] == "bad-request"
+
+    def test_inf_string_budget_still_answers(self, http):
+        client, _ = http
+        status, answer, _ = client.post(
+            "/audit",
+            {"query": "is_equilibrium", "graph6": _g6(star_graph(6)),
+             "timeout_s": "inf"},
+        )
+        assert status == 200 and answer["result"] == {"is_equilibrium": True}
+
     def test_batch_over_http(self, http):
         client, _ = http
         status, body, _ = client.post(
@@ -553,3 +631,39 @@ class TestHTTP:
         )
         assert status == 200 and body["count"] == 2
         assert all(r["ok"] for r in body["results"])
+
+
+class TestServesSerially:
+    """A server with its defaults audits in-process and forks nothing."""
+
+    def test_cold_audit_forks_no_workers(self, tmp_path):
+        shutdown_shared_pools()  # pools other tests left behind
+        assert multiprocessing.active_children() == []
+        server = build_server(port=0, cache_dir=str(tmp_path / "rc"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address
+        client = _Client(f"http://{host}:{port}")
+        try:
+            status, body, _ = client.post(
+                "/audit",
+                {"query": "is_equilibrium",
+                 "graph6": _g6(random_connected_gnm(24, 48, seed=3))},
+            )
+            assert status == 200 and not body["cached"]
+            assert body["compute_mode"] == "serial"
+            status, health, _ = client.get("/healthz")
+            assert status == 200 and health["mode"] == "serial"
+            assert multiprocessing.active_children() == []
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_engine_has_no_worker_knob(self, tmp_path):
+        with pytest.raises(TypeError):
+            AuditEngine(ResultCache(tmp_path / "rc"), workers=2)
+
+    def test_server_has_no_worker_knob(self, tmp_path):
+        with pytest.raises(TypeError):
+            build_server(port=0, cache_dir=str(tmp_path / "rc"), workers=2)

@@ -35,3 +35,10 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_serve_has_no_workers_option(self, capsys):
+        # The service audits serially; a pool-size flag is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
