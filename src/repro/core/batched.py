@@ -1,21 +1,23 @@
 """Cross-edge batched audit kernel — plan once, bound first, repair rarely.
 
-The PR-1 audit loop (``mode="repair"``) already derives every removal matrix
-from one cached base APSP, but it still pays per edge: affected-source
-detection, row repairs, an n×n matrix copy, and the closure evaluation.
-This module restructures a full audit (``mode="batched"`` on the
-equilibrium checkers) around three batch ideas:
+The fast path of every equilibrium audit (``mode="batched"``, the default;
+``mode="rebuild"`` — a fresh APSP per edge — is its oracle).  A full audit
+is organized around three batch ideas:
 
 1. **Plan** — :func:`repro.graphs.removal_affected_matrix` computes the
-   affected-source masks of *all* audited edges in one |E|×n comparison
-   against the base matrix (plus one shared predecessor-count table), and
-   classifies bridges with one half-BFS per all-sources edge.
+   affected-source masks of a whole block of edges in one |E|×n comparison
+   against the base matrix (plus a predecessor-count table), and
+   classifies bridges with one half-BFS per all-sources edge.  Blocks are
+   built lazily and double from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK``
+   edges, so an audit that stops at an early violation plans a handful of
+   edges, while a full audit batches as widely as ever.
 2. **Endpoint rows in one BFS** — a mover's own post-removal row is the
-   only repaired row most of the audit needs.  All 2·|E| endpoint rows are
-   computed by a single level-synchronous BFS over the union of (edge, row)
-   jobs (:func:`repro.graphs.batched_removal_rows_multi`), whose per-level
-   cost is one sparse product — Python overhead O(diameter) per audit, not
-   O(m · diameter).  Bridge endpoints are masked base rows (free).
+   only repaired row most of the audit needs.  A block's 2·|E| endpoint
+   rows are computed by a single level-synchronous BFS over the union of
+   (edge, row) jobs (:func:`repro.graphs.batched_removal_rows_multi`),
+   whose per-level cost is one sparse product — Python overhead
+   O(diameter) per block, not O(m · diameter).  Bridge endpoints are
+   masked base rows (free).
 3. **Bound-then-verify scan** — deleting an edge can only *increase*
    distances, so every other row of the removal matrix dominates its base
    row, and
@@ -26,16 +28,14 @@ equilibrium checkers) around three batch ideas:
    per-edge copy; it is *exact* for unaffected ``w'``).  A mover whose
    bound never beats its current cost provably has no improving swap —
    the common case on and near equilibria, where the census spends its
-   time.  Only when a candidate survives does the kernel materialize the
-   edge's exact removal matrix (via the same
-   :func:`~repro.graphs.removal_matrix_repair` bucketing as ``mode="repair"``:
-   bridge / few seeded rows / batched many-rows) and re-evaluate exactly.
+   time.  Only when a candidate survives does the kernel repair the
+   edge's affected rows (:func:`exact_costs_from_bound`) and re-evaluate
+   exactly.
 
-Every scan outcome is bit-identical to the ``mode="repair"`` /
-``mode="rebuild"`` paths — same costs, same argmin tie-breaking, same
-directed-edge order — because the bound only ever *skips* movers whose
-exact evaluation could not have produced a violation, and survivors are
-re-evaluated with the repair-path code itself.
+Every scan outcome is bit-identical to the ``mode="rebuild"`` oracle —
+same costs, same argmin tie-breaking, same directed-edge order — because
+the bound only ever *skips* movers whose exact evaluation could not have
+produced a violation, and survivors are re-evaluated exactly.
 
 The same machinery also powers the **per-vertex best-response kernel**
 (:func:`best_swap_scan` — ``best_swap(mode="batched")`` and the dynamics
@@ -47,10 +47,10 @@ certify an agent move-free without a single BFS — the common state of most
 agents for most of a dynamics run.  Only when level-0 fails does the kernel
 plan the agent's incident edges (one union BFS for the mover-side removal
 rows), gate each drop with the per-edge :meth:`~BatchedRemovalPlan.
-bound_costs`, and materialize exact removal matrices for the few drops
-whose bound beats the incumbent.  :func:`certify_at_rest` is the audit-scan
-analog used by the dynamics verification sweep: one cross-edge
-bound-then-verify pass replacing n independent best responses.
+bound_costs`, and repair exact costs only for the few drops whose bound
+beats the incumbent.  :func:`certify_at_rest` is the audit-scan analog used
+by the dynamics verification sweep: one cross-edge bound-then-verify pass
+replacing n independent best responses.
 """
 
 from __future__ import annotations
@@ -225,10 +225,10 @@ class BatchedRemovalPlan:
     def removal_matrix(self, i: int) -> np.ndarray:
         """Exact lifted APSP of ``G − edges[i]``, cached for the last edge.
 
-        The rare-path fallback behind the bound: bridges are two block
-        assignments of the infinite sentinel; everything else reuses the
-        ``mode="repair"`` bucketing (seeded few-row repairs / one batched
-        BFS) via :func:`~repro.graphs.removal_matrix_repair`.
+        Bridges are two block assignments of the infinite sentinel;
+        everything else goes through the affected-row bucketing (seeded
+        few-row repairs / one batched BFS) of
+        :func:`~repro.graphs.removal_matrix_repair`.
         """
         if self._full_cache is not None and self._full_cache[0] == i:
             return self._full_cache[1]
@@ -288,7 +288,7 @@ class BatchedRemovalPlan:
         *,
         bound: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Exact post-swap costs — the ``mode="repair"`` evaluation itself.
+        """Exact post-swap costs of mover ``v`` dropping ``edges[i]``.
 
         ``bound`` — the *unmasked* array a prior :meth:`bound_costs` call
         for the same ``(i, v, w)`` returned — switches on the patch path:
@@ -393,23 +393,49 @@ def exact_costs_from_bound(
 # Scans over every edge of an audit
 # ---------------------------------------------------------------------------
 
-#: Edges planned per lazily-built block.  Scans that can stop early (a
-#: violation in the first block) then pay for one block of planning, not
-#: the whole graph, while full equilibrium audits batch just as widely.
+#: Edges planned per full-size lazily-built block.  Full equilibrium audits
+#: batch this widely; scans start smaller (``_FIRST_BLOCK``) and double.
 _SCAN_BLOCK = 128
+
+#: Edges in a scan's first block.  Most non-equilibrium graphs show a
+#: violation within their first few edges, so a scan that stops early pays
+#: for a handful of endpoint repairs instead of a full block plus the
+#: whole predecessor-count table.
+_FIRST_BLOCK = 8
 
 
 def _plan_blocks(graph, lifted, edges, pred_counts):
-    """Yield a lazily built plan per block of ``_SCAN_BLOCK`` edges."""
+    """Yield lazily built plans over blocks that double up to ``_SCAN_BLOCK``.
+
+    Without a caller-supplied predecessor-count table the scan fills one
+    row by row: a vertex's row is counted when the first block touching it
+    is planned, so a full scan counts each row once (the full table) and a
+    scan that stops early counts only the endpoints it planned.  A caller
+    that supplies the table (the dynamics verification sweep, which mostly
+    certifies a graph at rest) gets full-size blocks from the start.
+    """
     edges = [(int(a), int(b)) for a, b in edges]
-    if len(edges) > _SCAN_BLOCK and pred_counts is None:
-        # Amortize the predecessor-count table across blocks.
-        pred_counts = predecessor_counts(graph, lifted)
-    for lo in range(0, len(edges), _SCAN_BLOCK):
+    counted = None
+    size = _SCAN_BLOCK
+    if pred_counts is None:
+        pred_counts = np.zeros((graph.n, graph.n), dtype=np.int32)
+        counted = np.zeros(graph.n, dtype=bool)
+        size = _FIRST_BLOCK
+    lo = 0
+    while lo < len(edges):
+        block = edges[lo : lo + size]
+        if counted is not None:
+            ends = np.unique(np.asarray(block, dtype=np.int64))
+            fresh = ends[~counted[ends]]
+            pred_counts[fresh] = predecessor_counts(
+                graph, lifted, vertices=fresh
+            )[fresh]
+            counted[fresh] = True
         yield BatchedRemovalPlan(
-            graph, lifted, edges[lo : lo + _SCAN_BLOCK],
-            pred_counts=pred_counts,
+            graph, lifted, block, pred_counts=pred_counts
         )
+        lo += size
+        size = min(2 * size, _SCAN_BLOCK)
 
 
 def scan_swap_violations(
@@ -424,7 +450,7 @@ def scan_swap_violations(
 ) -> "Violation | None":
     """First swap violation among ``edges``, or ``None``.
 
-    The batched analog of the per-edge repair scan: same directed order
+    The batched analog of the oracle's per-edge scan: same directed order
     (``(a, b)`` then ``(b, a)`` per canonical edge), same tie-breaking —
     movers are dismissed only when the sound bound proves no improving
     swap exists, and survivors are re-evaluated exactly.  ``objective`` is
@@ -540,7 +566,7 @@ def best_swap_scan(
     """Exact best response of ``v`` via the bound-then-verify kernel.
 
     Bit-identical — swap, costs, tie-breaks, ``prefer_deletions_on_tie``
-    semantics — to the per-edge ``mode="repair"`` loop in
+    semantics — to the per-edge ``mode="oracle"`` loop in
     :func:`repro.core.best_response.best_swap`, reached in three levels:
 
     * **level 0** — one shared optimistic bound for every incident drop:
@@ -555,12 +581,11 @@ def best_swap_scan(
       mover-side removal rows via :class:`BatchedRemovalPlan`) and gate each
       drop with the per-edge :meth:`~BatchedRemovalPlan.bound_costs`; a drop
       whose bound cannot beat ``min(incumbent, current cost)`` is skipped —
-      sound for the returned response because the repair loop only *returns*
-      a move that strictly beats the current cost, and only *updates* its
-      incumbent on a strict improvement.
-    * **level 2** — surviving drops materialize their exact removal matrix
-      (the same :func:`~repro.graphs.removal_matrix_repair` bucketing as
-      ``mode="repair"``) and re-evaluate exactly.
+      sound for the returned response because the oracle loop only
+      *returns* a move that strictly beats the current cost, and only
+      *updates* its incumbent on a strict improvement.
+    * **level 2** — surviving drops repair the removal's affected rows
+      (:func:`exact_costs_from_bound`) and re-evaluate exactly.
 
     ``lifted`` is the lifted base matrix of ``graph``; ``base_plus1``
     (= ``lifted + 1``) and the ``(n, n)`` int64 scratch ``buf`` are optional
@@ -697,8 +722,6 @@ def certify_at_rest(
     edges = list(graph.iter_edges())
     if not edges:
         return True
-    if pred_counts is None and len(edges) > _SCAN_BLOCK:
-        pred_counts = predecessor_counts(graph, lifted)
     base = model.base_costs(lifted)
     if not prefer_deletions_on_tie:
         return (

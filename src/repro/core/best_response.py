@@ -13,29 +13,25 @@ means an agent strictly prefers deleting an edge whose removal leaves its
 local diameter unchanged.  Sum agents never face this tie (removing an edge
 strictly increases the mover's sum through the lost unit-distance endpoint).
 
-:func:`best_swap` is engine-aware: by default it derives every per-neighbour
-removal matrix from one cached base APSP (``mode="repair"``), or reuses a
-long-lived :class:`~repro.core.engine.DistanceEngine` maintained by the
-dynamics loop (``engine=...``).  ``mode="batched"`` routes through the
-bound-then-verify per-vertex kernel (:func:`repro.core.batched.
-best_swap_scan`, DESIGN.md §8) — most activations are certified move-free
-from one aggregation pass over the base matrix, with exact removal
-matrices materialized only for drops whose optimistic bound survives.
-``mode="oracle"`` keeps the seed behaviour — a fresh APSP per incident
-edge — for cross-validation; all paths produce bit-identical responses,
-tie-breaking included.
+:func:`best_swap` has one fast path and one oracle.  The default
+``mode="batched"`` routes through the bound-then-verify per-vertex kernel
+(:func:`repro.core.batched.best_swap_scan`, DESIGN.md §8) — most
+activations are certified move-free from one aggregation pass over the base
+matrix, with exact removal rows repaired only for drops whose optimistic
+bound survives.  ``mode="oracle"`` keeps the seed behaviour — a fresh APSP
+per incident edge — for cross-validation; both produce bit-identical
+responses, tie-breaking included.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..graphs import CSRGraph, distance_matrix
-from ..graphs.repair import removal_matrix_repair
 from ..parallel import check_deadline
 from ..rng import make_rng
 from .costmodel import CostModel, resolve_cost_model
@@ -46,7 +42,7 @@ from .swap_eval import all_swap_costs_for_drop, removal_distance_matrix
 __all__ = ["BestResponse", "best_swap", "first_improving_swap"]
 
 Objective = Literal["sum", "max"]
-BestSwapMode = Literal["repair", "batched", "oracle"]
+BestSwapMode = Literal["batched", "oracle"]
 
 
 class BestResponse:
@@ -89,8 +85,7 @@ def best_swap(
     objective: "Objective | str | CostModel" = "sum",
     *,
     prefer_deletions_on_tie: bool | None = None,
-    engine=None,
-    mode: BestSwapMode = "repair",
+    mode: BestSwapMode = "batched",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> BestResponse:
@@ -106,28 +101,22 @@ def best_swap(
        toward deletion-criticality;
     3. otherwise, no move.
 
-    ``engine`` (a :class:`~repro.core.engine.DistanceEngine` for ``graph``)
-    reuses its cached matrix; otherwise ``mode`` picks between one base APSP
-    shared across incident edges (``"repair"``), the bound-then-verify
-    per-vertex kernel (``"batched"``), and the seed oracle path of a fresh
-    APSP per incident edge (``"oracle"``).  A caller that already holds the
-    distance matrix of ``graph`` (audit loops, census probes, long-lived
-    engines) can pass it as ``base_dm`` — raw int32 or lifted — and the
-    repair/batched modes skip the APSP recomputation entirely; an
-    already-lifted ``base_dm`` is used by reference, without even the n×n
-    lifting copy.  ``deadline`` (absolute ``time.monotonic()`` instant)
-    bounds the scan: it is checked per incident edge and raises
-    :class:`~repro.errors.DeadlineExceeded` once spent.
+    ``mode`` picks the bound-then-verify per-vertex kernel (``"batched"``)
+    or the seed oracle path of a fresh APSP per incident edge
+    (``"oracle"``).  A caller that already holds the distance matrix of
+    ``graph`` (audit loops, census probes, long-lived engines) can pass it
+    as ``base_dm`` — raw int32 or lifted — and the batched kernel skips the
+    APSP recomputation entirely; an already-lifted ``base_dm`` is used by
+    reference, without even the n×n lifting copy.  ``deadline`` (absolute
+    ``time.monotonic()`` instant) bounds the scan: it is checked per
+    incident edge and raises :class:`~repro.errors.DeadlineExceeded` once
+    spent.
     """
     check_deadline(deadline)
     model = resolve_cost_model(objective, graph.n)
     if prefer_deletions_on_tie is None:
         prefer_deletions_on_tie = model.prefer_deletions_on_tie
-    removal: Callable[[int], np.ndarray]
-    if engine is not None:
-        before = model.row_cost(v, engine.dm[v])
-        removal = lambda w: engine.removal_matrix(v, w)  # noqa: E731
-    elif mode == "batched":
+    if mode == "batched":
         # Deferred: repro.core.batched imports this module for BestResponse.
         from .batched import best_swap_scan
 
@@ -139,19 +128,9 @@ def best_swap(
             prefer_deletions_on_tie=prefer_deletions_on_tie,
             deadline=deadline,
         )
-    elif mode == "repair":
-        base = ensure_lifted(
-            distance_matrix(graph) if base_dm is None else base_dm
-        )
-        before = model.row_cost(v, base[v])
-        removal = lambda w: removal_matrix_repair(graph, base, (v, w))  # noqa: E731
-    elif mode == "oracle":
-        before = model.bfs_cost(graph, v)
-        removal = lambda w: removal_distance_matrix(  # noqa: E731
-            graph, (v, w), mode="rebuild"
-        )
-    else:
+    if mode != "oracle":
         raise ConfigurationError(f"unknown best_swap mode {mode!r}")
+    before = model.bfs_cost(graph, v)
     best_cost = math.inf
     best_move: Swap | None = None
     best_is_deletion = False
@@ -159,7 +138,7 @@ def best_swap(
     neighbor_set = set(int(x) for x in graph.neighbors(v))
     for w in sorted(neighbor_set):
         check_deadline(deadline)
-        removal_dm = removal(w)
+        removal_dm = removal_distance_matrix(graph, (v, w), mode="rebuild")
         costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
         mask = model.target_mask(graph, v, w)
         if mask is not None:

@@ -10,39 +10,30 @@ Design notes
 * **Schedules** — ``round_robin`` (deterministic sweeps), ``random``
   (uniform activations), and ``greedy`` (activate the vertex with the
   globally best improvement — expensive but canonical).
-* **Incremental state** — the default ``engine_mode="incremental"`` routes
-  every activation through a :class:`~repro.core.engine.DistanceEngine`:
-  the distance matrix is maintained across applied swaps by BFS row repair
-  plus the insertion closure (never recomputed from scratch), and a
-  **dirty-vertex set** lets the ``round_robin`` and ``random`` schedules
-  skip vertices that were observed move-free and whose relevant state has
-  not been touched since (``greedy`` always scans every vertex — its argmax
-  is global by definition, and the full scan doubles as the convergence
-  certificate).  The dirty
-  rule (re-dirty the move's endpoints and every vertex whose distance row
-  changed) is a heuristic, so convergence is *never* declared from it alone:
-  once the dirty set drains, a full verification sweep activates every
-  vertex, and only a clean sweep certifies the equilibrium.  Near
-  convergence this turns each quiet sweep from O(n · deg · APSP) into a set
-  lookup, with one exact sweep at the end.  ``engine_mode="oracle"`` keeps
-  the seed implementation (fresh best responses against copied graphs) for
-  cross-validation and benchmarking.
-* **Batched best responses** — ``engine_mode="batched"`` keeps all of the
-  incremental bookkeeping and additionally routes every activation through
-  the bound-then-verify per-vertex kernel (DESIGN.md §8): a clean vertex's
-  no-move observation is a **bound certificate** — stored in the dirty set,
-  invalidated the moment a swap touches anything the certificate depended
-  on — and a freshly activated vertex is usually re-certified from one
-  aggregation pass over the cached base matrix, with zero BFS work and no
-  removal matrices materialized.  The verification sweep collapses into
-  one cross-edge batched audit scan
-  (:func:`~repro.core.batched.certify_at_rest`); when the scan does find a
-  mover, the sweep falls back to the ordered per-vertex kernel so the
-  applied move — and therefore the whole trajectory, trace for trace —
-  stays bit-identical to the ``incremental`` and ``oracle`` paths.
-  Certificates are *never* trusted for termination: convergence is still
-  declared only by the exact sweep, so a stale certificate can delay a
-  move's discovery but can never suppress it.
+* **Batched engine** — the default ``engine_mode="batched"`` routes every
+  activation through a :class:`~repro.core.engine.DistanceEngine`: the
+  distance matrix is maintained across applied swaps by BFS row repair
+  plus the insertion closure (never recomputed from scratch), and every
+  best response runs the bound-then-verify per-vertex kernel (DESIGN.md
+  §8), so a freshly activated vertex is usually re-certified move-free
+  from one aggregation pass over the cached base matrix, with zero BFS
+  work.  A **dirty-vertex set** lets the ``round_robin`` and ``random``
+  schedules skip vertices that were observed move-free and whose distance
+  row has not been touched since (``greedy`` always scans every vertex —
+  its argmax is global by definition, and the full scan doubles as the
+  convergence certificate).  The dirty rule (re-dirty the move's endpoints
+  and every vertex whose distance row changed) is a heuristic, so
+  convergence is *never* declared from it alone: once the dirty set
+  drains, a verification sweep certifies the equilibrium — one cross-edge
+  batched audit scan (:func:`~repro.core.batched.certify_at_rest`) for
+  best responders; when the scan does find a mover, the sweep falls back
+  to the ordered per-vertex kernel, so a stale certificate can delay a
+  move's discovery but can never suppress it.  ``engine_mode="oracle"``
+  keeps the seed implementation (fresh best responses against copied
+  graphs, no dirty set) for cross-validation: for best responders it
+  applies the same moves, trace for trace; only its ``activations`` count
+  differs, because it activates every vertex instead of skipping clean
+  ones.
 * **Termination** — sum dynamics have no known potential (a swap lowers the
   mover's cost but can raise others'), so cycles are possible in principle;
   the engine hashes every visited edge set and reports ``cycle_detected``
@@ -59,7 +50,7 @@ Design notes
   (the states a resumed loop can actually re-enter).  A run killed at any
   instant and re-``run`` with the same configuration resumes from its last
   snapshot and produces a :class:`DynamicsResult` bit-identical to the
-  uninterrupted run, for every ``engine_mode`` and cost model; a
+  uninterrupted run, for both ``engine_mode`` values and every cost model; a
   ``deadline=`` expiry checkpoints-and-yields (typed
   :class:`~repro.errors.DeadlineExceeded`) so fleet/service budgets convert
   to persisted progress instead of lost work.  DESIGN.md §13.
@@ -100,7 +91,7 @@ __all__ = ["DynamicsResult", "SwapDynamics"]
 Objective = Literal["sum", "max"]
 Schedule = Literal["round_robin", "random", "greedy"]
 Responder = Literal["best", "first"]
-EngineMode = Literal["incremental", "batched", "oracle"]
+EngineMode = Literal["batched", "oracle"]
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +136,9 @@ class DynamicsResult:
     graph:
         Final graph (an equilibrium iff ``converged``).
     converged:
-        No vertex had an improving move at the end (for the incremental
-        engine this is certified by a full verification sweep, independent
-        of the dirty-set bookkeeping).
+        No vertex had an improving move at the end (for the batched engine
+        this is certified by a full verification sweep, independent of the
+        dirty-set bookkeeping).
     cycle_detected:
         The run revisited a previously seen graph (terminated to avoid
         looping); ``converged`` is ``False`` in that case.
@@ -165,8 +156,8 @@ class DynamicsResult:
         of eccentricities, for interest/budget variants the variant's
         social cost.
     final_dm:
-        The engine's lifted distance matrix of :attr:`graph` (engine-backed
-        modes only; ``None`` for the oracle path).  Endpoint audits pass it
+        The engine's lifted distance matrix of :attr:`graph` (batched
+        engine only; ``None`` for the oracle path).  Endpoint audits pass it
         as ``base_dm`` so verifying a converged trajectory never recomputes
         the APSP the dynamics already hold; excluded from equality.
     """
@@ -221,11 +212,10 @@ class SwapDynamics:
         ``numpy.random.Generator`` to opt back into a shared advancing
         stream across runs).
     engine_mode:
-        ``"incremental"`` (default) — cached-APSP engine with dirty-set
-        skipping; ``"batched"`` — the same engine with bound-then-verify
-        best responses, bound certificates, and scan-based verification
-        sweeps (bit-identical trajectories, the fast path for convergence
-        runs); ``"oracle"`` — the seed path, kept for cross-validation.
+        ``"batched"`` (default) — cached-APSP engine with dirty-set
+        skipping, bound-then-verify best responses and scan-based
+        verification sweeps; ``"oracle"`` — the seed path, kept for
+        cross-validation.
     """
 
     def __init__(
@@ -236,7 +226,7 @@ class SwapDynamics:
         max_steps: int = 10_000,
         record: bool = False,
         seed=None,
-        engine_mode: EngineMode = "incremental",
+        engine_mode: EngineMode = "batched",
     ):
         if not isinstance(objective, CostModel):
             # Validate the spec eagerly; n-dependent models (interest sets)
@@ -248,7 +238,7 @@ class SwapDynamics:
             raise ConfigurationError(f"unknown responder {responder!r}")
         if max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
-        if engine_mode not in ("incremental", "batched", "oracle"):
+        if engine_mode not in ("batched", "oracle"):
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
         self.objective: "Objective | str | CostModel" = objective
         self.schedule: Schedule = schedule
@@ -282,8 +272,8 @@ class SwapDynamics:
         ``record``, activation accounting, initial graph) finds the
         snapshot and continues it, producing a :class:`DynamicsResult`
         bit-identical to the uninterrupted run — same moves, traces,
-        counters and terminal graph — for every ``engine_mode`` and cost
-        model; the RNG stream is serialized with the state, so the
+        counters and terminal graph — for both ``engine_mode`` values and
+        every cost model; the RNG stream is serialized with the state, so the
         configured ``seed`` only matters for fresh starts.  A corrupt
         checkpoint is quarantined and the run restarts; a checkpoint from
         a *different* configuration raises
@@ -327,7 +317,7 @@ class SwapDynamics:
         if self.engine_mode == "oracle":
             result = self._run_oracle(initial)
         else:
-            result = self._run_incremental(initial)
+            result = self._run_batched(initial)
         if self._ckpt is not None:
             # A finished run leaves no checkpoint behind (a deadline expiry
             # raises above, so its freshly saved snapshot survives).
@@ -345,11 +335,9 @@ class SwapDynamics:
     def _checkpoint_config(self, initial: CSRGraph) -> dict:
         """What a snapshot must agree on before it may be resumed.
 
-        ``engine_mode`` is deliberately folded to its activation
-        *accounting* ("engine" vs "oracle"), matching the trajectory
-        census header: incremental and batched runs are bit-identical and
-        resume each other's checkpoints freely, while the oracle path
-        counts activations differently and must not splice.
+        ``engine_mode`` is recorded as its activation *accounting*
+        ("engine" vs "oracle"), matching the trajectory census header: the
+        oracle path counts activations differently and must not splice.
         """
         return {
             "v": 1,
@@ -366,14 +354,9 @@ class SwapDynamics:
         }
 
     # ------------------------------------------------------------------
-    # Incremental engine + dirty-set path (the default), shared with the
-    # batched kernel path — engine_mode="batched" keeps every scheduling
-    # decision identical and only changes *how* a best response is computed
-    # (bound-then-verify kernel) and *how* a sweep certifies (one batched
-    # audit scan), so trajectories are bit-identical across the modes.
+    # Batched engine + dirty-set path (the default)
     # ------------------------------------------------------------------
-    def _run_incremental(self, initial: CSRGraph) -> DynamicsResult:
-        batched = self.engine_mode == "batched"
+    def _run_batched(self, initial: CSRGraph) -> DynamicsResult:
         config = self._checkpoint_config(initial)
         loaded = None if self._ckpt is None else self._ckpt.load(config)
         if loaded is None:
@@ -471,11 +454,6 @@ class SwapDynamics:
             nonlocal activations
             activations += 1
             if self.responder == "best":
-                if batched:
-                    # Bound-then-verify kernel: usually re-certifies the
-                    # vertex move-free from one pass over the cached base
-                    # matrix, no BFS and no removal matrices.
-                    return engine.best_swap(v, self._model, mode="batched")
                 return engine.best_swap(v, self._model)
             return first_improving_swap(
                 engine.graph, v, self._model, self._rng
@@ -507,15 +485,14 @@ class SwapDynamics:
         def verification_sweep() -> BestResponse | None:
             """Activate every vertex; the exactness guard over the dirty rule.
 
-            The batched mode first runs one cross-edge audit scan
+            Best responders first run one cross-edge audit scan
             (:func:`~repro.core.batched.certify_at_rest`): in the common
             convergent case it certifies every vertex at once.  A positive
-            scan falls back to the ordered per-vertex kernel so the applied
-            move — and the activation count — matches the incremental
-            sweep exactly.
+            scan falls back to the ordered per-vertex kernel, which finds
+            the move to apply.
             """
             nonlocal activations
-            if batched and self.responder == "best":
+            if self.responder == "best":
                 from .batched import certify_at_rest
 
                 if certify_at_rest(
@@ -532,7 +509,7 @@ class SwapDynamics:
                 if br.swap is not None:
                     return br
                 dirty[v] = False
-            if batched and self.responder == "best":  # pragma: no cover
+            if self.responder == "best":  # pragma: no cover
                 raise AssertionError(
                     "certify_at_rest reported a move no vertex produced"
                 )
@@ -643,7 +620,7 @@ class SwapDynamics:
             cost_trace: list[float] = []
             pos = {"idx": 0, "quiet": 0}
         else:
-            # Same restore discipline as the incremental path (the oracle's
+            # Same restore discipline as the batched path (the oracle's
             # checkpoints carry no dirty set — it has none).
             state = AdjacencyGraph.from_csr(
                 CSRGraph(n, _decode_edges(loaded["edges"]))
@@ -701,8 +678,8 @@ class SwapDynamics:
                 if g.n == 0:
                     cost_trace.append(0.0)
                 else:
-                    # Same model-resolved social cost as the incremental
-                    # path (asserted trace-equal on the variant battery).
+                    # Same model-resolved social cost as the batched path
+                    # (asserted trace-equal in the oracle harness).
                     cost_trace.append(
                         self._model.social_cost(
                             lift_distances(distance_matrix(g))

@@ -1,29 +1,27 @@
-"""The incremental distance engine — one APSP, everything else derived.
+"""The distance engine — one APSP, everything else derived.
 
-Every audit and every dynamics activation in this library ultimately asks
-distance questions about graphs that differ from a known base graph by one or
-two edges.  The seed implementation answered each question from scratch (a
+Every dynamics activation in this library ultimately asks distance
+questions about graphs that differ from a known base graph by one or two
+edges.  The seed implementation answered each question from scratch (a
 rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
 :class:`DistanceEngine` answers them from a cached base matrix:
 
-* **removal rows** — :meth:`removal_matrix` derives the APSP of ``G − e`` via
-  :func:`repro.graphs.removal_matrix_repair`: exact affected-source detection
-  plus a seeded partial BFS per affected row, no graph rebuild, no scipy;
 * **applied swaps** — :meth:`apply_swap` keeps the matrix current across
-  dynamics moves: the dropped edge is handled by row repair, the added edge
-  by the exact single-insertion min-plus closure
+  dynamics moves: the dropped edge is handled by affected-row repair
+  (:func:`repro.graphs.removal_matrix_repair`), the added edge by the exact
+  single-insertion min-plus closure
   ``d'(x, y) = min(d(x, y), d(x, v) + 1 + d(v', y), d(x, v') + 1 + d(v, y))``
   (an inserted edge appears at most once on any shortest path), so a move
   costs O(affected + n²) instead of a full APSP;
-* **best responses** — :meth:`best_swap` evaluates an agent against the
-  cached matrix, sharing all of the above.
+* **best responses** — :meth:`best_swap` runs the bound-then-verify
+  per-vertex kernel (:func:`repro.core.batched.best_swap_scan`) against the
+  cached matrix with engine-owned scratch.
 
 The engine reports which matrix rows each applied swap changed; the dynamics
 layer uses that as its dirty-vertex signal.  Matrices use the lifted int64
 convention (:data:`repro.core.costs.INT_INF` for unreachable pairs)
-throughout, and the old rebuild/copy paths remain available as
-cross-validation oracles (``mode="rebuild"`` / ``mode="oracle"`` in
-:mod:`repro.core.swap_eval` and :mod:`repro.core.best_response`).
+throughout.  The oracles the engine is checked against are the seed paths
+``best_swap(mode="oracle")`` and ``SwapDynamics(engine_mode="oracle")``.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .moves import Swap
 __all__ = ["DistanceEngine"]
 
 Objective = Literal["sum", "max"]
-BestSwapMode = Literal["incremental", "batched"]
 
 
 class DistanceEngine:
@@ -155,17 +152,6 @@ class DistanceEngine:
         return self._dm.max(axis=1)
 
     # ------------------------------------------------------------------
-    # Derived matrices
-    # ------------------------------------------------------------------
-    def removal_matrix(self, a: int, b: int) -> np.ndarray:
-        """Lifted APSP of the current graph minus edge ``{a, b}``.
-
-        Copy-on-write against the base matrix: only rows the deletion can
-        change are recomputed (by seeded partial BFS).
-        """
-        return removal_matrix_repair(self.graph, self._dm, (a, b))
-
-    # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def apply_swap(self, swap: Swap) -> np.ndarray:
@@ -214,41 +200,26 @@ class DistanceEngine:
         objective: Objective = "sum",
         *,
         prefer_deletions_on_tie: bool | None = None,
-        mode: BestSwapMode = "incremental",
     ):
         """Exact best response of ``v``, computed against the cached matrix.
 
-        Identical in outcome (including tie-breaking) to the oracle
-        :func:`repro.core.best_response.best_swap`.  ``mode="batched"``
-        routes through the bound-then-verify per-vertex kernel
-        (:func:`repro.core.batched.best_swap_scan`) with the engine's
-        cached ``dm + 1`` / workspace scratch — same response, and most
-        activations certified move-free without materializing a single
-        removal matrix.
+        The bound-then-verify per-vertex kernel
+        (:func:`repro.core.batched.best_swap_scan`) with the engine's cached
+        ``dm + 1`` / workspace scratch: identical in outcome (including
+        tie-breaking) to the oracle ``best_swap(mode="oracle")``, and most
+        activations certified move-free without repairing a single row.
         """
-        from .best_response import best_swap
+        from .batched import best_swap_scan
 
-        if mode == "batched":
-            from .batched import best_swap_scan
-
-            base_plus1, buf = self._kernel_scratch()
-            return best_swap_scan(
-                self.graph,
-                v,
-                objective,
-                self._dm,
-                prefer_deletions_on_tie=prefer_deletions_on_tie,
-                base_plus1=base_plus1,
-                buf=buf,
-            )
-        if mode != "incremental":
-            raise GraphError(f"unknown engine best_swap mode {mode!r}")
-        return best_swap(
+        base_plus1, buf = self._kernel_scratch()
+        return best_swap_scan(
             self.graph,
             v,
             objective,
+            self._dm,
             prefer_deletions_on_tie=prefer_deletions_on_tie,
-            engine=self,
+            base_plus1=base_plus1,
+            buf=buf,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -23,13 +23,14 @@ and :func:`is_equilibrium` take any model or spec string — the paper's
 historical :func:`find_sum_violation` / :func:`is_max_equilibrium` surface
 stays bit-identical as thin wrappers.
 
-The audits share one base APSP and derive every per-edge removal matrix from
-it by affected-row BFS repair (DESIGN.md §2); ``mode="batched"`` goes one
-step further and plans **all** edges up front — vectorized affected-source
-detection, one union level-synchronous BFS for the repairs, and a scan that
-reads the base matrix in place instead of copying it per edge (DESIGN.md
-§2.6 / :mod:`repro.core.batched`).  ``mode="rebuild"`` restores the seed
-behaviour (a fresh APSP per edge) as the cross-validation oracle.
+Every audit has one fast path and one oracle.  The default
+``mode="batched"`` shares one base APSP and plans the edges in lazily built
+blocks — vectorized affected-source detection, one union level-synchronous
+BFS for the endpoint repairs, and a bound-then-verify scan that reads the
+base matrix in place instead of copying it per edge (DESIGN.md §2.6 /
+:mod:`repro.core.batched`).  ``mode="rebuild"`` is the seed behaviour (a
+fresh APSP per edge), kept as the cross-validation oracle; both answer
+bit-identically, tie-breaks included.
 
 Each audit is one serial scan: parallelism lives at the fleet grain, where
 whole dynamics runs are independent tasks (DESIGN.md §5).
@@ -46,7 +47,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, DisconnectedGraphError
 from ..graphs import CSRGraph, distance_matrix, is_connected
-from ..graphs.repair import removal_matrix_repair
 from ..parallel import check_deadline
 from .costmodel import CostModel, resolve_cost_model
 from .costs import INT_INF, ensure_lifted, lift_distances
@@ -118,16 +118,20 @@ def _prepare(
                 "equilibrium audits are defined on connected graphs"
             )
         return lifted
+    _require_connected(graph)
+    return lift_distances(distance_matrix(graph))
+
+
+def _require_connected(graph: CSRGraph) -> None:
     if not is_connected(graph):
         raise DisconnectedGraphError(
             "equilibrium audits are defined on connected graphs"
         )
-    return lift_distances(distance_matrix(graph))
 
 
-AuditMode = Literal["repair", "rebuild", "batched"]
+AuditMode = Literal["batched", "rebuild"]
 
-_AUDIT_MODES = ("repair", "rebuild", "batched")
+_AUDIT_MODES = ("batched", "rebuild")
 
 
 def _check_mode(mode: str) -> None:
@@ -137,31 +141,13 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def _removal_for(
-    graph: CSRGraph,
-    lifted: np.ndarray,
-    edge: tuple[int, int],
-    mode: AuditMode,
-) -> np.ndarray:
-    if mode == "repair":
-        return removal_matrix_repair(graph, lifted, edge)
-    return removal_distance_matrix(graph, edge, mode="rebuild")
+def _iter_drop_contexts(graph: CSRGraph):
+    """Yield ``(v, w, removal_dm)`` for every directed edge — the oracle scan.
 
-
-def _iter_drop_contexts(
-    graph: CSRGraph,
-    lifted: np.ndarray | None = None,
-    mode: AuditMode = "repair",
-):
-    """Yield ``(v, w, removal_dm)`` for every directed edge, one matrix per edge.
-
-    ``mode="repair"`` derives each removal matrix from the shared base matrix
-    ``lifted``; ``mode="rebuild"`` is the seed oracle (fresh APSP per edge).
+    Each removal matrix is a fresh APSP of the rebuilt graph ``G − vw``.
     """
-    if lifted is None and mode == "repair":
-        lifted = lift_distances(distance_matrix(graph))
     for a, b in graph.iter_edges():
-        removal_dm = _removal_for(graph, lifted, (a, b), mode)
+        removal_dm = removal_distance_matrix(graph, (a, b), mode="rebuild")
         yield a, b, removal_dm
         yield b, a, removal_dm
 
@@ -174,7 +160,7 @@ def find_swap_violation(
     graph: CSRGraph,
     objective: "str | CostModel" = "sum",
     *,
-    mode: AuditMode = "repair",
+    mode: AuditMode = "batched",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> Violation | None:
@@ -195,10 +181,7 @@ def find_swap_violation(
     _check_mode(mode)
     model = resolve_cost_model(objective, graph.n)
     if graph.n <= 2:
-        if not is_connected(graph):
-            raise DisconnectedGraphError(
-                "equilibrium audits are defined on connected graphs"
-            )
+        _require_connected(graph)
         return None
     lifted = _prepare(graph, base_dm)
     base = model.base_costs(lifted)
@@ -210,7 +193,7 @@ def find_swap_violation(
             graph, lifted, base, list(graph.iter_edges()), model,
             deadline=deadline,
         )
-    for v, w, removal_dm in _iter_drop_contexts(graph, lifted, mode):
+    for v, w, removal_dm in _iter_drop_contexts(graph):
         check_deadline(deadline)
         costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
         mask = model.target_mask(graph, v, w)
@@ -230,7 +213,7 @@ def is_equilibrium(
     graph: CSRGraph,
     objective: "str | CostModel" = "sum",
     *,
-    mode: AuditMode = "repair",
+    mode: AuditMode = "batched",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> bool:
@@ -266,18 +249,18 @@ def is_equilibrium(
 # ---------------------------------------------------------------------------
 
 def find_sum_violation(
-    graph: CSRGraph, *, mode: AuditMode = "repair"
+    graph: CSRGraph, *, mode: AuditMode = "batched"
 ) -> Violation | None:
     """First improving sum-swap found, or ``None`` if in sum equilibrium."""
     return find_swap_violation(graph, "sum", mode=mode)
 
 
-def is_sum_equilibrium(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
+def is_sum_equilibrium(graph: CSRGraph, *, mode: AuditMode = "batched") -> bool:
     """Whether ``graph`` is a sum (swap) equilibrium."""
     return find_sum_violation(graph, mode=mode) is None
 
 
-def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "repair") -> float:
+def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "batched") -> float:
     """The largest improvement any single swap offers (0.0 at equilibrium).
 
     A quantitative "distance from equilibrium" used by dynamics diagnostics;
@@ -285,6 +268,7 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "repair") -> float
     """
     _check_mode(mode)
     if graph.n <= 2:
+        _require_connected(graph)
         return 0.0
     lifted = _prepare(graph)
     base_sum = lifted.sum(axis=1)
@@ -293,7 +277,7 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "repair") -> float
 
         return scan_gap(graph, lifted, base_sum, list(graph.iter_edges()))
     gap = 0.0
-    for v, w, removal_dm in _iter_drop_contexts(graph, lifted, mode):
+    for v, w, removal_dm in _iter_drop_contexts(graph):
         costs = all_swap_costs_for_drop(graph, v, w, "sum", removal_dm)
         costs[w] = math.inf
         best = float(np.min(costs))
@@ -307,7 +291,7 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "repair") -> float
 # ---------------------------------------------------------------------------
 
 def find_max_swap_violation(
-    graph: CSRGraph, *, mode: AuditMode = "repair"
+    graph: CSRGraph, *, mode: AuditMode = "batched"
 ) -> Violation | None:
     """First swap strictly decreasing the mover's local diameter, or ``None``."""
     return find_swap_violation(graph, "max", mode=mode)
@@ -316,7 +300,7 @@ def find_max_swap_violation(
 def find_deletion_criticality_violation(
     graph: CSRGraph,
     *,
-    mode: AuditMode = "repair",
+    mode: AuditMode = "batched",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> Violation | None:
@@ -338,7 +322,7 @@ def find_deletion_criticality_violation(
         )
     for a, b in graph.iter_edges():
         check_deadline(deadline)
-        removal_dm = _removal_for(graph, lifted, (a, b), mode)
+        removal_dm = removal_distance_matrix(graph, (a, b), mode="rebuild")
         ecc_after = removal_dm.max(axis=1)
         for v in (a, b):
             after = math.inf if ecc_after[v] >= INT_INF else float(ecc_after[v])
@@ -350,12 +334,12 @@ def find_deletion_criticality_violation(
     return None
 
 
-def is_deletion_critical(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
+def is_deletion_critical(graph: CSRGraph, *, mode: AuditMode = "batched") -> bool:
     """Whether deleting any edge strictly increases both endpoints' ecc."""
     return find_deletion_criticality_violation(graph, mode=mode) is None
 
 
-def is_max_equilibrium(graph: CSRGraph, *, mode: AuditMode = "repair") -> bool:
+def is_max_equilibrium(graph: CSRGraph, *, mode: AuditMode = "batched") -> bool:
     """The paper's max equilibrium: swap-stable (max) **and** deletion-critical."""
     if find_max_swap_violation(graph, mode=mode) is not None:
         return False

@@ -19,8 +19,8 @@ valid because any shortest path from ``v`` using the new edge must use it
 first (revisiting ``v`` never shortens a path).  This identity is what makes
 full equilibrium audits O(m) APSP calls instead of O(n·m) BFS calls.
 
-Since the incremental distance engine (DESIGN.md §2), the removal APSP itself
-is no longer recomputed per edge: :func:`removal_distance_matrix` defaults to
+Since the distance engine (DESIGN.md §2), the removal APSP itself is no
+longer recomputed per edge: :func:`removal_distance_matrix` defaults to
 ``mode="repair"``, deriving ``G − e`` from a cached base matrix by repairing
 only the rows the deletion can change.  ``mode="rebuild"`` keeps the seed
 path (fresh scipy APSP on a rebuilt graph) as the cross-validation oracle.

@@ -281,12 +281,10 @@ def run_trajectory_census(
     model-aware equilibrium checker (``audit_mode`` selects the kernel,
     and the audit reuses the dynamics engine's final distance matrix).
     ``engine_mode`` selects the dynamics engine — the default ``"batched"``
-    bound-then-verify kernel, ``"incremental"``, or the seed ``"oracle"``;
-    like ``workers`` it is an execution detail: the engine-backed modes
-    produce bit-identical records and resume each other's streams freely.
-    The oracle path replays the same trajectories but counts activations
-    by full sweeps, so only its ``activations`` column differs — the
-    stream header therefore records the *accounting* (``"engine"`` vs
+    bound-then-verify kernel or the seed ``"oracle"``.  The oracle path
+    replays the same best-response trajectories but counts activations by
+    full sweeps, so only its ``activations`` column differs — the stream
+    header therefore records the *accounting* (``"engine"`` vs
     ``"oracle"``), and resuming across that boundary raises instead of
     silently mixing incompatible activation counts.
     ``workers > 1`` shards trajectories over the persistent pool with the
@@ -376,9 +374,8 @@ def trajectory_experiment(
         "max_steps": max_steps,
         "verify": verify,
         "audit_mode": audit_mode,
-        # Not engine_mode itself: incremental/batched records are
-        # bit-identical and interchangeable; only the oracle path's
-        # activation accounting differs.
+        # Named for what differs: only the oracle path's activation
+        # accounting, not its trajectories.
         "activation_accounting": (
             "oracle" if engine_mode == "oracle" else "engine"
         ),

@@ -37,8 +37,8 @@ __all__ = [
 _FAMILIES = ["tree", "sparse", "dense"]
 _SCHEDULES = ["round_robin", "random", "greedy"]
 _RESPONDERS = ["best", "first"]
-_AUDIT_MODES = ["batched", "repair", "rebuild"]
-_ENGINE_MODES = ["batched", "incremental", "oracle"]
+_AUDIT_MODES = ["batched", "rebuild"]
+_ENGINE_MODES = ["batched", "oracle"]
 
 _SPEC_HELP = (
     "cost-model spec: sum | max | interest-{sum,max}:k=K[,seed=S] | "
@@ -216,8 +216,8 @@ def _trajectory_arguments(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--audit-mode", default="batched", choices=_AUDIT_MODES,
                     help="equilibrium-audit kernel for endpoint checks")
     ap.add_argument("--engine-mode", default="batched", choices=_ENGINE_MODES,
-                    help="dynamics engine (trajectories are bit-identical "
-                         "across engine-backed modes)")
+                    help="dynamics engine (the oracle replays the same "
+                         "trajectories but counts activations differently)")
     ap.add_argument("--no-verify", action="store_true",
                     help="skip the exact equilibrium audit of endpoints")
 

@@ -142,14 +142,12 @@ class AuditEngine:
         self,
         cache: ResultCache,
         *,
-        audit_mode: str = "repair",
         default_timeout: float = 30.0,
         max_timeout: float = 300.0,
         gate: "AdmissionGate | None" = None,
         ladder: "DegradationLadder | None" = None,
     ):
         self.cache = cache
-        self.audit_mode = audit_mode
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
         self.gate = gate if gate is not None else AdmissionGate()
@@ -243,20 +241,17 @@ class AuditEngine:
             from ..core import is_equilibrium
 
             flag = is_equilibrium(
-                graph, model_spec, mode=self.audit_mode,
-                base_dm=base_dm, deadline=deadline,
+                graph, model_spec, base_dm=base_dm, deadline=deadline,
             )
             return {"is_equilibrium": bool(flag)}
         if kind == "find_swap_violation":
             violation = find_swap_violation(
-                graph, model_spec, mode=self.audit_mode,
-                base_dm=base_dm, deadline=deadline,
+                graph, model_spec, base_dm=base_dm, deadline=deadline,
             )
             return _violation_payload(violation)
         if kind == "criticality":
             violation = find_deletion_criticality_violation(
-                graph, mode=self.audit_mode, base_dm=base_dm,
-                deadline=deadline,
+                graph, base_dm=base_dm, deadline=deadline,
             )
             return _violation_payload(violation)
         if kind == "k_swap_stable":
@@ -268,8 +263,8 @@ class AuditEngine:
             )
             return {"k_swap_stable": bool(stable), "k": params["k"]}
         response = best_swap(
-            graph, params["vertex"], model_spec, mode=self.audit_mode,
-            base_dm=base_dm, deadline=deadline,
+            graph, params["vertex"], model_spec, base_dm=base_dm,
+            deadline=deadline,
         )
         swap = response.swap
         return _json_safe(

@@ -156,7 +156,6 @@ def build_server(
     port: int = 0,
     *,
     cache_dir: str = "results/audit_cache",
-    audit_mode: str = "repair",
     default_timeout: float = 30.0,
     capacity: int = 1,
     queue_limit: int = 8,
@@ -172,7 +171,6 @@ def build_server(
     """
     engine = AuditEngine(
         ResultCache(cache_dir),
-        audit_mode=audit_mode,
         default_timeout=default_timeout,
         gate=AdmissionGate(
             capacity=capacity, queue_limit=queue_limit, retry_after=retry_after

@@ -96,7 +96,7 @@ class TestHeadlineClaims:
     def test_equilibrium_cost_tables(self):
         tables = run_experiment("equilibrium-cost", "quick")
         assert len(tables) == 2
-        for col in ("repair seconds", "batched seconds"):
+        for col in ("rebuild seconds", "batched seconds"):
             secs = [float(x) for x in tables[0].column(col)]
             assert all(s > 0 for s in secs)
 

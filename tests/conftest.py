@@ -55,7 +55,7 @@ def graph_battery(
 
     Cycles through the three census-style families — uniform random trees
     (every edge a bridge), sparse connected G(n, m), and dense G(n, m) —
-    plus the n ≤ 3 edge cases, so incremental-vs-oracle tests exercise
+    plus the n ≤ 3 edge cases, so fast-path-vs-oracle tests exercise
     bridges, disconnecting removals, and degenerate sizes by construction.
     """
     graphs: list[CSRGraph] = [

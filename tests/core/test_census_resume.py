@@ -87,7 +87,7 @@ class TestConfigMismatch:
             {"schedule": "random"},
             {"responder": "first"},
             {"max_steps": 777},
-            {"audit_mode": "repair"},
+            {"audit_mode": "rebuild"},
             {"verify": False},
             {"replicates": 3},
             {"root_seed": 4},

@@ -5,10 +5,11 @@ Three guarantees under test:
 1. **Alias bit-identity** — ``objective="sum"|"max"`` strings, the
    ``SumCost``/``MaxCost`` singletons they resolve to, and the historical
    call sites all agree exactly (costs, tie-breaks, record order) on the
-   deterministic graph battery, in every audit mode.
+   deterministic graph battery.
 2. **Variant exactness** — ``InterestCost`` and ``BudgetCost`` agree with an
    independent brute-force evaluation (copied swapped graphs, BFS rows,
-   manual aggregation), and their batched/repair/rebuild audits agree.
+   manual aggregation); their batched audits agree with the rebuild oracle
+   in the differential harness, ``test_oracles.py``.
 3. **Reachability** — both variants run end-to-end through dynamics and
    ``run_census`` and their converged endpoints pass the model-aware
    equilibrium audit.
@@ -130,10 +131,7 @@ class TestAliasBitIdentity:
     @pytest.mark.parametrize("idx", range(0, len(BATTERY), 7))
     def test_swap_violation_matches_sum_audit(self, idx):
         g = BATTERY[idx]
-        for mode in ("repair", "batched"):
-            assert find_swap_violation(
-                g, SumCost(), mode=mode
-            ) == find_sum_violation(g, mode=mode)
+        assert find_swap_violation(g, SumCost()) == find_sum_violation(g)
 
     @pytest.mark.parametrize("idx", range(3, len(BATTERY), 17))
     def test_swap_violation_matches_rebuild_oracle(self, idx):
@@ -232,22 +230,6 @@ class TestVariantOracle:
                 costs[w] = math.inf
                 assert np.array_equal(costs, brute), (v, w)
 
-    @pytest.mark.parametrize("idx", range(4, len(BATTERY), 19))
-    def test_interest_audit_modes_agree(self, idx):
-        g = BATTERY[idx]
-        model = resolve_cost_model("interest-sum:k=2,seed=5", g.n)
-        repair = find_swap_violation(g, model, mode="repair")
-        assert find_swap_violation(g, model, mode="batched") == repair
-        assert find_swap_violation(g, model, mode="rebuild") == repair
-
-    @pytest.mark.parametrize("idx", range(5, len(BATTERY), 19))
-    def test_budget_audit_modes_agree(self, idx):
-        g = BATTERY[idx]
-        model = BudgetCost("sum", 3)
-        repair = find_swap_violation(g, model, mode="repair")
-        assert find_swap_violation(g, model, mode="batched") == repair
-        assert find_swap_violation(g, model, mode="rebuild") == repair
-
 
 # ---------------------------------------------------------------------------
 # Budget move-set semantics
@@ -280,7 +262,7 @@ class TestBudgetMoves:
         # equilibrium while not a base sum equilibrium.
         g = path_graph(4)
         assert find_sum_violation(g) is not None
-        for mode in ("repair", "batched", "rebuild"):
+        for mode in ("batched", "rebuild"):
             assert find_swap_violation(g, "budget-sum:cap=2", mode=mode) is None
         assert is_equilibrium(g, "budget-sum:cap=2")
 

@@ -141,6 +141,16 @@ class TestInstrumentation:
         res = SwapDynamics(objective="sum", seed=2).run(g)
         assert res.graph.m == g.m  # sum agents never delete
 
+    def test_final_dm_matches_final_graph(self):
+        g = random_tree(12, seed=6)
+        res = SwapDynamics(objective="sum", seed=1).run(g)
+        expected = lift_distances(distance_matrix(res.graph))
+        assert np.array_equal(res.final_dm, expected)
+        oracle = SwapDynamics(
+            objective="sum", seed=1, engine_mode="oracle"
+        ).run(g)
+        assert oracle.final_dm is None
+
     def test_exhausted_distinguishes_budget_from_cycle(self):
         res = SwapDynamics(objective="sum", max_steps=1, seed=0).run(
             path_graph(12)
@@ -225,21 +235,6 @@ class TestModelCorrectTraces:
         assert trace[0] == _model_social_cost(g, spec)
         assert trace[-1] == _model_social_cost(res.graph, spec)
 
-    @pytest.mark.parametrize("spec", VARIANTS)
-    @pytest.mark.parametrize("schedule", ["round_robin", "random", "greedy"])
-    def test_incremental_and_oracle_traces_agree(self, spec, schedule):
-        g = random_connected_gnm(10, 16, seed=5)
-        runs = [
-            SwapDynamics(
-                objective=spec, schedule=schedule, record=True, seed=3,
-                max_steps=300, engine_mode=mode,
-            ).run(g)
-            for mode in ("incremental", "oracle")
-        ]
-        assert runs[0].moves == runs[1].moves
-        assert runs[0].social_cost_trace == runs[1].social_cost_trace
-        assert runs[0].diameter_trace == runs[1].diameter_trace
-
     def test_sum_trace_still_total_pairwise_distance(self):
         # The historical recording (bit-compatible for the paper's game).
         g = random_tree(12, seed=4)
@@ -264,124 +259,3 @@ class TestModelCorrectTraces:
         expected = sum(model.row_cost(v, dm[v]) for v in range(10))
         assert res.social_cost_trace[-1] == expected
         assert not math.isinf(expected)
-
-
-class TestBatchedEngineMode:
-    """engine_mode="batched" must be bit-identical to "incremental" (ISSUE 5).
-
-    Same moves, steps, activations, traces, and terminal graph: the batched
-    mode changes how a best response is computed (bound-then-verify kernel)
-    and how a sweep certifies (one cross-edge audit scan), never which move
-    is applied.
-    """
-
-    VARIANTS = ["sum", "max", "interest-sum:k=3,seed=2", "budget-sum:cap=3"]
-
-    @pytest.mark.parametrize("spec", VARIANTS)
-    @pytest.mark.parametrize("schedule", ["round_robin", "random", "greedy"])
-    @pytest.mark.parametrize("responder", ["best", "first"])
-    def test_batched_bit_identical_to_incremental(
-        self, spec, schedule, responder
-    ):
-        g = random_connected_gnm(12, 20, seed=5)
-        runs = [
-            SwapDynamics(
-                objective=spec, schedule=schedule, responder=responder,
-                record=True, seed=3, max_steps=400, engine_mode=mode,
-            ).run(g)
-            for mode in ("incremental", "batched")
-        ]
-        a, b = runs
-        assert a.moves == b.moves
-        assert a.steps == b.steps
-        assert a.activations == b.activations
-        assert a.social_cost_trace == b.social_cost_trace
-        assert a.diameter_trace == b.diameter_trace
-        assert a.graph == b.graph
-        assert (a.converged, a.cycle_detected) == (
-            b.converged, b.cycle_detected
-        )
-
-    @pytest.mark.parametrize("spec", VARIANTS)
-    @pytest.mark.parametrize("schedule", ["round_robin", "greedy"])
-    def test_batched_matches_oracle_traces(self, spec, schedule):
-        g = random_connected_gnm(10, 16, seed=5)
-        runs = [
-            SwapDynamics(
-                objective=spec, schedule=schedule, record=True, seed=3,
-                max_steps=300, engine_mode=mode,
-            ).run(g)
-            for mode in ("batched", "oracle")
-        ]
-        assert runs[0].moves == runs[1].moves
-        assert runs[0].social_cost_trace == runs[1].social_cost_trace
-        assert runs[0].diameter_trace == runs[1].diameter_trace
-        assert runs[0].graph == runs[1].graph
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_stale_certificates_never_survive_to_convergence(self, seed):
-        # The dirty-set/bound-certificate interaction: certificates go
-        # stale whenever an applied swap touches their inputs, and the
-        # batched verification sweep is exact — so a converged endpoint
-        # must pass the seed rebuild-mode audit, whatever the certificate
-        # bookkeeping did mid-run.
-        from repro.core import is_equilibrium
-
-        g = random_connected_gnm(14, 24, seed=seed)
-        res = SwapDynamics(
-            objective="sum", seed=seed, engine_mode="batched"
-        ).run(g)
-        if res.converged:
-            assert is_equilibrium(res.graph, "sum", mode="rebuild")
-            # ... and the certified equilibrium is a true fixed point.
-            again = SwapDynamics(
-                objective="sum", seed=seed, engine_mode="batched"
-            ).run(res.graph)
-            assert again.steps == 0 and again.converged
-
-    def test_certificate_invalidated_by_neighbour_move(self):
-        # A vertex certified move-free must be re-examined once another
-        # agent's swap changes its distance landscape: drive the engine by
-        # hand and check the kernel sees the new improving move.
-        from repro.core import DistanceEngine
-
-        g = path_graph(8)
-        engine = DistanceEngine(g)
-        quiet = [
-            v for v in range(8)
-            if engine.best_swap(v, "sum", mode="batched").swap is None
-        ]
-        mover = next(
-            v for v in range(8)
-            if engine.best_swap(v, "sum", mode="batched").swap is not None
-        )
-        br = engine.best_swap(mover, "sum", mode="batched")
-        engine.apply_swap(br.swap)
-        # Every response is recomputed against the *current* matrix — a
-        # previously quiet vertex with a new improving move must find it.
-        from repro.core import best_swap as plain_best_swap
-
-        for v in quiet:
-            now = engine.best_swap(v, "sum", mode="batched")
-            oracle = plain_best_swap(engine.graph, v, "sum", mode="oracle")
-            assert (now.swap, now.before, now.after) == (
-                oracle.swap, oracle.before, oracle.after
-            ), v
-
-    def test_final_dm_matches_final_graph(self):
-        g = random_tree(12, seed=6)
-        for mode in ("incremental", "batched"):
-            res = SwapDynamics(
-                objective="sum", seed=1, engine_mode=mode
-            ).run(g)
-            assert res.final_dm is not None
-            expected = lift_distances(distance_matrix(res.graph))
-            assert np.array_equal(res.final_dm, expected)
-        oracle = SwapDynamics(
-            objective="sum", seed=1, engine_mode="oracle"
-        ).run(g)
-        assert oracle.final_dm is None
-
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SwapDynamics(engine_mode="clairvoyant")

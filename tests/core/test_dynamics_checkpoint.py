@@ -3,10 +3,10 @@
 The contract under test: a run killed at an arbitrary checkpoint boundary
 and resumed from its snapshot produces a :class:`DynamicsResult` equal to
 the uninterrupted run — same moves, traces, counters, terminal graph —
-for every ``engine_mode`` and cost-model family.  The kill is simulated
-deterministically: a :class:`CheckpointStore` subclass raises right
-*after* the Nth snapshot publishes, exactly the state a SIGKILL between
-two moves leaves on disk.
+for both ``engine_mode`` values and every cost-model family.  The kill is
+simulated deterministically: a :class:`CheckpointStore` subclass raises
+right *after* the Nth snapshot publishes, exactly the state a SIGKILL
+between two moves leaves on disk.
 """
 
 import pytest
@@ -43,7 +43,7 @@ class _KillAfter(CheckpointStore):
 
 
 OBJECTIVES = ["sum", "max", "interest-sum:k=3,seed=0", "budget-sum:cap=3"]
-ENGINE_MODES = ["incremental", "batched", "oracle"]
+ENGINE_MODES = ["batched", "oracle"]
 
 
 def _dyn(objective, engine_mode) -> SwapDynamics:
@@ -101,21 +101,6 @@ class TestResumeBitIdentity:
 
 
 class TestEngineModeSplice:
-    def test_incremental_and_batched_share_checkpoints(self, tmp_path):
-        # The two engine-backed modes are bit-identical by contract, so a
-        # snapshot from one resumes under the other.
-        initial = random_connected_gnm(9, 12, seed=3)
-        clean = _dyn("sum", "incremental").run(initial)
-        killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=2)
-        with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
-                initial, checkpoint=killer, checkpoint_every=1
-            )
-        resumed = _dyn("sum", "batched").run(
-            initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
-        )
-        assert resumed == clean
-
     def test_oracle_checkpoints_refuse_engine_resume(self, tmp_path):
         # Oracle activation accounting differs; splicing would lie.
         initial = random_connected_gnm(9, 12, seed=3)
@@ -125,7 +110,7 @@ class TestEngineModeSplice:
                 initial, checkpoint=killer, checkpoint_every=1
             )
         with pytest.raises(StoreIntegrityError):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
             )
 
@@ -133,22 +118,22 @@ class TestEngineModeSplice:
 class TestDeadlinePreemption:
     def test_expired_deadline_checkpoints_and_yields(self, tmp_path):
         initial = random_connected_gnm(9, 12, seed=3)
-        clean = _dyn("sum", "incremental").run(initial)
+        clean = _dyn("sum", "batched").run(initial)
         path = tmp_path / "slot.ckpt"
         with pytest.raises(DeadlineExceeded):
             # Monotonic instant 0.0 is always in the past: the run must
             # snapshot at the first move boundary and yield, not die dry.
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=path, deadline=0.0
             )
         assert path.exists()
-        resumed = _dyn("sum", "incremental").run(initial, checkpoint=path)
+        resumed = _dyn("sum", "batched").run(initial, checkpoint=path)
         assert resumed == clean
 
     def test_expired_deadline_without_store_still_typed(self):
         initial = random_connected_gnm(9, 12, seed=3)
         with pytest.raises(DeadlineExceeded):
-            _dyn("sum", "incremental").run(initial, deadline=0.0)
+            _dyn("sum", "batched").run(initial, deadline=0.0)
 
 
 class TestCheckpointConfiguration:
@@ -168,26 +153,26 @@ class TestCheckpointConfiguration:
         initial = random_tree(10, seed=5)
         killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=1)
         with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=killer, checkpoint_every=1
             )
         with pytest.raises(StoreIntegrityError):
-            _dyn("max", "incremental").run(
+            _dyn("max", "batched").run(
                 initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
             )
 
     def test_corrupt_snapshot_restarts_clean(self, tmp_path):
         initial = random_tree(10, seed=5)
-        clean = _dyn("sum", "incremental").run(initial)
+        clean = _dyn("sum", "batched").run(initial)
         killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=1)
         with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=killer, checkpoint_every=1
             )
         path = tmp_path / "slot.ckpt"
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        resumed = _dyn("sum", "incremental").run(
+        resumed = _dyn("sum", "batched").run(
             initial, checkpoint=path, checkpoint_every=1
         )
         assert resumed == clean  # quarantined + restarted from scratch

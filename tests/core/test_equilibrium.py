@@ -40,7 +40,7 @@ from ..conftest import connected_graphs
 class TestBaseDmPassThrough:
     """Audits accept a precomputed base_dm (raw or lifted) and agree exactly."""
 
-    @pytest.mark.parametrize("mode", ["repair", "batched"])
+    @pytest.mark.parametrize("mode", ["batched", "rebuild"])
     def test_violation_identical_with_base_dm(self, mode):
         from repro.core import find_swap_violation, lift_distances
         from repro.graphs import distance_matrix, random_connected_gnm
@@ -101,6 +101,13 @@ class TestSumEquilibrium:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             is_sum_equilibrium(CSRGraph(3, [(0, 1)]))
+
+    @pytest.mark.parametrize("mode", ["batched", "rebuild"])
+    def test_gap_rejects_disconnected_two_vertex_graph(self, mode):
+        # Regression: the n <= 2 shortcut used to answer 0.0 before any
+        # connectivity check, unlike every other audit.
+        with pytest.raises(DisconnectedGraphError):
+            sum_equilibrium_gap(CSRGraph(2, []), mode=mode)
 
     def test_gap_zero_at_equilibrium(self):
         assert sum_equilibrium_gap(star_graph(7)) == 0.0

@@ -8,11 +8,17 @@ shows up as a failing finding with its file:line in the assertion.
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from repro.core import SwapDynamics, best_swap, is_equilibrium
+from repro.errors import ConfigurationError
+from repro.graphs import path_graph
 from repro.lint import LintConfig, lint_paths
+from repro.lint.engine import FileContext
+from repro.lint.project import _mode_literals
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -62,3 +68,37 @@ def test_no_function_takes_removed_parallel_knob(knob):
                 if any(a.arg == knob for a in params):
                     offenders.append(f"{path.name}:{node.name}")
     assert offenders == []
+
+
+# One fast path and one oracle per operation (DESIGN.md §2): every mode
+# declaration R5 tracks pairs at most two members, and the retired fast
+# paths are refused like any unknown mode.
+
+def test_every_mode_set_has_at_most_two_members():
+    declared = {}
+    for path, _ in _src_trees():
+        ctx = FileContext(path, path.read_text())
+        members = defaultdict(list)
+        for literal, node in _mode_literals(ctx):
+            members[f"{path.name}:{node.targets[0].id}"].append(literal)
+        declared.update(members)
+    # The collector must see the real declarations, or the bound is vacuous.
+    assert {
+        "equilibrium.py:AuditMode",
+        "best_response.py:BestSwapMode",
+        "dynamics.py:EngineMode",
+        "swap_eval.py:EvalMode",
+        "swap_eval.py:RemovalMode",
+    } <= set(declared)
+    wide = {name: values for name, values in declared.items() if len(values) > 2}
+    assert wide == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_equilibrium(path_graph(4), mode="repair"),
+    lambda: best_swap(path_graph(4), 0, mode="repair"),
+    lambda: SwapDynamics(engine_mode="incremental"),
+], ids=["is_equilibrium-repair", "best_swap-repair", "SwapDynamics-incremental"])
+def test_retired_modes_are_rejected(call):
+    with pytest.raises(ConfigurationError):
+        call()
