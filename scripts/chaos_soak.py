@@ -27,7 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core.trajcensus import run_trajectory_census
+from repro.core import trajectory_experiment
+from repro.experiments import run_fleet
 from repro.io.jsonl_store import FleetFailure
 from repro.parallel import injected_env, shutdown_shared_pools
 
@@ -62,8 +63,9 @@ def _run(jsonl_path: Path, ckpt_dir: "Path | None", **kwargs) -> list:
     extra = {}
     if ckpt_dir is not None:
         extra = dict(checkpoint_dir=ckpt_dir, checkpoint_every=1)
-    return run_trajectory_census(
-        jsonl_path=jsonl_path, **_GRID, **extra, **kwargs
+    return run_fleet(
+        trajectory_experiment(**_GRID), jsonl_path=jsonl_path,
+        **extra, **kwargs
     )
 
 

@@ -31,17 +31,18 @@ from pathlib import Path
 #: census kinds, and the batched audit kernel.
 _WORKLOAD = """\
 import sys
-from repro.core.census import run_census
-from repro.core.trajcensus import run_trajectory_census
+from repro.core import census_experiment, trajectory_experiment
+from repro.experiments import run_fleet
 
 out = sys.argv[1]
-run_census([12, 14], replicates=2, workers=2,
-           jsonl_path=out + "/census.jsonl")
-run_trajectory_census(
-    n_values=[10], families=("tree", "sparse"),
-    objectives=("sum", "max"), schedules=("round_robin",),
-    replicates=2, max_steps=2000, root_seed=5, workers=2,
-    jsonl_path=out + "/trajcensus.jsonl")
+run_fleet(census_experiment([12, 14], replicates=2), workers=2,
+          jsonl_path=out + "/census.jsonl")
+run_fleet(
+    trajectory_experiment(
+        n_values=[10], families=("tree", "sparse"),
+        objectives=("sum", "max"), schedules=("round_robin",),
+        replicates=2, max_steps=2000, root_seed=5),
+    workers=2, jsonl_path=out + "/trajcensus.jsonl")
 """
 
 _STREAMS = ("census.jsonl", "trajcensus.jsonl")

@@ -35,7 +35,9 @@ Package layout
     The α-parameterized (Fabrikant et al.) game: Nash checks, social
     optimum, price of anarchy, and the swap-equilibrium transfer.
 ``repro.parallel``
-    Deterministic process-pool maps and parameter sweeps.
+    The deterministic, fault-tolerant process pool fleets run on.
+``repro.experiments``
+    Fleets as declarative ``Experiment`` grids, run by ``run_fleet``.
 ``repro.bench``
     The experiment registry behind ``benchmarks/`` and the CLI.
 """
@@ -49,6 +51,7 @@ from .core import (
     SwapDynamics,
     Violation,
     best_swap,
+    census_experiment,
     find_deletion_criticality_violation,
     find_insertion_violation,
     find_max_swap_violation,
@@ -62,10 +65,10 @@ from .core import (
     is_sum_equilibrium,
     local_diameter,
     resolve_cost_model,
-    run_census,
     sum_cost,
     sum_equilibrium_gap,
 )
+from .experiments import run_fleet
 from .graphs import (
     AdjacencyGraph,
     CSRGraph,
@@ -95,6 +98,7 @@ __all__ = [
     "__version__",
     "best_swap",
     "bfs_distances",
+    "census_experiment",
     "complete_graph",
     "cycle_graph",
     "diameter",
@@ -117,7 +121,7 @@ __all__ = [
     "random_connected_gnm",
     "random_tree",
     "resolve_cost_model",
-    "run_census",
+    "run_fleet",
     "star_graph",
     "sum_cost",
     "sum_equilibrium_gap",

@@ -52,6 +52,7 @@ from ..constructions import (
 )
 from ..core import (
     Swap,
+    census_experiment,
     find_deletion_criticality_violation,
     find_insertion_violation,
     find_max_swap_violation,
@@ -61,10 +62,11 @@ from ..core import (
     is_k_insertion_stable,
     is_max_equilibrium,
     is_sum_equilibrium,
-    run_census,
     swap_cost_after,
     sum_cost,
+    trajectory_experiment,
 )
+from ..experiments import run_fleet
 from ..games import transfer_sweep
 from ..games.social import poa_diameter_ratio
 from ..graphs import (
@@ -330,13 +332,13 @@ def exp_thm9_census(scale: Scale = "quick") -> list[Table]:
         n_values, reps = [8, 16, 32], 2
     else:
         n_values, reps = [8, 16, 32, 64, 96, 128], 3
-    records = run_census(
+    records = run_fleet(census_experiment(
         n_values,
         families=("tree", "sparse", "dense"),
         replicates=reps,
         objective="sum",
         root_seed=7,
-    )
+    ))
     t = Table(
         "Theorem 9 census: diameters of sum equilibria reached by dynamics",
         [
@@ -797,8 +799,6 @@ def exp_variant_census(scale: Scale = "quick") -> list[Table]:
     budgets (Ehsani et al.) — run through the same dynamics + audit
     machinery as the base game via :mod:`repro.core.costmodel` specs.
     """
-    from ..core.census import run_census
-
     if scale == "quick":
         n_values, reps = [8, 12], 2
     else:
@@ -819,13 +819,13 @@ def exp_variant_census(scale: Scale = "quick") -> list[Table]:
         ],
     )
     for spec in specs:
-        records = run_census(
+        records = run_fleet(census_experiment(
             n_values,
             families=("tree", "sparse"),
             replicates=reps,
             objective=spec,
             root_seed=17,
-        )
+        ))
         for n in n_values:
             rs = [r for r in records if r.n == n]
             conv = [r for r in rs if r.converged]
@@ -860,15 +860,13 @@ def exp_dynamics_census(scale: Scale = "quick") -> list[Table]:
 
     The Kawald–Lenzner question — how schedule/responder choices shape
     convergence speed and cycling — asked of the paper's games and the
-    interest variant, via :func:`repro.core.trajcensus.run_trajectory_census`.
+    interest variant, via :func:`repro.core.trajcensus.trajectory_experiment`.
     """
-    from ..core.trajcensus import run_trajectory_census
-
     if scale == "quick":
         n_values, reps, max_steps = [8, 12], 2, 2_000
     else:
         n_values, reps, max_steps = [8, 16, 32], 3, 20_000
-    records = run_trajectory_census(
+    records = run_fleet(trajectory_experiment(
         n_values,
         families=("tree", "sparse"),
         objectives=("sum", "interest-sum:k=3,seed=0"),
@@ -877,7 +875,7 @@ def exp_dynamics_census(scale: Scale = "quick") -> list[Table]:
         replicates=reps,
         root_seed=23,
         max_steps=max_steps,
-    )
+    ))
     t = Table(
         "Trajectory census: outcomes per (objective, schedule, responder)",
         [

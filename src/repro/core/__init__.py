@@ -7,7 +7,7 @@ that discovers equilibria empirically.
 """
 
 from .best_response import BestResponse, best_swap, first_improving_swap
-from .census import CensusRecord, census_to_rows, run_census, seed_graph
+from .census import CensusRecord, census_experiment, seed_graph
 from .costmodel import (
     BudgetCost,
     CostModel,
@@ -54,13 +54,7 @@ from .swap_eval import (
     swap_cost_after,
     swap_delta,
 )
-from .trajcensus import (
-    TrajectoryRecord,
-    graph_fingerprint,
-    run_trajectory_census,
-    trajectory_census_to_rows,
-    trajectory_sweep,
-)
+from .trajcensus import TrajectoryRecord, trajectory_experiment
 
 __all__ = [
     "BestResponse",
@@ -80,7 +74,7 @@ __all__ = [
     "all_swap_costs_for_drop",
     "apply_swap",
     "best_swap",
-    "census_to_rows",
+    "census_experiment",
     "cost_model_spec",
     "ensure_lifted",
     "find_deletion_criticality_violation",
@@ -89,7 +83,6 @@ __all__ = [
     "find_sum_violation",
     "find_swap_violation",
     "first_improving_swap",
-    "graph_fingerprint",
     "interest_sets",
     "is_deletion_critical",
     "is_equilibrium",
@@ -107,8 +100,6 @@ __all__ = [
     "parse_cost_spec",
     "removal_distance_matrix",
     "resolve_cost_model",
-    "run_census",
-    "run_trajectory_census",
     "seed_graph",
     "sum_cost",
     "sum_cost_vector",
@@ -116,6 +107,5 @@ __all__ = [
     "swap_cost_after",
     "swap_delta",
     "swapped_graph",
-    "trajectory_census_to_rows",
-    "trajectory_sweep",
+    "trajectory_experiment",
 ]

@@ -1,20 +1,19 @@
 """The declarative experiment layer (DESIGN.md §12).
 
 :mod:`repro.experiments.experiment` holds the :class:`Experiment`
-dataclass and the unified :func:`run_fleet` runner;
+dataclass and :func:`run_fleet`, the one way to run a fleet;
 :mod:`repro.experiments.registry` holds the registered instances (the
 censuses and the bench arms) and is loaded lazily — it imports
 :mod:`repro.core`, which itself builds on this package's experiment
 machinery, so eager loading here would cycle during package init.
 """
 
-from .experiment import Experiment, run_fleet, write_jsonl_records
+from .experiment import Experiment, run_fleet
 
 __all__ = [
     "Experiment",
     "build_experiment",
     "run_fleet",
-    "write_jsonl_records",
 ]
 
 

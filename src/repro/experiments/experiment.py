@@ -1,59 +1,63 @@
 """Declarative experiments compiled to sharded resumable fleets.
 
 An :class:`Experiment` is the repo's one description of an empirical run:
-a named cartesian grid of independent variables (with an explicit
-enumeration order), a replicate count, a position-derived seeding scheme,
-a picklable point function, and the persistence contract (config header,
-record schema, coordinate fields used for resume validation).  Declaring
-one buys the whole hardened execution stack with no new code:
+a named cartesian grid of independent variables (declaration order is
+enumeration order, first axis slowest), a replicate count, a
+position-derived seeding scheme, a picklable point function, and the
+persistence contract (config header, record schema, coordinate fields
+used for resume validation).  :func:`run_fleet` is the one way to run
+one, and declaring one buys the whole hardened execution stack with no
+new code:
 
-* **enumeration** — the grid compiles to a :class:`~repro.parallel.Sweep`
-  (explicit ``order=``, reserved-column checks, position-derived seeds);
+* **enumeration** — :meth:`Experiment.compile_tasks` walks the grid
+  (reserved-column and empty-axis checks at construction,
+  position-derived seeds);
 * **execution** — :func:`run_fleet` shards tasks over the persistent
   process pool via :func:`~repro.parallel.map_streamed` with the
   DESIGN.md §9 timeout/retry/quarantine semantics, records bit-identical
   to a serial run at any worker count;
-* **persistence** — records stream through
-  :class:`~repro.io.jsonl_store.JsonlStore`: run-config header, resume
-  with per-record grid validation, atomic prefix rewrites, torn-tail
-  policy, quarantined :class:`~repro.io.jsonl_store.FleetFailure` slots
-  and ``retry_failed`` re-runs.
+* **persistence** — records stream through the
+  :class:`~repro.io.jsonl_store.JsonlStore` that
+  :meth:`Experiment.make_store` builds: run-config header, resume with
+  per-record grid validation, atomic prefix rewrites, torn-tail policy,
+  quarantined :class:`~repro.io.jsonl_store.FleetFailure` slots and
+  ``retry_failed`` re-runs.
 
 The equilibrium census and the trajectory census are instances of this
-layer (their ``run_census`` / ``run_trajectory_census`` entry points are
-thin shims), and their streamed JSONL is byte-identical to the
-pre-refactor fleets — grid order, seeds, header fields, record fields,
-resume behavior and ``fleet_failure`` slots all preserved, pinned by the
-golden-file suite in ``tests/experiments/``.  The full contract is
-DESIGN.md §12.
+layer (:func:`repro.core.census_experiment` /
+:func:`repro.core.trajectory_experiment`), and their streamed JSONL is
+byte-identical to the pre-refactor fleets — grid order, seeds, header
+fields, record fields, resume behavior and ``fleet_failure`` slots all
+preserved, pinned by the golden-file suite in ``tests/experiments/``.
+The full contract is DESIGN.md §12.
 
 Seeding schemes
 ---------------
 ``seed_scheme="flat"`` derives each task's seed from the flat grid
-position, exactly as :class:`~repro.parallel.Sweep` does:
-``derive_seed(root_seed, point_index, replicate)``.  ``"axes"`` derives
-it from the per-axis indices instead:
+position: ``derive_seed(root_seed, point_index, replicate)``.  ``"axes"``
+derives it from the per-axis indices instead:
 ``derive_seed(root_seed, i_0, …, i_k, replicate)`` — the historical
 equilibrium-census discipline, kept so its streams stay byte-stable.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+import itertools
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError, StoreIntegrityError
 from ..io.checkpoint import peek_checkpoint
 from ..io.jsonl_store import FleetFailure, JsonlStore, maybe_decode_failure
-from ..parallel import Sweep, TaskFailure, map_streamed
+from ..parallel import TaskFailure, map_streamed
 from ..rng import derive_seed
 
-__all__ = ["Experiment", "run_fleet", "write_jsonl_records"]
+__all__ = ["Experiment", "run_fleet"]
 
 #: Task-tuple slots :meth:`Experiment.compile_tasks` derives per point
-#: (everything else must come from ``grid`` or ``fixed``).
+#: (everything else must come from ``grid`` or ``fixed``); a grid axis
+#: may not take either name.
 _DERIVED_FIELDS = ("seed", "replicate")
 
 #: Optional derived slots for experiments whose point function supports
@@ -63,23 +67,6 @@ _DERIVED_FIELDS = ("seed", "replicate")
 #: instead of restarting.  Execution details, like ``workers`` — they
 #: never appear in the stream's config header or its records.
 _CHECKPOINT_FIELDS = ("checkpoint_path", "checkpoint_every")
-
-
-def write_jsonl_records(sink: "IO[str]", records: Iterable) -> None:
-    """Default record serializer: one JSON object per line, then flush.
-
-    Quarantined slots (:class:`FleetFailure`) serialize with their marker
-    key; dataclass records via :func:`dataclasses.asdict`; mappings as-is.
-    """
-    for rec in records:
-        if isinstance(rec, FleetFailure):
-            obj = rec.encode()
-        elif isinstance(rec, Mapping):
-            obj = dict(rec)
-        else:
-            obj = asdict(rec)
-        sink.write(json.dumps(obj) + "\n")
-    sink.flush()
 
 
 @dataclass
@@ -95,7 +82,9 @@ class Experiment:
         record; fully determined by the tuple so records are identical
         wherever (and in whatever order) the task runs.
     grid:
-        Ordered mapping of independent variables to their level lists.
+        Ordered mapping of independent variables to their level lists;
+        tasks enumerate the product in declaration order, first axis
+        slowest.
     task_fields:
         The task tuple's layout, by name.  Each name resolves from the
         grid (its per-point value), the derived columns (``seed`` /
@@ -105,9 +94,6 @@ class Experiment:
         The subset (and order) of ``task_fields`` that identifies a task
         in the stream: quarantine ``coords`` dicts carry exactly these,
         and resume validation compares them against every resumed record.
-    order:
-        Explicit grid enumeration order (defaults to insertion order);
-        validated by :meth:`~repro.parallel.Sweep.names`.
     seed_scheme:
         ``"flat"`` or ``"axes"`` — see the module docstring.
     fixed:
@@ -125,12 +111,6 @@ class Experiment:
         Corruption-error naming and the dict→record decoder; the default
         decoder accepts any JSON object (quarantine lines decode to
         :class:`FleetFailure`).
-    store_factory:
-        Optional ``(path, durability) -> JsonlStore`` hook.  The censuses
-        keep their module-local stores (whose write hooks the
-        crash-window tests intercept); experiments without one get a
-        store with :func:`write_jsonl_records` and an ``experiment``
-        header block naming this experiment.
     """
 
     name: str
@@ -140,7 +120,6 @@ class Experiment:
     coord_fields: Sequence[str]
     replicates: int = 1
     root_seed: int = 0
-    order: "Sequence[str] | None" = None
     seed_scheme: str = "flat"
     fixed: Mapping[str, Any] = field(default_factory=dict)
     coord_overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -150,9 +129,25 @@ class Experiment:
     config: Mapping[str, Any] = field(default_factory=dict)
     record_name: str = "record"
     decode_record: "Callable[[dict], Any] | None" = None
-    store_factory: "Callable[[Any, str], JsonlStore] | None" = None
 
     def __post_init__(self) -> None:
+        if self.replicates < 1:
+            raise ConfigurationError(
+                f"replicates must be >= 1, got {self.replicates}"
+            )
+        reserved = [name for name in self.grid if name in _DERIVED_FIELDS]
+        if reserved:
+            raise ConfigurationError(
+                f"grid axis(es) {', '.join(map(repr, reserved))} of "
+                f"experiment {self.name!r} collide with the derived "
+                f"per-task columns {_DERIVED_FIELDS}; rename the axis"
+            )
+        empty = [name for name, values in self.grid.items() if len(values) < 1]
+        if empty:
+            raise ConfigurationError(
+                f"grid axis(es) {empty!r} of experiment {self.name!r} "
+                "are empty; every axis needs >= 1 value"
+            )
         if self.seed_scheme not in ("flat", "axes"):
             raise ConfigurationError(
                 f"seed_scheme must be 'flat' or 'axes', "
@@ -191,15 +186,6 @@ class Experiment:
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------
-    def sweep(self) -> Sweep:
-        """The grid as a :class:`~repro.parallel.Sweep`."""
-        return Sweep(
-            grid=self.grid,
-            replicates=self.replicates,
-            root_seed=self.root_seed,
-            order=self.order,
-        )
-
     def total_tasks(self) -> int:
         total = self.replicates
         for values in self.grid.values():
@@ -227,35 +213,35 @@ class Experiment:
         slots compile to ``None`` and the point function runs
         checkpoint-free.
         """
-        sweep = self.sweep()
-        names = sweep.names()
-        dims = [len(self.grid[k]) for k in names]
         tasks: list[tuple] = []
-        for flat, pt in enumerate(sweep.points()):
-            if self.seed_scheme == "axes":
-                axes = _unravel(flat // self.replicates, dims)
-                seed = derive_seed(self.root_seed, *axes, pt.replicate)
-            else:
-                seed = pt.seed
-            if checkpoint_dir is not None:
-                ckpt_path = str(Path(checkpoint_dir) / f"slot-{flat:05d}.ckpt")
-            else:
-                ckpt_path = None
-            values = []
-            for name in self.task_fields:
-                if name == "seed":
-                    values.append(seed)
-                elif name == "replicate":
-                    values.append(pt.replicate)
-                elif name == "checkpoint_path":
-                    values.append(ckpt_path)
-                elif name == "checkpoint_every":
-                    values.append(checkpoint_every if ckpt_path else None)
-                elif name in self.grid:
-                    values.append(pt[name])
+        axes = [range(len(values)) for values in self.grid.values()]
+        for point, indices in enumerate(itertools.product(*axes)):
+            level = {
+                name: values[i]
+                for (name, values), i in zip(self.grid.items(), indices)
+            }
+            for rep in range(self.replicates):
+                if self.seed_scheme == "axes":
+                    seed = derive_seed(self.root_seed, *indices, rep)
                 else:
-                    values.append(self.fixed[name])
-            tasks.append(tuple(values))
+                    seed = derive_seed(self.root_seed, point, rep)
+                ckpt_path = None
+                if checkpoint_dir is not None:
+                    ckpt_path = str(
+                        Path(checkpoint_dir) / f"slot-{len(tasks):05d}.ckpt"
+                    )
+                derived = {
+                    "seed": seed,
+                    "replicate": rep,
+                    "checkpoint_path": ckpt_path,
+                    "checkpoint_every": checkpoint_every if ckpt_path else None,
+                }
+                tasks.append(tuple(
+                    derived[name] if name in derived
+                    else level[name] if name in level
+                    else self.fixed[name]
+                    for name in self.task_fields
+                ))
         return tasks
 
     def task_checkpoint(self, task: tuple) -> "str | None":
@@ -312,23 +298,14 @@ class Experiment:
     # ------------------------------------------------------------------
     def make_store(self, path, durability: str = "flush") -> JsonlStore:
         """The experiment's resumable stream at ``path``."""
-        if self.store_factory is not None:
-            return self.store_factory(path, durability)
-        decode = self.decode_record or _decode_any
         return JsonlStore(
             path,
             config_key=self.config_key,
             config_version=self.config_version,
             config=dict(self.config),
-            decode=decode,
+            decode=self.decode_record or _decode_any,
             record_name=self.record_name,
-            write_records=write_jsonl_records,
             durability=durability,
-            experiment={
-                "name": self.name,
-                "order": list(self.sweep().names()),
-                "seed_scheme": self.seed_scheme,
-            },
         )
 
 
@@ -345,14 +322,6 @@ def _field_of(rec, name: str):
     if isinstance(rec, Mapping):
         return rec[name]
     return getattr(rec, name)
-
-
-def _unravel(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
-    axes = []
-    for size in reversed(dims):
-        axes.append(flat % size)
-        flat //= size
-    return tuple(reversed(axes))
 
 
 def run_fleet(
@@ -373,8 +342,7 @@ def run_fleet(
 ) -> list:
     """Execute ``experiment`` as a sharded resumable fleet; one record per task.
 
-    This is the single runner behind every registered experiment (and the
-    ``run_census`` / ``run_trajectory_census`` shims): enumeration via the
+    This is the single runner behind every fleet: enumeration via the
     compiled task list, execution via :func:`~repro.parallel.map_streamed`
     (workers > 1 shards over the persistent pool, records bit-identical to
     serial for any worker count), persistence via the experiment's
@@ -382,8 +350,8 @@ def run_fleet(
     contract: streamed record order, resume with header + per-record
     validation, quarantined ``FleetFailure`` slots under
     ``on_error="record"``, ``retry_failed=True`` re-running exactly the
-    quarantined slots of a resumed prefix, and ``durability`` selecting
-    the flush cadence.
+    quarantined slots of a resumed prefix (so it needs ``resume=True``),
+    and ``durability`` selecting the flush cadence.
 
     ``checkpoint_dir`` (DESIGN.md §13, experiments that declare the
     checkpoint task slots only) gives every slot a crash-safe in-task
@@ -399,6 +367,11 @@ def run_fleet(
     """
     if resume and jsonl_path is None:
         raise ConfigurationError("resume=True needs a jsonl_path to resume from")
+    if retry_failed and not resume:
+        raise ConfigurationError(
+            "retry_failed=True re-runs the quarantined slots of a resumed "
+            "stream; it needs resume=True"
+        )
     if checkpoint_every is not None and checkpoint_dir is None:
         raise ConfigurationError(
             "checkpoint_every needs a checkpoint_dir to write to"
@@ -439,7 +412,7 @@ def run_fleet(
             experiment.check_resumed(experiment.task_coords(tasks[idx]), rec)
 
         records = store.start_stream(resume, len(tasks), check_record)
-        if retry_failed and records:
+        if retry_failed:
             failed_idx = [
                 i for i, r in enumerate(records)
                 if isinstance(r, FleetFailure)

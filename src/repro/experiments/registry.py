@@ -19,7 +19,7 @@ import argparse
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..core.census import census_experiment, census_to_rows
+from ..core.census import census_experiment
 from ..core.costmodel import cost_model_spec
 from ..core.trajcensus import trajectory_experiment
 from ..errors import ConfigurationError
@@ -148,12 +148,12 @@ def _census_from_args(args: argparse.Namespace) -> Experiment:
 
 def _census_report(records: list, elapsed: float) -> None:
     failures = [r for r in records if isinstance(r, FleetFailure)]
-    rows = [r for r in census_to_rows(records) if "fleet_failure" not in r]
-    converged = [r for r in rows if r["converged"]]
-    verified = [r for r in converged if r["verified_equilibrium"]]
-    diam = max((r["diameter_final"] for r in converged), default=float("nan"))
+    results = [r for r in records if not isinstance(r, FleetFailure)]
+    converged = [r for r in results if r.converged]
+    verified = [r for r in converged if r.verified_equilibrium]
+    diam = max((r.diameter_final for r in converged), default=float("nan"))
     print(
-        f"done in {elapsed:.1f}s: {len(converged)}/{len(rows)} converged, "
+        f"done in {elapsed:.1f}s: {len(converged)}/{len(results)} converged, "
         f"{len(verified)} verified equilibria, max final diameter {diam}"
     )
     _quarantine_report(failures)
@@ -296,7 +296,7 @@ register_experiment(ExperimentDef(
 
 # ----------------------------------------------------------------------
 # bench arms — the fleet workloads of benchmarks/bench_checker_scaling.py
-# as pinned experiments (grids fixed up to size, run_* library defaults)
+# as pinned experiments (grids fixed up to size, builder defaults otherwise)
 # ----------------------------------------------------------------------
 def _bench_census_arguments(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--n", type=int, nargs="+", default=[48],

@@ -1,10 +1,11 @@
 """Resumable JSONL record streams with config headers and atomic rewrites.
 
-Both census fleets — the equilibrium census (:mod:`repro.core.census`) and
-the trajectory census (:mod:`repro.core.trajcensus`) — stream one record per
-line to disk so an interrupted overnight run can be picked back up.  The
-resume machinery was hardened in ISSUE 3 against three real failure modes
-and lives here so every stream shares one audited implementation:
+Every fleet (:func:`repro.experiments.run_fleet`, whose
+:meth:`~repro.experiments.Experiment.make_store` builds the one
+:class:`JsonlStore` per stream) writes one record per line to disk so an
+interrupted overnight run can be picked back up.  The resume machinery was
+hardened in ISSUE 3 against three real failure modes and lives here so
+every stream shares one audited implementation:
 
 1. **Config headers** — the first line of a stream is a run-config header
    (a JSON object carrying ``config_key``).  Resume validates the embedded
@@ -24,9 +25,9 @@ and lives here so every stream shares one audited implementation:
 
 The store is generic over the record type: callers supply ``decode``
 (dict → record, raising ``TypeError`` on a shape mismatch, as a dataclass
-constructor does) and ``write_records`` (the append serializer — kept a
-caller-side hook so crash-injection tests can intercept exactly the writes
-their module performs).
+constructor does), and every prefix rewrite and append goes through the
+one module-level serializer :func:`write_records` — looked up at call time,
+so crash-injection tests can intercept exactly the writes a store performs.
 
 Fault-tolerance additions (ISSUE 6, DESIGN.md §9):
 
@@ -85,6 +86,7 @@ __all__ = [
     "StreamSummary",
     "maybe_decode_failure",
     "summarize_stream",
+    "write_records",
 ]
 
 #: Marker key identifying a quarantine line in a record stream.
@@ -140,6 +142,23 @@ def maybe_decode_failure(obj: dict) -> "FleetFailure | None":
         )
     except (KeyError, TypeError, ValueError):
         raise TypeError(f"torn {_FAILURE_KEY} line: {obj!r}") from None
+
+
+def write_records(sink: "IO[str]", records: Iterable) -> None:
+    """The record serializer: one JSON object per line, then flush.
+
+    Quarantined slots (:class:`FleetFailure`) serialize with their marker
+    key, mappings as-is, dataclass records via :func:`dataclasses.asdict`.
+    """
+    for rec in records:
+        if isinstance(rec, FleetFailure):
+            obj = rec.encode()
+        elif isinstance(rec, Mapping):
+            obj = dict(rec)
+        else:
+            obj = asdict(rec)
+        sink.write(json.dumps(obj) + "\n")
+    sink.flush()
 
 
 @dataclass
@@ -246,18 +265,9 @@ class JsonlStore:
         have the record's shape (a dataclass ``**kwargs`` constructor does).
     record_name:
         Human name of the record type, used in corruption errors.
-    write_records:
-        ``(sink, records) -> None`` serializer used for both the prefix
-        rewrite and appends.
     durability:
         What :meth:`append` does after each batch: ``"none"``, ``"flush"``
         (default), or ``"fsync"`` — see the module docstring.
-    experiment:
-        Optional experiment descriptor (name / grid order / seed scheme)
-        written into the header as an ``"experiment"`` block and, like
-        every header field, validated on resume.  Streams predating the
-        experiment layer (the census formats) omit it, keeping their
-        bytes and resume behavior unchanged.
     """
 
     def __init__(
@@ -269,9 +279,7 @@ class JsonlStore:
         config: Mapping,
         decode: Callable[[dict], object],
         record_name: str = "record",
-        write_records: Callable[[IO, Iterable], None],
         durability: str = "flush",
-        experiment: "Mapping | None" = None,
     ):
         if durability not in ("none", "flush", "fsync"):
             raise ConfigurationError(
@@ -282,15 +290,8 @@ class JsonlStore:
         self.config_key = config_key
         self.config_version = config_version
         self.header = {config_key: config_version, **config}
-        if experiment is not None:
-            self.header = {
-                config_key: config_version,
-                "experiment": dict(experiment),
-                **config,
-            }
         self._decode = decode
         self.record_name = record_name
-        self._write = write_records
         self.durability = durability
         self._append_batch = 0
 
@@ -439,7 +440,7 @@ class JsonlStore:
         tmp = self.path.with_name(self.path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as sink:
             sink.write(json.dumps(self.header) + "\n")
-            self._write(sink, records)
+            write_records(sink, records)
             sink.flush()
             os.fsync(sink.fileno())
         # publish_replace = os.replace + parent-directory fsync (the rename
@@ -452,7 +453,7 @@ class JsonlStore:
         return self.path.open("a", encoding="utf-8")
 
     def append(self, sink: "IO[str]", records: Iterable) -> None:
-        """Append ``records`` through the caller's serializer.
+        """Append ``records`` through :func:`write_records`.
 
         Applies the store's durability cadence per batch, and honours an
         armed ``torn-write`` fault (half the serialized batch is written,
@@ -466,7 +467,7 @@ class JsonlStore:
             spec = faults.take("torn-write", batch=batch, path=str(self.path))
             if spec is not None:
                 buf = io.StringIO()
-                self._write(buf, records)
+                write_records(buf, records)
                 text = buf.getvalue()
                 sink.write(text[: len(text) // 2])
                 sink.flush()
@@ -480,7 +481,7 @@ class JsonlStore:
                 # its typed integrity error, exactly like the real-OSError
                 # branch below.
                 buf = io.StringIO()
-                self._write(buf, records)
+                write_records(buf, records)
                 text = buf.getvalue()
                 sink.write(text[: len(text) // 2])
                 sink.flush()
@@ -489,7 +490,7 @@ class JsonlStore:
                     f"{batch} of {self.path}"
                 ) from faults.InjectedFault("no space left on device")
         try:
-            self._write(sink, records)
+            write_records(sink, records)
             if self.durability == "flush":
                 sink.flush()
             elif self.durability == "fsync":

@@ -213,11 +213,6 @@ _WRITE_MODES = set("wax+")
 def rule_jsonl_schema(ctx: FileContext, config: LintConfig) -> Iterator[Finding]:
     if not ctx.is_library(config) or "jsonl_store" in ctx.basename:
         return
-    if "experiments" in ctx.path.parts:
-        # The experiment layer is the other sanctioned persistence path:
-        # its serializers feed JsonlStore (DESIGN.md §12), same as the
-        # store's own module.
-        return
     if not _defines_record_dataclass(ctx.tree):
         return
     for node in ast.walk(ctx.tree):

@@ -160,11 +160,12 @@ def _check_corollary11() -> bool:
 
 def _check_theorem9_evidence() -> bool:
     from .analysis import theorem9_diameter_bound
-    from .core import run_census
+    from .core import census_experiment
+    from .experiments import run_fleet
 
-    records = run_census(
+    records = run_fleet(census_experiment(
         [12, 24], families=("tree", "sparse"), replicates=2, root_seed=31
-    )
+    ))
     return all(
         r.diameter_final <= theorem9_diameter_bound(r.n)
         for r in records

@@ -1,11 +1,13 @@
-"""Deterministic parallel execution at the fleet grain: pool, sweeps, faults.
+"""Deterministic parallel execution at the fleet grain: pool and faults.
 
 One persistent process pool (:mod:`repro.parallel.shared`) runs fleets of
 independent tasks; audits and other per-task work stay serial (DESIGN.md
-§5).  The runtime is fault-tolerant (DESIGN.md §9): per-chunk timeouts,
-bounded deterministic retries with chunk splitting, executor rebuild on
-worker death, task quarantine (:class:`TaskFailure`), and a
-deterministic fault-injection harness (:mod:`repro.parallel.faults`).
+§5).  Fleets are declared, and their grids enumerated, by
+:mod:`repro.experiments`; this package only maps task lists.  The
+runtime is fault-tolerant (DESIGN.md §9): per-chunk timeouts, bounded
+deterministic retries with chunk splitting, executor rebuild on worker
+death, task quarantine (:class:`TaskFailure`), and a deterministic
+fault-injection harness (:mod:`repro.parallel.faults`).
 """
 
 from .faults import InjectedFault, injected_env
@@ -22,13 +24,10 @@ from .shared import (
     map_streamed,
     shutdown_shared_pools,
 )
-from .sweep import Sweep, SweepPoint, run_sweep
 
 __all__ = [
     "InjectedFault",
     "SharedArrayPool",
-    "Sweep",
-    "SweepPoint",
     "TaskFailure",
     "check_deadline",
     "current_task_deadline",
@@ -37,6 +36,5 @@ __all__ = [
     "injected_env",
     "map_streamed",
     "parallel_map",
-    "run_sweep",
     "shutdown_shared_pools",
 ]

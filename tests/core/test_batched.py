@@ -1,9 +1,9 @@
 """Batched audit kernel internals + fleet cross-validation.
 
 The removal plan must classify bridges, repair endpoint rows exactly and
-bound every exact cost from below, and every parallel surface (sweeps,
-census fleet, exhaustive census) must be bit-identical across worker
-counts.  Agreement of the batched audits with the rebuild oracle lives in
+bound every exact cost from below, and every parallel surface (audits in
+fleet workers, census fleet, exhaustive census) must be bit-identical
+across worker counts.  Agreement of the batched audits with the rebuild oracle lives in
 the differential harness, ``test_oracles.py``.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import best_swap, run_census
+from repro.core import best_swap, census_experiment
 from repro.core import equilibrium
 from repro.core.batched import BatchedRemovalPlan
 from repro.core.costs import lift_distances
@@ -27,15 +27,17 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
-from repro.parallel import Sweep, parallel_map, run_sweep
+from repro.experiments import Experiment, run_fleet
+from repro.parallel import parallel_map
 
 from ..conftest import graph_battery
 
 BATTERY = graph_battery()
 
 
-def _sweep_point(pt) -> dict:
-    return {"value": pt["x"] * 10 + pt.seed % 7}
+def _sweep_point(task) -> dict:
+    x, seed = task
+    return {"x": x, "value": x * 10 + seed % 7}
 
 
 #: The serial audits a fleet task may run; each takes only ``mode=``.
@@ -122,10 +124,12 @@ class TestWorkerInvariance:
     """Fleet-grain parallel surfaces must be bit-identical across workers."""
 
     def test_sweep_across_worker_counts(self):
-        sweep = Sweep(grid={"x": [1, 2, 3]}, replicates=2, root_seed=4)
-        assert run_sweep(_sweep_point, sweep, workers=1) == run_sweep(
-            _sweep_point, sweep, workers=4
+        exp = Experiment(
+            name="sweep", point_fn=_sweep_point, grid={"x": [1, 2, 3]},
+            task_fields=("x", "seed"), coord_fields=("x", "seed"),
+            replicates=2, root_seed=4,
         )
+        assert run_fleet(exp, workers=1) == run_fleet(exp, workers=4)
 
     @pytest.mark.parametrize("mode", ["batched", "rebuild"])
     @pytest.mark.parametrize("name", AUDITS)
@@ -139,17 +143,12 @@ class TestWorkerInvariance:
 
 class TestCensusFleet:
     def test_fleet_matches_serial_and_streams_jsonl(self, tmp_path):
-        kwargs = dict(
-            n_values=[8, 10],
-            families=("tree", "sparse"),
-            replicates=2,
-            root_seed=13,
+        exp = census_experiment(
+            [8, 10], families=("tree", "sparse"), replicates=2, root_seed=13,
         )
-        serial = run_census(
-            jsonl_path=tmp_path / "serial.jsonl", **kwargs
-        )
-        fleet = run_census(
-            workers=4, jsonl_path=tmp_path / "fleet.jsonl", **kwargs
+        serial = run_fleet(exp, jsonl_path=tmp_path / "serial.jsonl")
+        fleet = run_fleet(
+            exp, workers=4, jsonl_path=tmp_path / "fleet.jsonl"
         )
         assert fleet == serial  # records and record order, bit-identical
         serial_text = (tmp_path / "serial.jsonl").read_text()
@@ -163,32 +162,36 @@ class TestCensusFleet:
         assert first["n"] == 8 and first["family"] == "tree"
 
     def test_resume_continues_interrupted_stream(self, tmp_path):
-        kwargs = dict(
-            n_values=[8], families=("tree", "sparse"), replicates=2,
-            root_seed=3,
+        exp = census_experiment(
+            [8], families=("tree", "sparse"), replicates=2, root_seed=3,
         )
         path = tmp_path / "census.jsonl"
-        full = run_census(jsonl_path=path, **kwargs)
+        full = run_fleet(exp, jsonl_path=path)
         text = path.read_text()
         lines = text.splitlines()
         # Simulate a crash: keep 2 complete records plus a torn third line.
         path.write_text("\n".join(lines[:2]) + "\n" + lines[2][:13])
-        resumed = run_census(jsonl_path=path, resume=True, **kwargs)
+        resumed = run_fleet(exp, jsonl_path=path, resume=True)
         assert resumed == full
         assert path.read_text() == text
 
     def test_resume_rejects_mismatched_grid(self, tmp_path):
         path = tmp_path / "census.jsonl"
-        run_census([6], families=("tree",), replicates=1, jsonl_path=path)
+        run_fleet(
+            census_experiment([6], families=("tree",), replicates=1),
+            jsonl_path=path,
+        )
         with pytest.raises(ValueError):
-            run_census(
-                [6], families=("tree",), replicates=1, root_seed=99,
+            run_fleet(
+                census_experiment(
+                    [6], families=("tree",), replicates=1, root_seed=99,
+                ),
                 jsonl_path=path, resume=True,
             )
 
     def test_resume_requires_jsonl_path(self):
         with pytest.raises(ValueError):
-            run_census([6], resume=True)
+            run_fleet(census_experiment([6]), resume=True)
 
     def test_exhaustive_census_sharding_matches_serial(self):
         serial = exhaustive_equilibrium_census(5, "sum")

@@ -1,12 +1,16 @@
-"""Census runner tests."""
+"""Census experiment tests."""
 
+import io
+import json
 import math
 
 import pytest
 
-from repro.core import run_census
-from repro.core.census import census_to_rows, seed_graph
+from repro.core import census_experiment
+from repro.core.census import seed_graph
+from repro.experiments import run_fleet
 from repro.graphs import is_connected
+from repro.io.jsonl_store import write_records
 
 
 class TestSeedGraphs:
@@ -30,9 +34,9 @@ class TestSeedGraphs:
 
 class TestCensus:
     def test_records_shape_and_verification(self):
-        records = run_census(
+        records = run_fleet(census_experiment(
             [8, 12], families=("tree",), replicates=2, root_seed=1
-        )
+        ))
         assert len(records) == 4
         for r in records:
             assert r.objective == "sum"
@@ -45,22 +49,28 @@ class TestCensus:
                 assert r.diameter_final <= 2
 
     def test_deterministic_across_runs(self):
-        a = run_census([10], families=("sparse",), replicates=2, root_seed=3)
-        b = run_census([10], families=("sparse",), replicates=2, root_seed=3)
+        exp = census_experiment(
+            [10], families=("sparse",), replicates=2, root_seed=3
+        )
+        a, b = run_fleet(exp), run_fleet(exp)
         assert [r.diameter_final for r in a] == [r.diameter_final for r in b]
         assert [r.steps for r in a] == [r.steps for r in b]
 
     def test_rows_conversion(self):
-        records = run_census([8], families=("tree",), replicates=1, root_seed=0)
-        rows = census_to_rows(records)
+        records = run_fleet(census_experiment(
+            [8], families=("tree",), replicates=1, root_seed=0
+        ))
+        sink = io.StringIO()
+        write_records(sink, records)
+        rows = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert isinstance(rows[0], dict)
         assert rows[0]["n"] == 8
 
     def test_max_objective_census(self):
-        records = run_census(
+        records = run_fleet(census_experiment(
             [8], families=("sparse",), replicates=1,
             objective="max", root_seed=2,
-        )
+        ))
         (r,) = records
         if r.converged:
             assert r.verified_equilibrium is True

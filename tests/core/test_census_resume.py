@@ -18,28 +18,32 @@ The three failure modes fixed in ISSUE 3, each pinned by a regression test:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-import repro.core.census as census_mod
 import repro.io.jsonl_store as store_mod
-from repro.core.census import (
-    CENSUS_CONFIG_KEY,
-    CensusRecord,
-    _read_jsonl_prefix,
-    run_census,
-)
+from repro.core.census import CENSUS_CONFIG_KEY, CensusRecord, census_experiment
+from repro.experiments import run_fleet
 
 KWARGS = dict(
     n_values=[8], families=("tree", "sparse"), replicates=2, root_seed=3,
 )
 
 
+def experiment(**overrides):
+    return census_experiment(**{**KWARGS, **overrides})
+
+
+def read_prefix(path):
+    return experiment().make_store(path).read_prefix()
+
+
 @pytest.fixture()
 def full_run(tmp_path):
     """An uninterrupted streamed census run -> (records, path, text)."""
     path = tmp_path / "census.jsonl"
-    records = run_census(jsonl_path=path, **KWARGS)
+    records = run_fleet(experiment(), jsonl_path=path)
     return records, path, path.read_text()
 
 
@@ -58,7 +62,7 @@ class TestHeader:
 
     def test_read_prefix_roundtrips_header_and_records(self, full_run):
         records, path, _ = full_run
-        header, parsed = _read_jsonl_prefix(path)
+        header, parsed = read_prefix(path)
         assert header is not None and header["objective"] == "sum"
         assert parsed == records
 
@@ -68,12 +72,9 @@ class TestHeader:
         def boom(task):  # any recompute would crash the resume
             raise AssertionError("resume recomputed a finished trajectory")
 
-        original = census_mod._census_task
-        census_mod._census_task = boom
-        try:
-            resumed = run_census(jsonl_path=path, resume=True, **KWARGS)
-        finally:
-            census_mod._census_task = original
+        resumed = run_fleet(
+            replace(experiment(), point_fn=boom), jsonl_path=path, resume=True
+        )
         assert resumed == records
         assert path.read_text() == text
 
@@ -95,9 +96,8 @@ class TestConfigMismatch:
     )
     def test_resume_with_changed_config_raises(self, full_run, override):
         _, path, text = full_run
-        kwargs = {**KWARGS, "jsonl_path": path, "resume": True, **override}
         with pytest.raises(ValueError, match="resume mismatch"):
-            run_census(**kwargs)
+            run_fleet(experiment(**override), jsonl_path=path, resume=True)
         # The refused resume must not have touched the stream.
         assert path.read_text() == text
 
@@ -109,10 +109,10 @@ class TestConfigMismatch:
         legacy = tmp_path / "legacy.jsonl"
         legacy.write_text("\n".join(text.splitlines()[1:]) + "\n")
         with pytest.raises(ValueError, match="no run-config header"):
-            run_census(jsonl_path=legacy, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=legacy, resume=True)
         # Adopting the file by prepending the matching header works.
         legacy.write_text(text.splitlines()[0] + "\n" + legacy.read_text())
-        assert run_census(jsonl_path=legacy, resume=True, **KWARGS) == records
+        assert run_fleet(experiment(), jsonl_path=legacy, resume=True) == records
 
     def test_header_pasted_onto_foreign_records_is_caught(
         self, full_run, tmp_path
@@ -126,7 +126,7 @@ class TestConfigMismatch:
         lines[1] = json.dumps(foreign)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="resume mismatch"):
-            run_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
 
 class TestAtomicRewrite:
@@ -138,7 +138,7 @@ class TestAtomicRewrite:
         path.write_text("\n".join(lines[:3]) + "\n")
         interrupted = path.read_text()
 
-        real_write = census_mod._write_jsonl
+        real_write = store_mod.write_records
         calls = {"n": 0}
 
         def dying_write(sink, recs):
@@ -149,15 +149,15 @@ class TestAtomicRewrite:
                 raise RuntimeError("simulated crash mid-rewrite")
             real_write(sink, recs)
 
-        monkeypatch.setattr(census_mod, "_write_jsonl", dying_write)
+        monkeypatch.setattr(store_mod, "write_records", dying_write)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
         # The live file is byte-identical to the pre-crash state; the torn
         # half-written prefix only ever existed in the .tmp sidecar.
         assert path.read_text() == interrupted
         monkeypatch.undo()
 
-        resumed = run_census(jsonl_path=path, resume=True, **KWARGS)
+        resumed = run_fleet(experiment(), jsonl_path=path, resume=True)
         assert resumed == records
         assert path.read_text() == text
 
@@ -173,16 +173,16 @@ class TestAtomicRewrite:
         # The atomic swap lives in the shared store since ISSUE 4.
         monkeypatch.setattr(store_mod.os, "replace", no_replace)
         with pytest.raises(RuntimeError, match="before os.replace"):
-            run_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
         assert path.read_text() == text  # untouched
         monkeypatch.undo()
-        assert run_census(jsonl_path=path, resume=True, **KWARGS) == records
+        assert run_fleet(experiment(), jsonl_path=path, resume=True) == records
 
     def test_torn_tail_resume_is_lossless(self, full_run):
         records, path, text = full_run
         # Tear the final line mid-byte, as a crash mid-append would.
         path.write_text(text[: len(text) - 40])
-        resumed = run_census(jsonl_path=path, resume=True, **KWARGS)
+        resumed = run_fleet(experiment(), jsonl_path=path, resume=True)
         assert resumed == records
         assert path.read_text() == text
 
@@ -194,7 +194,7 @@ class TestMidFileTear:
         lines[2] = lines[2][:11]  # tear a line that is NOT the last
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt mid-file"):
-            run_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
     def test_mid_file_wrong_shape_json_raises(self, full_run):
         _, path, text = full_run
@@ -202,13 +202,13 @@ class TestMidFileTear:
         lines[2] = json.dumps({"not": "a record"})
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="not a census record"):
-            run_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
     def test_read_prefix_drops_only_final_torn_line(self, full_run):
         records, path, text = full_run
         lines = text.splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:17])
-        header, parsed = _read_jsonl_prefix(path)
+        header, parsed = read_prefix(path)
         assert header is not None
         assert parsed == records[:-1]
 
@@ -219,13 +219,13 @@ class TestMidFileTear:
         lines = text.splitlines()
         lines[-1] = json.dumps({"n": 8})  # valid JSON, not a full record
         path.write_text("\n".join(lines) + "\n")
-        header, parsed = _read_jsonl_prefix(path)
+        header, parsed = read_prefix(path)
         assert parsed == records[:-1]
 
 
 class TestRecordCompat:
     def test_records_roundtrip_through_jsonl(self, full_run):
         records, path, _ = full_run
-        _, parsed = _read_jsonl_prefix(path)
+        _, parsed = read_prefix(path)
         assert all(isinstance(r, CensusRecord) for r in parsed)
         assert parsed == records

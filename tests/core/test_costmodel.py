@@ -11,7 +11,7 @@ Three guarantees under test:
    manual aggregation); their batched audits agree with the rebuild oracle
    in the differential harness, ``test_oracles.py``.
 3. **Reachability** — both variants run end-to-end through dynamics and
-   ``run_census`` and their converged endpoints pass the model-aware
+   the census fleet and their converged endpoints pass the model-aware
    equilibrium audit.
 """
 
@@ -28,6 +28,7 @@ from repro.core import (
     SwapDynamics,
     all_swap_costs_for_drop,
     best_swap,
+    census_experiment,
     cost_model_spec,
     find_sum_violation,
     find_swap_violation,
@@ -38,11 +39,11 @@ from repro.core import (
     legal_add_targets,
     parse_cost_spec,
     resolve_cost_model,
-    run_census,
 )
 from repro.core.costmodel import MAX_COST, SUM_COST
 from repro.core.moves import Swap, swapped_graph
 from repro.errors import ConfigurationError
+from repro.experiments import run_fleet
 from repro.graphs import (
     CSRGraph,
     bfs_distances,
@@ -177,8 +178,8 @@ class TestAliasBitIdentity:
             n_values=[8], families=("tree", "sparse"), replicates=2,
             root_seed=5,
         )
-        a = run_census(objective="sum", **kwargs)
-        b = run_census(objective=SumCost(), **kwargs)
+        a = run_fleet(census_experiment(objective="sum", **kwargs))
+        b = run_fleet(census_experiment(objective=SumCost(), **kwargs))
         assert a == b
         assert all(r.objective == "sum" for r in b)
 
@@ -288,10 +289,10 @@ class TestBudgetMoves:
 
 class TestVariantReachability:
     def test_interest_census_reaches_verified_equilibrium(self):
-        records = run_census(
+        records = run_fleet(census_experiment(
             [10], families=("tree", "sparse"), replicates=2,
             objective=INTEREST_SPEC, root_seed=2,
-        )
+        ))
         assert all(r.objective == INTEREST_SPEC for r in records)
         converged = [r for r in records if r.converged]
         assert converged, "interest dynamics never converged"
@@ -304,10 +305,10 @@ class TestVariantReachability:
         assert is_equilibrium(res.graph, INTEREST_SPEC, mode="batched")
 
     def test_budget_census_reaches_verified_equilibrium(self):
-        records = run_census(
+        records = run_fleet(census_experiment(
             [10], families=("tree", "sparse"), replicates=2,
             objective=BUDGET_SPEC, root_seed=3,
-        )
+        ))
         assert all(r.objective == BUDGET_SPEC for r in records)
         converged = [r for r in records if r.converged]
         assert converged, "budget dynamics never converged"
@@ -364,9 +365,12 @@ class TestVariantReachability:
         import json
 
         path = tmp_path / "variant.jsonl"
-        run_census(
-            [8], families=("tree",), replicates=1,
-            objective="budget-max:cap=3", jsonl_path=path,
+        run_fleet(
+            census_experiment(
+                [8], families=("tree",), replicates=1,
+                objective="budget-max:cap=3",
+            ),
+            jsonl_path=path,
         )
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["objective"] == "budget-max:cap=3"

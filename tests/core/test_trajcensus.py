@@ -10,17 +10,18 @@ from dataclasses import replace
 
 import pytest
 
-import repro.core.trajcensus as traj_mod
-from repro.core.costmodel import resolve_cost_model
+import repro.io.jsonl_store as store_mod
+from repro.core.costmodel import cost_model_spec, resolve_cost_model
 from repro.core.equilibrium import is_equilibrium
 from repro.core.trajcensus import (
     TRAJ_CONFIG_KEY,
     TrajectoryRecord,
-    graph_fingerprint,
-    run_trajectory_census,
-    trajectory_sweep,
+    trajectory_experiment,
 )
+from repro.experiments import run_fleet
 from repro.graphs import CSRGraph, path_graph
+from repro.io import graph_fingerprint
+from repro.rng import derive_seed
 
 # A small grid that exercises both outcomes: the sum game converges from
 # every family; the interest variant cycles from dense starts.
@@ -36,9 +37,13 @@ KWARGS = dict(
 )
 
 
+def experiment(**overrides):
+    return trajectory_experiment(**{**KWARGS, **overrides})
+
+
 @pytest.fixture(scope="module")
 def records():
-    return run_trajectory_census(**KWARGS)
+    return run_fleet(experiment())
 
 
 class TestGrid:
@@ -53,17 +58,24 @@ class TestGrid:
         assert all(r.n == 8 and r.schedule == "round_robin" for r in records)
         assert all(r.responder == "best" for r in records)
 
-    def test_seeds_match_the_sweep(self, records):
-        pts = trajectory_sweep(
-            KWARGS["n_values"], KWARGS["families"], KWARGS["objectives"],
-            KWARGS["schedules"], KWARGS["responders"],
-            KWARGS["replicates"], KWARGS["root_seed"],
-        ).points()
-        assert [r.seed for r in records] == [p.seed for p in pts]
-        assert [r.replicate for r in records] == [p.replicate for p in pts]
+    def test_seeds_derive_from_flat_grid_position(self, records):
+        # Objective slowest, n fastest: point index = (objective, family).
+        points = [
+            (cost_model_spec(o), f)
+            for o in KWARGS["objectives"] for f in KWARGS["families"]
+        ]
+        expect = [
+            (point, rep, derive_seed(KWARGS["root_seed"], point, rep))
+            for point in range(len(points))
+            for rep in range(KWARGS["replicates"])
+        ]
+        assert [
+            (points.index((r.objective, r.family)), r.replicate, r.seed)
+            for r in records
+        ] == expect
 
     def test_reruns_are_bit_identical(self, records):
-        assert run_trajectory_census(**KWARGS) == records
+        assert run_fleet(experiment()) == records
 
 
 class TestOutcomes:
@@ -84,10 +96,10 @@ class TestOutcomes:
     def test_exhaustion_is_not_cycling(self):
         # One-move budget from a restless start: the run must report
         # max-steps exhaustion, not a cycle (and not convergence).
-        recs = run_trajectory_census(
+        recs = run_fleet(trajectory_experiment(
             [10], families=("tree",), objectives=("sum",),
             replicates=1, max_steps=1, root_seed=1,
-        )
+        ))
         (rec,) = recs
         assert rec.exhausted
         assert not rec.converged and not rec.cycle_detected
@@ -151,7 +163,7 @@ class TestEngineModeInvariance:
     """
 
     def test_oracle_records_match_but_for_activations(self, records):
-        oracle = run_trajectory_census(engine_mode="oracle", **KWARGS)
+        oracle = run_fleet(experiment(engine_mode="oracle"))
         assert [replace(r, activations=0) for r in oracle] == [
             replace(r, activations=0) for r in records
         ]
@@ -161,19 +173,17 @@ class TestEngineModeInvariance:
         # engine-written stream with it would silently mix incompatible
         # activation columns, so the header records the accounting.
         path = tmp_path / "traj.jsonl"
-        run_trajectory_census(
-            engine_mode="batched", jsonl_path=path, **KWARGS
-        )
+        run_fleet(experiment(engine_mode="batched"), jsonl_path=path)
         with pytest.raises(ValueError):
-            run_trajectory_census(
-                engine_mode="oracle", jsonl_path=path, resume=True, **KWARGS
+            run_fleet(
+                experiment(engine_mode="oracle"), jsonl_path=path, resume=True
             )
 
 
 class TestWorkerInvariance:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_records_identical_across_worker_counts(self, records, workers):
-        assert run_trajectory_census(workers=workers, **KWARGS) == records
+        assert run_fleet(experiment(), workers=workers) == records
 
     def test_streamed_jsonl_identical_across_worker_counts(
         self, records, tmp_path
@@ -181,7 +191,7 @@ class TestWorkerInvariance:
         texts = []
         for w in (1, 2):
             path = tmp_path / f"w{w}.jsonl"
-            run_trajectory_census(workers=w, jsonl_path=path, **KWARGS)
+            run_fleet(experiment(), workers=w, jsonl_path=path)
             texts.append(path.read_text())
         assert texts[0] == texts[1]
 
@@ -190,7 +200,7 @@ class TestWorkerInvariance:
 def full_run(tmp_path):
     """An uninterrupted streamed run -> (records, path, text)."""
     path = tmp_path / "traj.jsonl"
-    records = run_trajectory_census(jsonl_path=path, **KWARGS)
+    records = run_fleet(experiment(), jsonl_path=path)
     return records, path, path.read_text()
 
 
@@ -208,7 +218,7 @@ class TestStream:
 
     def test_records_roundtrip(self, full_run):
         records, path, _ = full_run
-        _, parsed = traj_mod._make_store(path, {}).read_prefix()
+        _, parsed = experiment().make_store(path).read_prefix()
         assert all(isinstance(r, TrajectoryRecord) for r in parsed)
         assert parsed == records
 
@@ -218,14 +228,9 @@ class TestStream:
         def boom(task):
             raise AssertionError("resume recomputed a finished trajectory")
 
-        original = traj_mod._trajectory_task
-        traj_mod._trajectory_task = boom
-        try:
-            resumed = run_trajectory_census(
-                jsonl_path=path, resume=True, **KWARGS
-            )
-        finally:
-            traj_mod._trajectory_task = original
+        resumed = run_fleet(
+            replace(experiment(), point_fn=boom), jsonl_path=path, resume=True
+        )
         assert resumed == records
         assert path.read_text() == text
 
@@ -233,20 +238,20 @@ class TestStream:
         records, path, text = full_run
         lines = text.splitlines()
         path.write_text("\n".join(lines[:4]) + "\n")  # header + 3 records
-        resumed = run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+        resumed = run_fleet(experiment(), jsonl_path=path, resume=True)
         assert resumed == records
         assert path.read_text() == text
 
     def test_torn_tail_resume_is_lossless(self, full_run):
         records, path, text = full_run
         path.write_text(text[: len(text) - 40])
-        resumed = run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+        resumed = run_fleet(experiment(), jsonl_path=path, resume=True)
         assert resumed == records
         assert path.read_text() == text
 
     def test_resume_without_path_rejected(self):
         with pytest.raises(ValueError, match="needs a jsonl_path"):
-            run_trajectory_census(resume=True, **KWARGS)
+            run_fleet(experiment(), resume=True)
 
 
 class TestResumeValidation:
@@ -267,9 +272,8 @@ class TestResumeValidation:
     )
     def test_resume_with_changed_config_raises(self, full_run, override):
         _, path, text = full_run
-        kwargs = {**KWARGS, "jsonl_path": path, "resume": True, **override}
         with pytest.raises(ValueError, match="resume mismatch"):
-            run_trajectory_census(**kwargs)
+            run_fleet(experiment(**override), jsonl_path=path, resume=True)
         assert path.read_text() == text  # refused resume must not touch it
 
     def test_header_pasted_onto_foreign_records_is_caught(self, full_run):
@@ -280,7 +284,7 @@ class TestResumeValidation:
         lines[1] = json.dumps(foreign)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="resume mismatch"):
-            run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
     def test_mid_file_tear_raises(self, full_run):
         _, path, text = full_run
@@ -288,13 +292,13 @@ class TestResumeValidation:
         lines[2] = lines[2][:11]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt mid-file"):
-            run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
     def test_headerless_file_is_refused(self, full_run):
         _, path, text = full_run
         path.write_text("\n".join(text.splitlines()[1:]) + "\n")
         with pytest.raises(ValueError, match="no run-config header"):
-            run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
 
     def test_crash_mid_rewrite_loses_no_records(self, full_run, monkeypatch):
         """Die while rewriting the prefix: the original stream survives."""
@@ -303,7 +307,7 @@ class TestResumeValidation:
         path.write_text("\n".join(lines[:3]) + "\n")
         interrupted = path.read_text()
 
-        real_write = traj_mod._write_jsonl
+        real_write = store_mod.write_records
         calls = {"n": 0}
 
         def dying_write(sink, recs):
@@ -314,15 +318,15 @@ class TestResumeValidation:
                 raise RuntimeError("simulated crash mid-rewrite")
             real_write(sink, recs)
 
-        monkeypatch.setattr(traj_mod, "_write_jsonl", dying_write)
+        monkeypatch.setattr(store_mod, "write_records", dying_write)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+            run_fleet(experiment(), jsonl_path=path, resume=True)
         # The live file is untouched; the torn prefix only ever existed in
         # the .tmp sidecar.
         assert path.read_text() == interrupted
         monkeypatch.undo()
 
-        resumed = run_trajectory_census(jsonl_path=path, resume=True, **KWARGS)
+        resumed = run_fleet(experiment(), jsonl_path=path, resume=True)
         assert resumed == records
         assert path.read_text() == text
 
@@ -331,15 +335,14 @@ class TestRecordCorrectness:
     def test_final_graph_audit_matches_record(self):
         # Rerun one grid cell standalone and re-audit its endpoint with the
         # model-aware checker: the record's verdict must agree.
-        recs = run_trajectory_census(
+        recs = run_fleet(trajectory_experiment(
             [10], families=("tree",), objectives=("max",),
             replicates=1, root_seed=3, max_steps=1000,
-        )
+        ))
         (rec,) = recs
         assert rec.converged and rec.objective == "max"
         from repro.core.dynamics import SwapDynamics
         from repro.core.census import seed_graph
-        from repro.rng import derive_seed
 
         dyn = SwapDynamics(
             objective="max", max_steps=1000, seed=derive_seed(rec.seed, 1)

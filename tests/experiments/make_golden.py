@@ -7,51 +7,23 @@ byte-for-byte.  Regenerate ONLY when a record schema change is
 deliberate — a diff here is a compatibility break, and resuming
 pre-change streams will refuse the new header.
 
+The pinned grids are the golden suite's own ``CASES`` (the two library
+fleets on small grids, plus the two bench arms at smoke scale), so the
+fixtures and the suite cannot drift apart.
+
 Usage: PYTHONPATH=src python tests/experiments/make_golden.py
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.core.census import run_census
-from repro.core.trajcensus import run_trajectory_census
-
-GOLDEN = Path(__file__).parent / "golden"
-
-#: The four pinned grids: the two library fleets on small grids, plus the
-#: two bench-arm grids of ``bench_checker_scaling.py`` (smoke scale).
-CENSUS_GRID = dict(
-    n_values=[8, 10], families=("tree", "sparse"), replicates=2, root_seed=3,
-)
-TRAJECTORY_GRID = dict(
-    n_values=[10], families=("tree", "sparse"),
-    objectives=("sum", "interest-sum:k=3,seed=0"),
-    schedules=("round_robin",), responders=("best",),
-    replicates=2, max_steps=2000, root_seed=5,
-)
-BENCH_CENSUS_GRID = dict(
-    n_values=[24], families=("tree", "sparse", "dense"),
-    replicates=2, root_seed=7,
-)
-BENCH_TRAJECTORY_GRID = dict(
-    n_values=[12], families=("tree", "sparse"),
-    objectives=("sum", "interest-sum:k=3,seed=0"),
-    schedules=("round_robin", "random"), responders=("best",),
-    replicates=2, root_seed=11, max_steps=4000,
-)
+from repro.experiments import run_fleet
+from test_golden import CASES, GOLDEN  # run as a script: its dir is on path
 
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    run_census(jsonl_path=GOLDEN / "census.jsonl", **CENSUS_GRID)
-    run_trajectory_census(
-        jsonl_path=GOLDEN / "trajectory.jsonl", **TRAJECTORY_GRID
-    )
-    run_census(jsonl_path=GOLDEN / "bench_census.jsonl", **BENCH_CENSUS_GRID)
-    run_trajectory_census(
-        jsonl_path=GOLDEN / "bench_trajectory.jsonl", **BENCH_TRAJECTORY_GRID
-    )
+    for fixture, build in CASES.values():
+        run_fleet(build(), jsonl_path=GOLDEN / fixture)
     for path in sorted(GOLDEN.glob("*.jsonl")):
         lines = path.read_text().count("\n")
         print(f"{path.name}: {lines} lines, {path.stat().st_size} bytes")

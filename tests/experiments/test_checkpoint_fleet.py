@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from repro.core.trajcensus import run_trajectory_census, trajectory_experiment
+from repro.core.trajcensus import trajectory_experiment
 from repro.errors import ConfigurationError, DeadlineExceeded
+from repro.experiments import run_fleet
 from repro.io.checkpoint import peek_checkpoint
 from repro.io.jsonl_store import FleetFailure, summarize_stream
 from repro.parallel import shutdown_shared_pools
@@ -66,13 +67,12 @@ class TestDeclaration:
 class TestRunFleetValidation:
     def test_checkpoint_every_requires_dir(self, tmp_path):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
-            run_trajectory_census(
-                [8], families=("tree",), replicates=1,
+            run_fleet(
+                _experiment(replicates=1),
                 jsonl_path=tmp_path / "s.jsonl", checkpoint_every=5,
             )
 
     def test_checkpoint_dir_requires_capable_experiment(self, tmp_path):
-        from repro.experiments import run_fleet
         from tests.experiments.test_experiment import make_experiment
 
         with pytest.raises(ConfigurationError, match="checkpoint"):
@@ -85,25 +85,22 @@ class TestRunFleetValidation:
 
 class TestDeadlinePreemption:
     def test_expired_deadline_preempts_before_any_task(self, tmp_path):
-        kw = dict(
-            n_values=[10], families=("tree",), replicates=2,
-            root_seed=5, max_steps=2000, workers=1,
-        )
+        exp = _experiment(n_values=[10], root_seed=5)
         clean = tmp_path / "clean.jsonl"
-        run_trajectory_census(jsonl_path=clean, **kw)
+        run_fleet(exp, jsonl_path=clean)
 
         smoke = tmp_path / "smoke.jsonl"
         with pytest.raises(DeadlineExceeded):
-            run_trajectory_census(
-                jsonl_path=smoke, checkpoint_dir=tmp_path / "ckpt",
-                checkpoint_every=1, deadline=time.monotonic() - 1.0, **kw,
+            run_fleet(
+                exp, jsonl_path=smoke, checkpoint_dir=tmp_path / "ckpt",
+                checkpoint_every=1, deadline=time.monotonic() - 1.0,
             )
         # Between-task expiry: typed raise, nothing quarantined, and the
         # (empty) streamed prefix resumes to clean bytes.
         assert summarize_stream(smoke).failures == []
-        run_trajectory_census(
-            jsonl_path=smoke, checkpoint_dir=tmp_path / "ckpt",
-            checkpoint_every=1, resume=True, retry_failed=True, **kw,
+        run_fleet(
+            exp, jsonl_path=smoke, checkpoint_dir=tmp_path / "ckpt",
+            checkpoint_every=1, resume=True, retry_failed=True,
         )
         assert smoke.read_bytes() == clean.read_bytes()
 
@@ -111,21 +108,21 @@ class TestDeadlinePreemption:
         # One ~0.3s task against a 0.05s budget: the deadline must land
         # mid-run, so the task checkpoint-and-yields (DESIGN.md §13)
         # rather than being retried past the budget.
-        kw = dict(
+        exp = _experiment(
             n_values=[32], families=("sparse",), replicates=1,
-            root_seed=5, max_steps=4000, workers=1,
+            root_seed=5, max_steps=4000,
         )
         clean = tmp_path / "clean.jsonl"
-        run_trajectory_census(jsonl_path=clean, **kw)
+        run_fleet(exp, jsonl_path=clean)
 
         smoke = tmp_path / "smoke.jsonl"
         ckpt = tmp_path / "ckpt"
         # The sole task yields mid-run and is quarantined; with no later
         # task left, the map finishes normally instead of raising (a
         # multi-task fleet would raise at the next boundary).
-        run_trajectory_census(
-            jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
-            deadline=time.monotonic() + 0.05, **kw,
+        run_fleet(
+            exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
+            deadline=time.monotonic() + 0.05,
         )
         failures = summarize_stream(smoke).failures
         assert len(failures) == 1
@@ -136,9 +133,9 @@ class TestDeadlinePreemption:
         assert failure.checkpoint is not None
         assert peek_checkpoint(failure.checkpoint["path"]) is not None
 
-        healed = run_trajectory_census(
-            jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
-            resume=True, retry_failed=True, **kw,
+        healed = run_fleet(
+            exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
+            resume=True, retry_failed=True,
         )
         assert not any(isinstance(r, FleetFailure) for r in healed)
         assert smoke.read_bytes() == clean.read_bytes()

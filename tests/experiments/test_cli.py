@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.io.jsonl_store import FleetFailure, summarize_stream
 
 TINY = ["--n", "8", "--families", "tree", "--replicates", "2",
@@ -49,6 +50,16 @@ class TestRun:
         capsys.readouterr()
         assert run_tiny(out, "--resume") == 0
         assert "resuming" in capsys.readouterr().out
+        assert out.read_bytes() == full
+
+    def test_retry_failed_without_resume_rejected(self, tmp_path):
+        # --retry-failed heals a streamed prefix; without --resume there is
+        # none, and the stream must not be rewritten from scratch.
+        out = tmp_path / "census.jsonl"
+        assert run_tiny(out) == 0
+        full = out.read_bytes()
+        with pytest.raises(ConfigurationError, match="needs resume=True"):
+            run_tiny(out, "--retry-failed")
         assert out.read_bytes() == full
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the Experiment dataclass and run_fleet (DESIGN.md §12)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,11 @@ from repro.rng import derive_seed
 def eval_task(task):
     n, mode, seed, scale = task
     return {"n": n, "mode": mode, "seed": seed, "value": n * scale}
+
+
+def echo_task(task):
+    n, seed = task
+    return {"n": n, "seed": seed, "double_n": 2 * n}
 
 
 def make_experiment(**overrides):
@@ -32,6 +38,19 @@ def make_experiment(**overrides):
     return Experiment(**kwargs)
 
 
+def make_grid_experiment(grid, **overrides):
+    """An experiment whose tasks are its grid axes plus the seed."""
+    return Experiment(
+        name="grid", point_fn=eval_task, grid=grid,
+        task_fields=(*grid, "seed"), coord_fields=(), **overrides,
+    )
+
+
+def grid_seeds(grid, **overrides):
+    exp = make_grid_experiment(grid, **overrides)
+    return [task[-1] for task in exp.compile_tasks()]
+
+
 class TestValidation:
     def test_bad_seed_scheme(self):
         with pytest.raises(ConfigurationError, match="seed_scheme"):
@@ -49,10 +68,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not task fields"):
             make_experiment(coord_fields=("n", "elsewhere"))
 
-    def test_order_validated_through_sweep(self):
-        exp = make_experiment(order=("mode", "mode"))
-        with pytest.raises(ConfigurationError, match="re-declared"):
-            exp.compile_tasks()
+    def test_replicates_and_axes_validated(self):
+        with pytest.raises(ConfigurationError, match="replicates"):
+            make_grid_experiment({"n": [1]}, replicates=0)
+        with pytest.raises(ConfigurationError, match="empty"):
+            make_grid_experiment({"n": []})
+
+    @pytest.mark.parametrize("name", ["seed", "replicate"])
+    def test_reserved_grid_names_rejected(self, name):
+        # A grid axis named like a derived column would shadow it.
+        with pytest.raises(ConfigurationError, match="collide"):
+            make_grid_experiment({"n": [4], name: [1, 2]})
+
+    def test_reserved_name_error_is_eager_and_names_the_culprit(self):
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            make_grid_experiment({"seed": [1]})
 
 
 class TestCompileTasks:
@@ -63,10 +93,32 @@ class TestCompileTasks:
         assert [t[1] for t in tasks] == ["a", "a", "b", "b"] * 2
         assert all(t[3] == 10 for t in tasks)
 
-    def test_flat_seed_scheme_matches_sweep(self):
+    def test_flat_seed_scheme_derives_from_point_index(self):
         exp = make_experiment()
         seeds = [t[2] for t in exp.compile_tasks()]
-        assert seeds == [p.seed for p in exp.sweep().points()]
+        expect = [
+            derive_seed(9, point, rep)
+            for point in range(4) for rep in range(2)
+        ]
+        assert seeds == expect
+
+    @pytest.mark.parametrize("scheme", ["flat", "axes"])
+    def test_seeds_unique_and_deterministic(self, scheme):
+        kwargs = dict(replicates=3, root_seed=5, seed_scheme=scheme)
+        a = grid_seeds({"n": [4, 8]}, **kwargs)
+        b = grid_seeds({"n": [4, 8]}, **kwargs)
+        assert a == b
+        assert len(set(a)) == len(a)
+
+    @pytest.mark.parametrize("scheme", ["flat", "axes"])
+    def test_root_seed_changes_everything(self, scheme):
+        a, b = (
+            grid_seeds(
+                {"n": [4]}, replicates=2, root_seed=root, seed_scheme=scheme,
+            )
+            for root in (1, 2)
+        )
+        assert set(a).isdisjoint(b)
 
     def test_axes_seed_scheme_derives_from_axis_indices(self):
         exp = make_experiment(seed_scheme="axes")
@@ -77,12 +129,38 @@ class TestCompileTasks:
         ]
         assert seeds == expect
 
-    def test_order_reorders_tasks(self):
-        tasks = make_experiment(order=("mode", "n")).compile_tasks()
-        assert [t[1] for t in tasks] == ["a"] * 4 + ["b"] * 4
-
     def test_total_tasks(self):
         assert make_experiment().total_tasks() == 8
+
+    def test_point_enumeration(self):
+        exp = make_grid_experiment(
+            {"n": [4, 8], "family": ["a", "b", "c"]}, replicates=2,
+        )
+        tasks = exp.compile_tasks()
+        assert len(tasks) == exp.total_tasks() == 12
+        # First axis slowest, replicates fastest.
+        assert [t[0] for t in tasks] == [4] * 6 + [8] * 6
+        assert [t[1] for t in tasks] == ["a", "a", "b", "b", "c", "c"] * 2
+
+    def test_default_order_is_declaration_order(self):
+        forward = make_grid_experiment({"n": [4, 8], "family": ["a", "b"]})
+        backward = make_grid_experiment({"family": ["a", "b"], "n": [4, 8]})
+        assert [t[:2] for t in forward.compile_tasks()] == [
+            (4, "a"), (4, "b"), (8, "a"), (8, "b"),
+        ]
+        assert [t[:2] for t in backward.compile_tasks()] == [
+            ("a", 4), ("a", 8), ("b", 4), ("b", 8),
+        ]
+
+    def test_task_tuple_follows_task_fields_not_grid_order(self):
+        # The grid fixes enumeration order; task_fields alone fix the
+        # tuple layout the point function unpacks.
+        exp = make_experiment(task_fields=("scale", "seed", "mode", "n"))
+        for task, base in zip(
+            exp.compile_tasks(), make_experiment().compile_tasks()
+        ):
+            n, mode, seed, scale = base
+            assert task == (scale, seed, mode, n)
 
 
 class TestCoords:
@@ -130,29 +208,32 @@ class TestCheckResumed:
 
 
 class TestStore:
-    def test_default_store_writes_experiment_block(self, tmp_path):
-        exp = make_experiment()
+    def test_header_is_config_key_then_config(self, tmp_path):
         path = tmp_path / "demo.jsonl"
-        run_fleet(exp, jsonl_path=path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["experiment"] == {
-            "name": "demo",
-            "order": ["n", "mode"],
-            "seed_scheme": "flat",
-        }
+        run_fleet(make_experiment(), jsonl_path=path)
+        header = path.read_text().splitlines()[0]
+        assert header == json.dumps(
+            {"experiment_config": 1, "scale": 10, "root_seed": 9}
+        )
 
-    def test_store_factory_overrides_default(self, tmp_path):
-        sentinel = object()
-        calls = []
+    def test_default_decoder_reads_records_and_quarantine_slots(
+        self, tmp_path
+    ):
+        exp = make_experiment()
+        tasks = exp.compile_tasks()
+        failure = FleetFailure(
+            coords=exp.task_coords(tasks[1]), error="x", attempts=2,
+        )
+        store = exp.make_store(tmp_path / "demo.jsonl")
+        rows = [eval_task(tasks[0]), failure]
+        store.rewrite_prefix(rows)
+        assert store.resume_records() == rows
 
-        def factory(path, durability):
-            calls.append((path, durability))
-            return sentinel
-
-        exp = make_experiment(store_factory=factory)
-        store = exp.make_store(tmp_path / "x.jsonl", "fsync")
-        assert calls == [(tmp_path / "x.jsonl", "fsync")]
-        assert store is sentinel
+    @pytest.mark.parametrize("durability", ["none", "flush", "fsync"])
+    def test_make_store_applies_durability(self, tmp_path, durability):
+        store = make_experiment().make_store(tmp_path / "x.jsonl", durability)
+        assert store.durability == durability
+        assert store.path == tmp_path / "x.jsonl"
 
 
 class TestRunFleet:
@@ -160,11 +241,42 @@ class TestRunFleet:
         with pytest.raises(ConfigurationError, match="needs a jsonl_path"):
             run_fleet(make_experiment(), resume=True)
 
+    @pytest.mark.parametrize("streamed", [True, False])
+    def test_retry_failed_requires_resume(self, tmp_path, streamed):
+        # Without resume there is no streamed prefix to heal, so the flag
+        # is refused rather than rewriting the stream and re-running every
+        # slot, quarantined or not.
+        exp = make_experiment()
+        path = tmp_path / "demo.jsonl"
+        run_fleet(exp, jsonl_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        failure = FleetFailure(
+            coords=exp.task_coords(exp.compile_tasks()[1]),
+            error="x", attempts=3,
+        )
+        lines[2] = json.dumps(failure.encode()) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match="needs resume=True"):
+            run_fleet(
+                exp, jsonl_path=path if streamed else None,
+                retry_failed=True,
+            )
+        assert path.read_text() == "".join(lines)
+
     def test_records_match_tasks_in_order(self):
         exp = make_experiment()
         records = run_fleet(exp)
         assert [r["n"] for r in records] == [t[0] for t in exp.compile_tasks()]
         assert all(r["value"] == r["n"] * 10 for r in records)
+
+    def test_records_merge_params_and_results(self):
+        exp = make_grid_experiment({"n": [2, 3]}, replicates=2, root_seed=0)
+        exp = replace(exp, point_fn=echo_task)
+        records = run_fleet(exp)
+        assert records == [
+            {"n": n, "seed": seed, "double_n": 2 * n}
+            for n, seed in exp.compile_tasks()
+        ]
 
     def test_workers_bit_identical(self, tmp_path):
         exp = make_experiment()

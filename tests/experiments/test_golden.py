@@ -23,7 +23,8 @@ from repro.io.jsonl_store import FleetFailure
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: name -> (fixture, builder matching make_golden.py's pinned grid).
+#: name -> (fixture, builder of its pinned grid); make_golden.py
+#: regenerates the fixtures from these builders.
 CASES = {
     "census": ("census.jsonl", lambda: census_experiment(
         [8, 10], families=("tree", "sparse"), replicates=2, root_seed=3,

@@ -9,8 +9,7 @@ sweepable litter.  The end-to-end heal is ``scripts/chaos_soak.py``;
 these are the per-store unit regressions.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import pytest
 
@@ -36,12 +35,6 @@ class Item:
     a: int
 
 
-def _write(sink, records):
-    for rec in records:
-        sink.write(json.dumps(asdict(rec)) + "\n")
-    sink.flush()
-
-
 def make_store(path):
     return JsonlStore(
         path,
@@ -50,7 +43,6 @@ def make_store(path):
         config={"mode": "x"},
         decode=lambda obj: Item(**obj),
         record_name="item record",
-        write_records=_write,
     )
 
 

@@ -1,14 +1,15 @@
 """JsonlStore contract tests: headers, torn lines, atomic rewrites.
 
 The census-specific behaviours (grid validation, crash windows under
-``run_census``) stay pinned in ``tests/core/test_census_resume.py`` /
+``run_fleet``) stay pinned in ``tests/core/test_census_resume.py`` /
 ``test_trajcensus.py``; these tests pin the factored-out store itself on a
 minimal record type, so a future stream (a third census) can rely on the
 contract without re-reading the census code.
 """
 
+import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.io.jsonl_store import (
     StreamSummary,
     maybe_decode_failure,
     summarize_stream,
+    write_records,
 )
 
 
@@ -25,12 +27,6 @@ from repro.io.jsonl_store import (
 class Item:
     a: int
     b: str
-
-
-def _write(sink, records):
-    for rec in records:
-        sink.write(json.dumps(asdict(rec)) + "\n")
-    sink.flush()
 
 
 def make_store(path, config=None):
@@ -41,7 +37,6 @@ def make_store(path, config=None):
         config=config or {"mode": "x", "count": 3},
         decode=lambda obj: Item(**obj),
         record_name="item record",
-        write_records=_write,
     )
 
 
@@ -56,6 +51,54 @@ def stream(tmp_path):
     return store, path
 
 
+class TestWriteRecords:
+    def test_one_json_object_per_record_of_every_kind(self):
+        failure = FleetFailure(coords={"a": 4}, error="x", attempts=2)
+        sink = io.StringIO()
+        write_records(sink, [Item(1, "one"), {"a": 2}, failure])
+        lines = sink.getvalue().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"a": 1, "b": "one"}, {"a": 2}, failure.encode(),
+        ]
+
+    def test_flushes_the_sink_once_per_batch(self):
+        class Sink(io.StringIO):
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+                super().flush()
+
+        sink = Sink()
+        write_records(sink, [Item(1, "one"), Item(2, "two")])
+        assert sink.flushes == 1
+        write_records(sink, [])
+        assert sink.flushes == 2
+        assert len(sink.getvalue().splitlines()) == 2
+
+    def test_store_looks_the_serializer_up_at_call_time(
+        self, stream, monkeypatch
+    ):
+        # Crash-window tests patch the module attribute; both write paths
+        # of an already-built store must see the patch.
+        import repro.io.jsonl_store as store_mod
+
+        store, _ = stream
+        seen = []
+
+        def spy(sink, records):
+            records = list(records)
+            seen.append(records)
+            write_records(sink, records)
+
+        monkeypatch.setattr(store_mod, "write_records", spy)
+        with store.open_append() as sink:
+            store.append(sink, [Item(4, "four")])
+        store.rewrite_prefix(RECORDS)
+        assert seen == [[Item(4, "four")], RECORDS]
+        assert store.read_prefix()[1] == RECORDS
+
+
 class TestRoundTrip:
     def test_header_then_records(self, stream):
         store, path = stream
@@ -66,6 +109,13 @@ class TestRoundTrip:
         header, records = store.read_prefix()
         assert header["item_config"] == 1
         assert records == RECORDS
+
+    def test_header_bytes_are_config_key_then_config(self, stream):
+        # The marker key leads and nothing else joins the header, so the
+        # census streams keep their exact bytes.
+        _, path = stream
+        first = path.read_text().splitlines()[0]
+        assert first == json.dumps({"item_config": 1, "mode": "x", "count": 3})
 
     def test_append_streams_in_order(self, stream):
         store, path = stream
@@ -164,7 +214,6 @@ class TestDurability:
                 config_version=1,
                 config={},
                 decode=lambda obj: Item(**obj),
-                write_records=_write,
                 durability="eventually",
             )
 
@@ -179,7 +228,6 @@ class TestDurability:
             config_version=1,
             config={"mode": "x", "count": 3},
             decode=lambda obj: Item(**obj),
-            write_records=_write,
             durability=durability,
         )
         store.rewrite_prefix([])
@@ -256,57 +304,10 @@ class TestFleetFailure:
         store._decode = (
             lambda obj: maybe_decode_failure(obj) or wrapped_decode(obj)
         )
-        store._write = lambda sink, recs: _write_mixed(sink, recs)
         with store.open_append() as sink:
             store.append(sink, [failure])
         _, records = store.read_prefix()
         assert records == RECORDS + [failure]
-
-
-def _write_mixed(sink, records):
-    for rec in records:
-        obj = rec.encode() if isinstance(rec, FleetFailure) else asdict(rec)
-        sink.write(json.dumps(obj) + "\n")
-    sink.flush()
-
-
-class TestExperimentHeaderBlock:
-    BLOCK = {"name": "demo", "order": ["a"], "seed_scheme": "flat"}
-
-    def make(self, path):
-        return JsonlStore(
-            path,
-            config_key="item_config",
-            config_version=1,
-            config={"mode": "x"},
-            decode=lambda obj: Item(**obj),
-            record_name="item record",
-            write_records=_write,
-            experiment=self.BLOCK,
-        )
-
-    def test_block_lands_in_header_after_config_key(self, tmp_path):
-        path = tmp_path / "items.jsonl"
-        self.make(path).rewrite_prefix([])
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {
-            "item_config": 1, "experiment": self.BLOCK, "mode": "x",
-        }
-        assert list(header) == ["item_config", "experiment", "mode"]
-
-    def test_omitted_block_leaves_header_unchanged(self, stream):
-        # Legacy streams (census formats) must keep their exact bytes.
-        _, path = stream
-        header = json.loads(path.read_text().splitlines()[0])
-        assert "experiment" not in header
-
-    def test_block_mismatch_refuses_resume(self, tmp_path):
-        path = tmp_path / "items.jsonl"
-        self.make(path).rewrite_prefix(RECORDS)
-        other = self.make(path)
-        other.header["experiment"] = {**self.BLOCK, "seed_scheme": "axes"}
-        with pytest.raises(ValueError, match="resume mismatch"):
-            other.resume_records()
 
 
 class TestStreamSummary:

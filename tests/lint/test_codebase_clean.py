@@ -102,3 +102,48 @@ def test_every_mode_set_has_at_most_two_members():
 def test_retired_modes_are_rejected(call):
     with pytest.raises(ConfigurationError):
         call()
+
+
+# One way to declare and run a fleet (DESIGN.md §12): an `Experiment` run
+# by `run_fleet`, streaming through the one store `make_store` builds.
+
+_RETIRED_FLEET_NAMES = {
+    "run_census", "run_trajectory_census", "census_to_rows",
+    "trajectory_census_to_rows", "trajectory_sweep", "run_sweep", "Sweep",
+    "SweepPoint", "write_jsonl_records", "store_factory",
+}
+
+
+def test_retired_fleet_entry_points_are_not_defined():
+    defined = []
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                f"{path.name}:{name}"
+                for name in names if name in _RETIRED_FLEET_NAMES
+            ]
+    assert defined == []
+
+
+def test_only_the_experiment_layer_builds_jsonl_stores():
+    builders = set()
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "JsonlStore"
+                or getattr(node.func, "attr", None) == "JsonlStore"
+            ):
+                builders.add(path.relative_to(REPO_ROOT).as_posix())
+    assert builders == {"src/repro/experiments/experiment.py"}

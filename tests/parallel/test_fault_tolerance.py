@@ -12,7 +12,9 @@ import os
 
 import pytest
 
+from repro.core import census_experiment, trajectory_experiment
 from repro.errors import TaskExecutionError
+from repro.experiments import run_fleet
 from repro.io.jsonl_store import FleetFailure
 from repro.parallel import (
     TaskFailure,
@@ -166,37 +168,31 @@ class TestGenuinePoison:
 class TestFleetsUnderFaults:
     """End-to-end: census fleets under injected faults vs. clean runs."""
 
-    def _clean_stream(self, path):
-        from repro.core.census import run_census
+    CENSUS = census_experiment(
+        [8], families=("tree",), replicates=4, verify=False
+    )
 
-        run_census(
-            [8], families=("tree",), replicates=4, verify=False,
-            workers=2, jsonl_path=path,
-        )
+    def _clean_stream(self, path):
+        run_fleet(self.CENSUS, workers=2, jsonl_path=path)
         return path.read_text()
 
     def test_census_with_killed_worker_bit_identical(self, tmp_path):
-        from repro.core.census import run_census
-
         clean = self._clean_stream(tmp_path / "clean.jsonl")
         faulted = tmp_path / "faulted.jsonl"
         with injected_env("kill:chunk=0", tmp_path / "tok"):
-            run_census(
-                [8], families=("tree",), replicates=4, verify=False,
-                workers=2, jsonl_path=faulted, retries=2, timeout=60,
+            run_fleet(
+                self.CENSUS, workers=2, jsonl_path=faulted, retries=2,
+                timeout=60,
             )
         assert faulted.read_text() == clean
 
     def test_census_quarantine_then_retry_failed_resume(self, tmp_path):
-        from repro.core.census import run_census
-
         clean = self._clean_stream(tmp_path / "clean.jsonl")
         faulted = tmp_path / "faulted.jsonl"
         # Persistent fault: task 2 fails on every attempt -> quarantined.
         with injected_env("raise:task=2,times=50", tmp_path / "tok"):
-            out = run_census(
-                [8], families=("tree",), replicates=4, verify=False,
-                workers=2, jsonl_path=faulted, retries=1,
+            out = run_fleet(
+                self.CENSUS, workers=2, jsonl_path=faulted, retries=1,
             )
         assert isinstance(out[2], FleetFailure)
         assert out[2].coords["n"] == 8 and out[2].attempts >= 2
@@ -204,9 +200,9 @@ class TestFleetsUnderFaults:
         # Resume with --retry-failed semantics, faults disarmed: the
         # quarantined slot is re-run and the merged stream is bit-identical
         # to the uninterrupted run.
-        fixed = run_census(
-            [8], families=("tree",), replicates=4, verify=False,
-            workers=2, jsonl_path=faulted, resume=True, retry_failed=True,
+        fixed = run_fleet(
+            self.CENSUS, workers=2, jsonl_path=faulted, resume=True,
+            retry_failed=True,
         )
         assert not any(isinstance(r, FleetFailure) for r in fixed)
         assert faulted.read_text() == clean
@@ -214,39 +210,28 @@ class TestFleetsUnderFaults:
     def test_trajectory_census_with_killed_worker_bit_identical(
         self, tmp_path
     ):
-        from repro.core.trajcensus import run_trajectory_census
-
-        kwargs = dict(
-            n_values=[8], families=("tree",), replicates=4, verify=False,
-            workers=2,
+        exp = trajectory_experiment(
+            [8], families=("tree",), replicates=4, verify=False,
         )
         clean = tmp_path / "clean.jsonl"
-        run_trajectory_census(jsonl_path=clean, **kwargs)
+        run_fleet(exp, workers=2, jsonl_path=clean)
         faulted = tmp_path / "faulted.jsonl"
         with injected_env("kill:chunk=1", tmp_path / "tok"):
-            run_trajectory_census(
-                jsonl_path=faulted, retries=2, timeout=60, **kwargs
+            run_fleet(
+                exp, workers=2, jsonl_path=faulted, retries=2, timeout=60
             )
         assert faulted.read_text() == clean.read_text()
 
     def test_torn_append_then_resume_bit_identical(self, tmp_path):
-        from repro.core.census import run_census
-
         clean = self._clean_stream(tmp_path / "clean.jsonl")
         faulted = tmp_path / "faulted.jsonl"
         # Serial fleet so the torn batch cuts a record in half mid-stream;
         # the injected tear raises in the owner, like a crash would stop it.
         with injected_env("torn-write:batch=2", tmp_path / "tok"):
             with pytest.raises(InjectedFault):
-                run_census(
-                    [8], families=("tree",), replicates=4, verify=False,
-                    workers=1, jsonl_path=faulted,
-                )
+                run_fleet(self.CENSUS, workers=1, jsonl_path=faulted)
         # The stream's final line is torn; resume drops it and re-runs.
-        run_census(
-            [8], families=("tree",), replicates=4, verify=False,
-            workers=1, jsonl_path=faulted, resume=True,
-        )
+        run_fleet(self.CENSUS, workers=1, jsonl_path=faulted, resume=True)
         assert faulted.read_text() == clean
 
     def test_crash_resume_merges_to_uninterrupted_stream(self, tmp_path):
@@ -257,29 +242,27 @@ class TestFleetsUnderFaults:
         resumed run (fault disarmed) picks up the streamed prefix and
         finishes; the merged stream equals the uninterrupted run's.
         """
-        from repro.core.trajcensus import run_trajectory_census
-
-        kwargs = dict(
-            n_values=[8], families=("tree",), replicates=6, verify=False,
+        exp = trajectory_experiment(
+            [8], families=("tree",), replicates=6, verify=False,
         )
         clean = tmp_path / "clean.jsonl"
-        run_trajectory_census(jsonl_path=clean, workers=2, **kwargs)
+        run_fleet(exp, jsonl_path=clean, workers=2)
         interrupted = tmp_path / "interrupted.jsonl"
         with injected_env("raise:task=3,times=50", tmp_path / "tok"):
             with pytest.raises(TaskExecutionError):
                 # Fail-fast + a persistent fault: the failure survives the
                 # degraded serial attempt too, aborting the fleet
                 # mid-stream (a stand-in for an operator Ctrl-C / crash).
-                run_trajectory_census(
-                    jsonl_path=interrupted, workers=2, retries=0,
-                    timeout=60, on_error="raise", **kwargs
+                run_fleet(
+                    exp, jsonl_path=interrupted, workers=2, retries=0,
+                    timeout=60, on_error="raise",
                 )
         streamed = interrupted.read_text()
         assert streamed  # header at minimum; typically a strict prefix
         assert clean.read_text().startswith(streamed.splitlines()[0])
-        run_trajectory_census(
-            jsonl_path=interrupted, workers=2, resume=True,
-            retry_failed=True, **kwargs
+        run_fleet(
+            exp, jsonl_path=interrupted, workers=2, resume=True,
+            retry_failed=True,
         )
         assert interrupted.read_text() == clean.read_text()
 

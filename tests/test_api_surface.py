@@ -24,6 +24,7 @@ PACKAGES = [
     "repro.parallel",
     "repro.bench",
     "repro.io",
+    "repro.experiments",
 ]
 
 
@@ -76,6 +77,25 @@ class TestCrossLayerConsistency:
         from repro.core import is_sum_equilibrium as src
 
         assert repro.is_sum_equilibrium is src
+
+    def test_fleet_entry_points_reexport_their_sources(self):
+        from repro import core
+        from repro.core.census import census_experiment
+        from repro.core.trajcensus import trajectory_experiment
+        from repro.experiments.experiment import run_fleet
+
+        assert repro.census_experiment is census_experiment
+        assert core.census_experiment is census_experiment
+        assert core.trajectory_experiment is trajectory_experiment
+        assert repro.run_fleet is run_fleet
+
+    def test_graph_fingerprint_exported_from_io_only(self):
+        from repro import core, io
+        from repro.core import trajcensus
+
+        assert "graph_fingerprint" in io.__all__
+        assert "graph_fingerprint" not in core.__all__
+        assert "graph_fingerprint" not in trajcensus.__all__
 
     def test_unreachable_constant_consistent(self):
         from repro.graphs import UNREACHABLE

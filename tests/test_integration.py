@@ -17,11 +17,12 @@ from repro.constructions import (
 )
 from repro.core import (
     SwapDynamics,
+    census_experiment,
     is_max_equilibrium,
     is_sum_equilibrium,
-    run_census,
     sum_equilibrium_gap,
 )
+from repro.experiments import run_fleet
 from repro.games import (
     FabrikantGame,
     greedy_dynamics,
@@ -72,8 +73,9 @@ class TestDynamicsToAudit:
     def test_census_diameters_below_theorem9_curve(self):
         from repro.analysis import theorem9_diameter_bound
 
-        records = run_census([12, 20], families=("tree", "sparse"),
-                             replicates=2, root_seed=17)
+        records = run_fleet(census_experiment(
+            [12, 20], families=("tree", "sparse"), replicates=2, root_seed=17,
+        ))
         for r in records:
             if r.converged:
                 assert r.diameter_final <= theorem9_diameter_bound(r.n)
@@ -147,8 +149,12 @@ class TestUniformityPipeline:
 
 class TestDeterminismEndToEnd:
     def test_census_bitwise_reproducible(self):
-        a = run_census([10], families=("dense",), replicates=2, root_seed=42)
-        b = run_census([10], families=("dense",), replicates=2, root_seed=42)
+        a, b = (
+            run_fleet(census_experiment(
+                [10], families=("dense",), replicates=2, root_seed=42,
+            ))
+            for _ in range(2)
+        )
         assert [(r.diameter_final, r.steps, r.m_final) for r in a] == [
             (r.diameter_final, r.steps, r.m_final) for r in b
         ]
