@@ -69,7 +69,7 @@ from ..graphs.repair import (
     removal_affected_matrix,
     removal_affected_sources,
     removal_matrix_repair,
-    repair_row_after_removal,
+    repair_removal_rows,
 )
 from .best_response import BestResponse
 from .costmodel import SUM_COST, CostModel, resolve_cost_model
@@ -368,21 +368,7 @@ def exact_costs_from_bound(
             affected = removal_affected_sources(graph, lifted, edge)
         rows = np.nonzero(affected)[0]
         if rows.size:
-            if rows.size <= 4:
-                sub = np.stack(
-                    [
-                        repair_row_after_removal(graph, edge, lifted[r])
-                        for r in rows
-                    ]
-                )
-            else:
-                a, b = edge
-                sub = batched_removal_rows_multi(
-                    graph,
-                    np.full(rows.size, a, dtype=np.int64),
-                    np.full(rows.size, b, dtype=np.int64),
-                    rows,
-                )
+            sub = repair_removal_rows(graph, lifted, edge, rows)
             cand = np.minimum(dv[None, :], sub + 1)
             out[rows] = model.candidate_costs(v, cand)
     out[v] = math.inf

@@ -7,36 +7,46 @@ perform its chosen improving swap, until no vertex can improve.
 
 Design notes
 ------------
+* **One loop, two engines** — :meth:`SwapDynamics.run` drives one loop
+  that owns the schedules, the dirty set, the cycle detector, the traces,
+  the checkpoints and the deadline guard.  ``engine_mode`` only picks the
+  engine the loop asks for a vertex's move (``respond``), applies moves
+  through (``apply``), certifies a graph at rest with (``certify``) and
+  reads the ``graph`` / ``adjacency`` / ``dm`` views of:
+
+  - ``"batched"`` (default) — a :class:`~repro.core.engine.DistanceEngine`
+    maintains the distance matrix across applied swaps by BFS row repair
+    plus the insertion closure (never recomputed from scratch); best
+    responses run the bound-then-verify per-vertex kernel on it (DESIGN.md
+    §8), so most activations are certified move-free with zero BFS work;
+    ``apply`` reports the rows a move changed; ``certify`` is one
+    cross-edge audit scan (:func:`~repro.core.batched.certify_at_rest`)
+    for best responders;
+  - ``"oracle"`` — the seed path, kept for cross-validation: fresh
+    ``best_swap(mode="oracle")`` responses on a CSR snapshot, a fresh APSP
+    per trace point, no changed rows and no certificate.
 * **Schedules** — ``round_robin`` (deterministic sweeps), ``random``
   (uniform activations), and ``greedy`` (activate the vertex with the
-  globally best improvement — expensive but canonical).
-* **Batched engine** — the default ``engine_mode="batched"`` routes every
-  activation through a :class:`~repro.core.engine.DistanceEngine`: the
-  distance matrix is maintained across applied swaps by BFS row repair
-  plus the insertion closure (never recomputed from scratch), and every
-  best response runs the bound-then-verify per-vertex kernel (DESIGN.md
-  §8), so a freshly activated vertex is usually re-certified move-free
-  from one aggregation pass over the cached base matrix, with zero BFS
-  work.  A **dirty-vertex set** lets the ``round_robin`` and ``random``
-  schedules skip vertices that were observed move-free and whose distance
-  row has not been touched since (``greedy`` always scans every vertex —
-  its argmax is global by definition, and the full scan doubles as the
-  convergence certificate).  The dirty rule (re-dirty the move's endpoints
-  and every vertex whose distance row changed) is a heuristic, so
-  convergence is *never* declared from it alone: once the dirty set
-  drains, a verification sweep certifies the equilibrium — one cross-edge
-  batched audit scan (:func:`~repro.core.batched.certify_at_rest`) for
-  best responders; when the scan does find a mover, the sweep falls back
-  to the ordered per-vertex kernel, so a stale certificate can delay a
-  move's discovery but can never suppress it.  ``engine_mode="oracle"``
-  keeps the seed implementation (fresh best responses against copied
-  graphs, no dirty set) for cross-validation: for best responders it
-  applies the same moves, trace for trace; only its ``activations`` count
-  differs, because it activates every vertex instead of skipping clean
-  ones.
+  globally best improvement — expensive but canonical; every step scans
+  every vertex, and the full scan doubles as the convergence certificate).
+* **Dirty set** — when the engine reports changed rows, ``round_robin``
+  and ``random`` skip vertices that were observed move-free and whose row
+  has not changed since (a move re-dirties its endpoints and every changed
+  row).  The rule is a heuristic, so convergence is *never* declared from
+  it alone: once the set drains, or after a quiet streak of 2n random
+  visits, a verification sweep runs ``certify`` and, when that cannot
+  certify, activates every vertex in order — a stale certificate can delay
+  a move's discovery but never suppress it.  The oracle caches no "no
+  move" certificates, so it activates every vertex it visits: on
+  ``round_robin`` n quiet activations in a row are themselves a clean
+  ordered sweep, and on ``random`` a 2n quiet streak triggers one.  On
+  ``greedy`` the two engines agree move for move and activation for
+  activation; on the other schedules a skipped vertex can make their
+  trajectories part, though each move the batched engine applies is still
+  the oracle's best response.
 * **Termination** — sum dynamics have no known potential (a swap lowers the
   mover's cost but can raise others'), so cycles are possible in principle;
-  the engine hashes every visited edge set and reports ``cycle_detected``
+  the loop hashes every visited edge set and reports ``cycle_detected``
   instead of looping.  Deletions strictly reduce the edge count, so only
   pure-swap cycles can occur.
 * **Instrumentation** — optional trajectory recording (applied swaps,
@@ -45,15 +55,16 @@ Design notes
 * **Preemptibility** — ``run(checkpoint=, checkpoint_every=)`` keeps a
   crash-safe :class:`~repro.io.checkpoint.CheckpointStore` current with the
   run's *full* resumable state — edge set, the cycle detector's ``seen``
-  hashes, the serialized RNG stream, dirty set, counters, traces, and the
-  schedule's loop position — snapshotted only at applied-move boundaries
-  (the states a resumed loop can actually re-enter).  A run killed at any
-  instant and re-``run`` with the same configuration resumes from its last
-  snapshot and produces a :class:`DynamicsResult` bit-identical to the
-  uninterrupted run, for both ``engine_mode`` values and every cost model; a
-  ``deadline=`` expiry checkpoints-and-yields (typed
-  :class:`~repro.errors.DeadlineExceeded`) so fleet/service budgets convert
-  to persisted progress instead of lost work.  DESIGN.md §13.
+  hashes, the serialized RNG stream, the dirty set (batched engine only),
+  counters, traces, and the schedule's loop position — snapshotted only at
+  applied-move boundaries (the states a resumed loop can actually
+  re-enter).  A run killed at any instant and re-``run`` with the same
+  configuration resumes from its last snapshot and produces a
+  :class:`DynamicsResult` bit-identical to the uninterrupted run, for both
+  ``engine_mode`` values and every cost model; a ``deadline=`` expiry
+  checkpoints-and-yields (typed :class:`~repro.errors.DeadlineExceeded`) so
+  fleet/service budgets convert to persisted progress instead of lost
+  work.  DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -69,13 +80,7 @@ from ..errors import (
     DeadlineExceeded,
     DisconnectedGraphError,
 )
-from ..graphs import (
-    AdjacencyGraph,
-    CSRGraph,
-    diameter_or_inf,
-    distance_matrix,
-    is_connected,
-)
+from ..graphs import AdjacencyGraph, CSRGraph, distance_matrix, is_connected
 from ..io.checkpoint import CheckpointStore
 from ..io.hashing import graph_fingerprint
 from ..parallel import check_deadline, current_task_deadline
@@ -186,6 +191,96 @@ class DynamicsResult:
         return not self.converged and not self.cycle_detected
 
 
+# ----------------------------------------------------------------------
+# Engines: what the loop asks of the current graph state
+# ----------------------------------------------------------------------
+class _Engine:
+    """The state one dynamics run moves, as the loop sees it.
+
+    ``respond(v)`` is ``v``'s chosen move, ``apply(swap)`` makes a move and
+    returns the mask of rows it may have changed (``None`` when the engine
+    does not track them), ``certify()`` proves that no vertex can move
+    (``False`` when it cannot tell), and ``graph`` / ``adjacency`` / ``dm``
+    view the current state.
+    """
+
+    #: ``dm`` is maintained across moves and ``apply`` reports changed rows.
+    maintains_dm = False
+
+    def __init__(self, model: CostModel, responder: Responder, rng):
+        self.model = model
+        self.responder = responder
+        self.rng = rng
+
+    def respond(self, v: int) -> BestResponse:
+        if self.responder == "first":
+            return first_improving_swap(self.graph, v, self.model, self.rng)
+        return self.best_response(v)
+
+    def certify(self) -> bool:
+        return False
+
+
+class _BatchedEngine(_Engine):
+    """A :class:`DistanceEngine` and the bound-then-verify kernels."""
+
+    maintains_dm = True
+
+    def __init__(self, graph: CSRGraph, model, responder, rng):
+        super().__init__(model, responder, rng)
+        self._engine = DistanceEngine(graph)
+
+    @property
+    def graph(self) -> CSRGraph:
+        return self._engine.graph
+
+    @property
+    def adjacency(self) -> AdjacencyGraph:
+        return self._engine.adjacency
+
+    @property
+    def dm(self) -> np.ndarray:
+        return self._engine.dm
+
+    def best_response(self, v: int) -> BestResponse:
+        return self._engine.best_swap(v, self.model)
+
+    def apply(self, swap: Swap) -> np.ndarray:
+        return self._engine.apply_swap(swap)
+
+    def certify(self) -> bool:
+        from .batched import certify_at_rest
+
+        return self.responder == "best" and certify_at_rest(
+            self.graph,
+            self.dm,
+            self.model,
+            pred_counts=self._engine.pred_counts(),
+        )
+
+
+class _OracleEngine(_Engine):
+    """The seed path: a mutable graph, fresh best responses and APSPs."""
+
+    def __init__(self, graph: CSRGraph, model, responder, rng):
+        super().__init__(model, responder, rng)
+        self.adjacency = AdjacencyGraph.from_csr(graph)
+
+    @property
+    def graph(self) -> CSRGraph:
+        return self.adjacency.to_csr()  # cached until the next move
+
+    @property
+    def dm(self) -> np.ndarray:
+        return lift_distances(distance_matrix(self.graph))
+
+    def best_response(self, v: int) -> BestResponse:
+        return best_swap(self.graph, v, self.model, mode="oracle")
+
+    def apply(self, swap: Swap) -> None:
+        self.adjacency.swap_edge(swap.vertex, swap.drop, swap.add)
+
+
 class SwapDynamics:
     """Configurable asynchronous swap dynamics.
 
@@ -247,11 +342,6 @@ class SwapDynamics:
         self.record = record
         self.engine_mode: EngineMode = engine_mode
         self.seed = seed
-        self._rng = None  # derived per run()
-        self._model: CostModel | None = None  # resolved per run()
-        self._ckpt: "CheckpointStore | None" = None  # armed per run()
-        self._ckpt_every: "int | None" = None
-        self._deadline: "float | None" = None
 
     # ------------------------------------------------------------------
     def run(
@@ -300,6 +390,10 @@ class SwapDynamics:
             raise ConfigurationError(
                 "checkpoint_every needs a checkpoint store/path to write to"
             )
+        if checkpoint is not None and not isinstance(
+            checkpoint, CheckpointStore
+        ):
+            checkpoint = CheckpointStore(checkpoint)
         # A fresh per-run generator: a second run() on this instance replays
         # the same schedule / candidate order instead of continuing the
         # first run's stream (re-running from `seed` must be reproducible).
@@ -307,32 +401,21 @@ class SwapDynamics:
         # caller owns the stream, and it keeps advancing across runs.
         # (A resumed checkpoint then *overwrites* the generator's state —
         # the serialized stream is part of the bit-identity guarantee.)
-        self._rng = make_rng(self.seed)
-        self._model = resolve_cost_model(self.objective, initial.n)
-        self._ckpt = self._checkpoint_store(checkpoint)
-        self._ckpt_every = checkpoint_every
-        self._deadline = (
-            current_task_deadline() if deadline is None else deadline
+        result = self._run(
+            initial,
+            make_rng(self.seed),
+            resolve_cost_model(self.objective, initial.n),
+            checkpoint,
+            checkpoint_every,
+            current_task_deadline() if deadline is None else deadline,
         )
-        if self.engine_mode == "oracle":
-            result = self._run_oracle(initial)
-        else:
-            result = self._run_batched(initial)
-        if self._ckpt is not None:
+        if checkpoint is not None:
             # A finished run leaves no checkpoint behind (a deadline expiry
             # raises above, so its freshly saved snapshot survives).
-            self._ckpt.clear()
+            checkpoint.clear()
         return result
 
-    @staticmethod
-    def _checkpoint_store(
-        checkpoint: "CheckpointStore | str | None",
-    ) -> "CheckpointStore | None":
-        if checkpoint is None or isinstance(checkpoint, CheckpointStore):
-            return checkpoint
-        return CheckpointStore(checkpoint)
-
-    def _checkpoint_config(self, initial: CSRGraph) -> dict:
+    def _checkpoint_config(self, initial: CSRGraph, model: CostModel) -> dict:
         """What a snapshot must agree on before it may be resumed.
 
         ``engine_mode`` is recorded as its activation *accounting*
@@ -341,7 +424,7 @@ class SwapDynamics:
         """
         return {
             "v": 1,
-            "objective": self._model.spec,
+            "objective": model.spec,
             "schedule": self.schedule,
             "responder": self.responder,
             "max_steps": int(self.max_steps),
@@ -354,54 +437,62 @@ class SwapDynamics:
         }
 
     # ------------------------------------------------------------------
-    # Batched engine + dirty-set path (the default)
-    # ------------------------------------------------------------------
-    def _run_batched(self, initial: CSRGraph) -> DynamicsResult:
-        config = self._checkpoint_config(initial)
-        loaded = None if self._ckpt is None else self._ckpt.load(config)
-        if loaded is None:
-            engine = DistanceEngine(initial)
-            n = engine.n
-            seen: set[frozenset[tuple[int, int]]] = {
-                engine.adjacency.edge_set()
-            }
-            steps = 0
-            activations = 0
-            moves: list[Swap] = []
-            diam_trace: list[float] = []
-            cost_trace: list[float] = []
-            dirty = np.ones(n, dtype=bool)
-            pos = {"idx": 0, "quiet": 0}
-        else:
-            # Resume: rebuild the engine from the snapshotted edge set (the
-            # recomputed distance matrix is exact, like the maintained one)
+    def _run(
+        self,
+        initial: CSRGraph,
+        rng,
+        model: CostModel,
+        store: "CheckpointStore | None",
+        every: "int | None",
+        deadline: "float | None",
+    ) -> DynamicsResult:
+        n = initial.n
+        config = self._checkpoint_config(initial, model)
+        loaded = None if store is None else store.load(config)
+        start = initial
+        if loaded is not None:
+            # Resume: rebuild the engine from the snapshotted edge set (a
+            # recomputed distance matrix is exact, like a maintained one)
             # and restore every piece of loop state — including the RNG
             # stream — so the continuation is bit-identical to the run the
             # snapshot interrupted.
-            n = initial.n
-            engine = DistanceEngine(
-                CSRGraph(n, _decode_edges(loaded["edges"]))
-            )
+            start = CSRGraph(n, _decode_edges(loaded["edges"]))
+            rng.bit_generator.state = loaded["rng"]
+        make = _OracleEngine if self.engine_mode == "oracle" else _BatchedEngine
+        engine = make(start, model, self.responder, rng)
+        # Only an engine that reports changed rows gets a dirty set; the
+        # oracle caches no "no move" certificates, so its snapshots carry
+        # no dirty key.
+        dirty = np.ones(n, dtype=bool) if engine.maintains_dm else None
+        if loaded is None:
+            seen: set[frozenset[tuple[int, int]]] = {
+                engine.adjacency.edge_set()
+            }
+            steps = activations = idx = quiet = 0
+            moves: list[Swap] = []
+            diam_trace: list[float] = []
+            cost_trace: list[float] = []
+        else:
             seen = {
                 frozenset(_decode_edges(key)) for key in loaded["seen"]
             }
             steps = int(loaded["steps"])
             activations = int(loaded["activations"])
+            idx = int(loaded["idx"])
+            quiet = int(loaded["quiet"])
             moves = [
                 Swap(int(a), int(b), int(c)) for a, b, c in loaded["moves"]
             ]
             diam_trace = _decode_trace(loaded["diam"])
             cost_trace = _decode_trace(loaded["cost"])
-            dirty = np.array(loaded["dirty"], dtype=bool)
-            pos = {"idx": int(loaded["idx"]), "quiet": int(loaded["quiet"])}
-            self._rng.bit_generator.state = loaded["rng"]
+            if dirty is not None:
+                dirty[:] = loaded["dirty"]
 
         def save_checkpoint() -> None:
             payload = {
                 "edges": _encode_edges(engine.adjacency.edge_set()),
                 "seen": sorted(_encode_edges(key) for key in seen),
-                "rng": self._rng.bit_generator.state,
-                "dirty": [int(b) for b in dirty],
+                "rng": rng.bit_generator.state,
                 "steps": steps,
                 "activations": activations,
                 "moves": [
@@ -409,10 +500,12 @@ class SwapDynamics:
                 ],
                 "diam": _encode_trace(diam_trace),
                 "cost": _encode_trace(cost_trace),
-                "idx": pos["idx"],
-                "quiet": pos["quiet"],
+                "idx": idx,
+                "quiet": quiet,
             }
-            self._ckpt.save(
+            if dirty is not None:
+                payload["dirty"] = [int(b) for b in dirty]
+            store.save(
                 payload, config,
                 meta={"steps": steps, "activations": activations},
             )
@@ -424,374 +517,121 @@ class SwapDynamics:
             exactly the states a resumed loop re-enters, so the snapshot
             taken here loses nothing and splices nothing.
             """
-            if self._deadline is None:
+            if deadline is None:
                 return
             try:
-                check_deadline(self._deadline)
+                check_deadline(deadline)
             except DeadlineExceeded:
-                if self._ckpt is not None:
+                if store is not None:
                     save_checkpoint()
                 raise
 
         def record_state() -> None:
-            if self.record:
-                dm = engine.dm
-                if dm.size == 0:
-                    diam_trace.append(0.0)
-                    cost_trace.append(0.0)
-                    return
-                diam = int(dm.max())
-                diam_trace.append(
-                    math.inf if diam >= INT_INF else float(diam)
-                )
-                # The model's social cost, not a hardcoded dm.sum: under
-                # max/interest/budget games the trace must report the game
-                # actually being played (for SumCost this is bit-identical
-                # to the historical total-pairwise-distance recording).
-                cost_trace.append(self._model.social_cost(dm))
+            dm = engine.dm
+            if dm.size == 0:
+                diam_trace.append(0.0)
+                cost_trace.append(0.0)
+                return
+            diam = int(dm.max())
+            diam_trace.append(math.inf if diam >= INT_INF else float(diam))
+            # The model's social cost, not a hardcoded dm.sum: under
+            # max/interest/budget games the trace must report the game
+            # actually being played.
+            cost_trace.append(model.social_cost(dm))
 
         def respond(v: int) -> BestResponse:
             nonlocal activations
             activations += 1
-            if self.responder == "best":
-                return engine.best_swap(v, self._model)
-            return first_improving_swap(
-                engine.graph, v, self._model, self._rng
-            )
+            return engine.respond(v)
 
-        def apply(br: BestResponse) -> bool:
+        def apply(swap: Swap) -> bool:
             """Apply a move; returns False when it closes a cycle."""
             nonlocal steps
-            assert br.swap is not None
-            changed = engine.apply_swap(br.swap)
+            changed = engine.apply(swap)
             steps += 1
-            dirty[changed] = True
-            dirty[[br.swap.vertex, br.swap.drop, br.swap.add]] = True
+            if dirty is not None:
+                dirty[changed] = True
+                dirty[[swap.vertex, swap.drop, swap.add]] = True
             if self.record:
-                moves.append(br.swap)
+                moves.append(swap)
                 record_state()
             key = engine.adjacency.edge_set()
             if key in seen:
                 return False
             seen.add(key)
-            if (
-                self._ckpt is not None
-                and self._ckpt_every is not None
-                and steps % self._ckpt_every == 0
-            ):
+            if every is not None and steps % every == 0:
                 save_checkpoint()
             return True
 
-        def verification_sweep() -> BestResponse | None:
-            """Activate every vertex; the exactness guard over the dirty rule.
+        def verification_sweep() -> "BestResponse | None":
+            """The first vertex in order that can move, or None at rest.
 
-            Best responders first run one cross-edge audit scan
-            (:func:`~repro.core.batched.certify_at_rest`): in the common
-            convergent case it certifies every vertex at once.  A positive
-            scan falls back to the ordered per-vertex kernel, which finds
-            the move to apply.
+            ``certify`` settles the common convergent case in one scan;
+            otherwise every vertex is activated in order until one moves.
             """
             nonlocal activations
-            if self.responder == "best":
-                from .batched import certify_at_rest
-
-                if certify_at_rest(
-                    engine.graph,
-                    engine.dm,
-                    self._model,
-                    pred_counts=engine.pred_counts(),
-                ):
-                    activations += n
-                    dirty[:] = False
-                    return None
+            if engine.certify():
+                activations += n
+                dirty[:] = False
+                return None
             for v in range(n):
                 br = respond(v)
                 if br.swap is not None:
                     return br
-                dirty[v] = False
-            if self.responder == "best":  # pragma: no cover
-                raise AssertionError(
-                    "certify_at_rest reported a move no vertex produced"
-                )
+                if dirty is not None:
+                    dirty[v] = False
             return None
 
+        if loaded is None and self.record:
+            record_state()  # a resumed trace already holds this snapshot
+        # Quiet visits in a row after which the schedule looks for rest.
+        patience = n if self.schedule == "round_robin" else 2 * n
         cycle = False
         converged = False
-        if loaded is None:
-            record_state()  # a resumed trace already holds this snapshot
-
-        if self.schedule == "greedy":
-            # Greedy is canonical: every step compares ALL vertices, so the
-            # dirty heuristic must not narrow the argmax — a clean vertex may
-            # still hold the globally best improvement.  The engine makes each
-            # activation cheap; the full scan doubling as the convergence
-            # certificate means no separate verification sweep is needed.
-            while steps < self.max_steps:
-                guard_deadline()
-                best: BestResponse | None = None
+        while steps < self.max_steps:
+            guard_deadline()
+            if self.schedule == "greedy":
+                # Every step compares ALL vertices: a clean vertex may
+                # still hold the globally best improvement, so no dirty set
+                # narrows the argmax, and a scan with no mover certifies.
+                br = None
                 for v in range(n):
-                    br = respond(v)
-                    if br.swap is not None and (
-                        best is None or br.improvement > best.improvement
+                    cand = respond(v)
+                    if cand.swap is not None and (
+                        br is None or cand.improvement > br.improvement
                     ):
-                        best = br
-                if best is None:
-                    converged = True
-                    break
-                if not apply(best):
-                    cycle = True
-                    break
-
-        elif self.schedule == "round_robin":
-            while steps < self.max_steps:
-                guard_deadline()
-                if not dirty.any():
-                    pending = verification_sweep()
-                    if pending is None:
-                        converged = True
-                        break
-                    if not apply(pending):
-                        cycle = True
-                        break
-                    continue
-                v = pos["idx"] % n
-                pos["idx"] += 1
-                if not dirty[v]:
-                    continue  # provably quiet since its last no-op
-                br = respond(v)
-                if br.swap is None:
-                    dirty[v] = False
-                    continue
-                if not apply(br):
-                    cycle = True
-                    break
-
-        else:  # random schedule
-            while steps < self.max_steps:
-                guard_deadline()
-                if not dirty.any() or pos["quiet"] >= 2 * n:
-                    pending = verification_sweep()
-                    if pending is None:
-                        converged = True
-                        break
-                    pos["quiet"] = 0
-                    if not apply(pending):
-                        cycle = True
-                        break
-                    continue
-                v = int(self._rng.integers(0, n))
-                if not dirty[v]:
-                    pos["quiet"] += 1
+                        br = cand
+            elif (dirty is not None and not dirty.any()) or quiet >= patience:
+                # The oracle's n quiet round-robin activations already are
+                # a clean ordered sweep; everything else verifies.
+                swept = dirty is None and self.schedule == "round_robin"
+                br = None if swept else verification_sweep()
+                quiet = 0
+            else:
+                if self.schedule == "round_robin":
+                    v = idx % n
+                    idx += 1
+                else:
+                    v = int(rng.integers(0, n))
+                if dirty is not None and not dirty[v]:
+                    quiet += 1  # quiet since its last no-op
                     continue
                 br = respond(v)
                 if br.swap is None:
-                    dirty[v] = False
-                    pos["quiet"] += 1
+                    if dirty is not None:
+                        dirty[v] = False
+                    quiet += 1
                     continue
-                pos["quiet"] = 0
-                if not apply(br):
-                    cycle = True
-                    break
+                quiet = 0
+            if br is None:
+                converged = True
+                break
+            if not apply(br.swap):
+                cycle = True
+                break
 
         return DynamicsResult(
             engine.graph, converged, cycle, steps, activations,
-            moves, diam_trace, cost_trace, final_dm=engine.dm,
-        )
-
-    # ------------------------------------------------------------------
-    # Seed path: copied graphs, fresh best responses (cross-validation oracle)
-    # ------------------------------------------------------------------
-    def _respond_oracle(self, graph: CSRGraph, v: int) -> BestResponse:
-        if self.responder == "best":
-            return best_swap(graph, v, self._model, mode="oracle")
-        return first_improving_swap(graph, v, self._model, self._rng)
-
-    def _run_oracle(self, initial: CSRGraph) -> DynamicsResult:
-        config = self._checkpoint_config(initial)
-        loaded = None if self._ckpt is None else self._ckpt.load(config)
-        n = initial.n
-        if loaded is None:
-            state = AdjacencyGraph.from_csr(initial)
-            seen: set[frozenset[tuple[int, int]]] = {state.edge_set()}
-            steps = 0
-            activations = 0
-            moves: list[Swap] = []
-            diam_trace: list[float] = []
-            cost_trace: list[float] = []
-            pos = {"idx": 0, "quiet": 0}
-        else:
-            # Same restore discipline as the batched path (the oracle's
-            # checkpoints carry no dirty set — it has none).
-            state = AdjacencyGraph.from_csr(
-                CSRGraph(n, _decode_edges(loaded["edges"]))
-            )
-            seen = {
-                frozenset(_decode_edges(key)) for key in loaded["seen"]
-            }
-            steps = int(loaded["steps"])
-            activations = int(loaded["activations"])
-            moves = [
-                Swap(int(a), int(b), int(c)) for a, b, c in loaded["moves"]
-            ]
-            diam_trace = _decode_trace(loaded["diam"])
-            cost_trace = _decode_trace(loaded["cost"])
-            pos = {"idx": int(loaded["idx"]), "quiet": int(loaded["quiet"])}
-            self._rng.bit_generator.state = loaded["rng"]
-
-        def snapshot() -> CSRGraph:
-            return state.to_csr()
-
-        def save_checkpoint() -> None:
-            payload = {
-                "edges": _encode_edges(state.edge_set()),
-                "seen": sorted(_encode_edges(key) for key in seen),
-                "rng": self._rng.bit_generator.state,
-                "steps": steps,
-                "activations": activations,
-                "moves": [
-                    [int(s.vertex), int(s.drop), int(s.add)] for s in moves
-                ],
-                "diam": _encode_trace(diam_trace),
-                "cost": _encode_trace(cost_trace),
-                "idx": pos["idx"],
-                "quiet": pos["quiet"],
-            }
-            self._ckpt.save(
-                payload, config,
-                meta={"steps": steps, "activations": activations},
-            )
-
-        def guard_deadline() -> None:
-            if self._deadline is None:
-                return
-            try:
-                check_deadline(self._deadline)
-            except DeadlineExceeded:
-                if self._ckpt is not None:
-                    save_checkpoint()
-                raise
-
-        def record_state() -> None:
-            if self.record:
-                g = snapshot()
-                diam_trace.append(diameter_or_inf(g))
-                if g.n == 0:
-                    cost_trace.append(0.0)
-                else:
-                    # Same model-resolved social cost as the batched path
-                    # (asserted trace-equal in the oracle harness).
-                    cost_trace.append(
-                        self._model.social_cost(
-                            lift_distances(distance_matrix(g))
-                        )
-                    )
-
-        def apply(br: BestResponse) -> bool:
-            """Apply a move; returns False when it closes a cycle."""
-            nonlocal steps
-            assert br.swap is not None
-            state.swap_edge(br.swap.vertex, br.swap.drop, br.swap.add)
-            steps += 1
-            if self.record:
-                moves.append(br.swap)
-                record_state()
-            key = state.edge_set()
-            if key in seen:
-                return False
-            seen.add(key)
-            if (
-                self._ckpt is not None
-                and self._ckpt_every is not None
-                and steps % self._ckpt_every == 0
-            ):
-                save_checkpoint()
-            return True
-
-        cycle = False
-        converged = False
-        if loaded is None:
-            record_state()  # a resumed trace already holds this snapshot
-
-        if self.schedule == "greedy":
-            while steps < self.max_steps:
-                guard_deadline()
-                best: BestResponse | None = None
-                g = snapshot()
-                for v in range(n):
-                    activations += 1
-                    br = self._respond_oracle(g, v)
-                    if br.swap is not None and (
-                        best is None or br.improvement > best.improvement
-                    ):
-                        best = br
-                if best is None:
-                    converged = True
-                    break
-                if not apply(best):
-                    cycle = True
-                    break
-            return DynamicsResult(
-                snapshot(), converged, cycle, steps, activations,
-                moves, diam_trace, cost_trace,
-            )
-
-        if self.schedule == "round_robin":
-            # pos["quiet"]: consecutive activations without a move
-            order = list(range(n))
-            while steps < self.max_steps and pos["quiet"] < n:
-                guard_deadline()
-                v = order[pos["idx"] % n]
-                pos["idx"] += 1
-                activations += 1
-                br = self._respond_oracle(snapshot(), v)
-                if br.swap is None:
-                    pos["quiet"] += 1
-                    continue
-                pos["quiet"] = 0
-                if not apply(br):
-                    cycle = True
-                    break
-            converged = (not cycle) and pos["quiet"] >= n
-            return DynamicsResult(
-                snapshot(), converged, cycle, steps, activations,
-                moves, diam_trace, cost_trace,
-            )
-
-        # random schedule: quiet streak of 2n activations triggers a full
-        # deterministic verification sweep before declaring convergence.
-        while steps < self.max_steps:
-            guard_deadline()
-            if pos["quiet"] >= 2 * n:
-                g = snapshot()
-                verified = True
-                pending: BestResponse | None = None
-                for v in range(n):
-                    activations += 1
-                    br = self._respond_oracle(g, v)
-                    if br.swap is not None:
-                        verified = False
-                        pending = br
-                        break
-                if verified:
-                    converged = True
-                    break
-                pos["quiet"] = 0
-                assert pending is not None
-                if not apply(pending):
-                    cycle = True
-                    break
-                continue
-            v = int(self._rng.integers(0, n))
-            activations += 1
-            br = self._respond_oracle(snapshot(), v)
-            if br.swap is None:
-                pos["quiet"] += 1
-                continue
-            pos["quiet"] = 0
-            if not apply(br):
-                cycle = True
-                break
-        return DynamicsResult(
-            snapshot(), converged, cycle, steps, activations,
             moves, diam_trace, cost_trace,
+            final_dm=engine.dm if engine.maintains_dm else None,
         )

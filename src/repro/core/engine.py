@@ -37,7 +37,7 @@ from ..graphs.repair import (
     removal_affected_sources,
     removal_matrix_repair,
 )
-from .costs import INT_INF, lift_distances
+from .costs import lift_distances
 from .moves import Swap
 
 __all__ = ["DistanceEngine"]
@@ -51,34 +51,21 @@ class DistanceEngine:
     Parameters
     ----------
     graph:
-        Initial graph (CSR or adjacency form; copied either way).
-    dm:
-        Optional precomputed distance matrix of ``graph`` — raw int32 with
-        ``UNREACHABLE`` or already lifted — to skip the base APSP.
+        Initial graph (copied into a mutable adjacency form).
     """
 
     __slots__ = ("_adj", "_dm", "_pc", "_base_plus1", "_scratch")
 
-    def __init__(
-        self,
-        graph: CSRGraph | AdjacencyGraph,
-        dm: np.ndarray | None = None,
-    ):
+    def __init__(self, graph: CSRGraph):
         self._pc: np.ndarray | None = None  # lazy predecessor-count table
         self._base_plus1: np.ndarray | None = None  # lazy dm + 1 scratch
         self._scratch: np.ndarray | None = None  # (n, n) kernel workspace
-        if isinstance(graph, AdjacencyGraph):
-            self._adj = graph.copy()
-        elif isinstance(graph, CSRGraph):
-            self._adj = AdjacencyGraph.from_csr(graph)
-        else:
+        if not isinstance(graph, CSRGraph):
             raise GraphError(
-                f"DistanceEngine needs a CSRGraph or AdjacencyGraph, "
-                f"got {type(graph).__name__}"
+                f"DistanceEngine needs a CSRGraph, got {type(graph).__name__}"
             )
-        if dm is None:
-            dm = distance_matrix(self.graph)
-        self._dm = lift_distances(np.asarray(dm))
+        self._adj = AdjacencyGraph.from_csr(graph)
+        self._dm = lift_distances(distance_matrix(graph))
 
     # ------------------------------------------------------------------
     # Views
@@ -126,30 +113,6 @@ class DistanceEngine:
         if self._scratch is None:
             self._scratch = np.empty((self.n, self.n), dtype=np.int64)
         return self._base_plus1, self._scratch
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return bool((self._dm[0] < INT_INF).all())
-
-    def cost(self, v: int, objective: "Objective | str" = "sum") -> float:
-        """The agent cost of ``v`` in the current graph (``inf`` if disconnected).
-
-        ``objective`` accepts any cost model or spec string
-        (:mod:`repro.core.costmodel`); the historical ``"sum"``/``"max"``
-        strings behave exactly as before.
-        """
-        from .costmodel import resolve_cost_model
-
-        return resolve_cost_model(objective, self.n).row_cost(v, self._dm[v])
-
-    def sum_costs(self) -> np.ndarray:
-        """Lifted int64 vector of per-vertex sum costs."""
-        return self._dm.sum(axis=1)
-
-    def eccentricities(self) -> np.ndarray:
-        """Lifted int64 vector of per-vertex eccentricities."""
-        return self._dm.max(axis=1)
 
     # ------------------------------------------------------------------
     # Mutation

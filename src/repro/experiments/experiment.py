@@ -351,7 +351,8 @@ def run_fleet(
     validation, quarantined ``FleetFailure`` slots under
     ``on_error="record"``, ``retry_failed=True`` re-running exactly the
     quarantined slots of a resumed prefix (so it needs ``resume=True``),
-    and ``durability`` selecting the flush cadence.
+    and ``durability`` (``"flush"`` or ``"fsync"``) selecting how far each
+    appended batch is pushed.
 
     ``checkpoint_dir`` (DESIGN.md §13, experiments that declare the
     checkpoint task slots only) gives every slot a crash-safe in-task

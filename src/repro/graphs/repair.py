@@ -19,6 +19,8 @@ keeps it:
   shortest path used ``e``), keeps all other distances, and re-settles the
   invalid region by a multi-source unit-weight Dijkstra seeded from the valid
   boundary.  Cost is proportional to the invalid region, not the graph.
+* :func:`repair_removal_rows` — the one strategy choice for many affected
+  rows: per-row seeded repairs for a few, one batched BFS for many.
 * :func:`removal_matrix_repair` — the matrix-level wrapper: copy the base
   matrix, repair only affected rows.
 
@@ -42,6 +44,7 @@ __all__ = [
     "predecessor_counts",
     "removal_affected_matrix",
     "removal_affected_sources",
+    "repair_removal_rows",
     "repair_row_after_removal",
     "removal_matrix_repair",
 ]
@@ -339,6 +342,28 @@ def _batched_removal_rows(
 _BATCH_THRESHOLD = 4
 
 
+def repair_removal_rows(
+    graph: CSRGraph,
+    dm: np.ndarray,
+    edge: tuple[int, int],
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Rows ``rows`` of the lifted APSP matrix of ``graph − edge``.
+
+    The one place that picks how removal rows are repaired: a seeded
+    partial BFS per row (:func:`repair_row_after_removal`) for up to
+    ``_BATCH_THRESHOLD`` rows, one batched level-synchronous BFS over all
+    of them (:func:`batched_removal_rows_multi`) above that.  ``dm`` is the
+    lifted base matrix and ``rows`` a non-empty index array; the result is
+    a ``(len(rows), n)`` lifted int64 matrix.
+    """
+    if rows.size <= _BATCH_THRESHOLD:
+        return np.stack(
+            [repair_row_after_removal(graph, edge, dm[r]) for r in rows]
+        )
+    return _batched_removal_rows(graph, edge[0], edge[1], rows)
+
+
 def removal_matrix_repair(
     graph: CSRGraph,
     dm: np.ndarray,
@@ -356,10 +381,8 @@ def removal_matrix_repair(
       untouched (a simple path cannot cross a bridge twice), so the update
       is two block assignments of the infinite sentinel — the dominant case
       for tree dynamics;
-    * **few rows** — seeded partial BFS per row
-      (:func:`repair_row_after_removal`);
-    * **many rows** — one batched level-synchronous BFS over all affected
-      sources (:func:`_batched_removal_rows`).
+    * otherwise :func:`repair_removal_rows` — per-row seeded BFS for a few
+      rows, one batched BFS over many.
 
     Exactly equal to recomputing APSP on the rebuilt graph.  ``affected``
     lets a caller that already computed :func:`removal_affected_sources`
@@ -382,18 +405,14 @@ def removal_matrix_repair(
     sources = np.nonzero(mask)[0]
     if sources.size == 0:
         return out
-    if sources.size <= _BATCH_THRESHOLD:
-        # Small affected sets go straight to seeded per-row repairs (which
-        # handle disconnection themselves); a bridge cannot land here for
-        # n > threshold since it affects every source.
-        for s in sources:
-            out[s] = repair_row_after_removal(graph, (a, b), dm[s])
-        return out
-    half = bfs_distances(graph, b, exclude=(a, b))
-    if half[a] == UNREACHABLE:  # bridge: b's side is cut off from a's
-        side = half != UNREACHABLE
-        out[np.ix_(side, ~side)] = INT_INF_DISTANCE
-        out[np.ix_(~side, side)] = INT_INF_DISTANCE
-        return out
-    out[sources] = _batched_removal_rows(graph, a, b, sources)
+    if sources.size > _BATCH_THRESHOLD:
+        # A bridge affects every source, so small affected sets go straight
+        # to the row repairs (which handle disconnection themselves).
+        half = bfs_distances(graph, b, exclude=(a, b))
+        if half[a] == UNREACHABLE:  # bridge: b's side is cut off from a's
+            side = half != UNREACHABLE
+            out[np.ix_(side, ~side)] = INT_INF_DISTANCE
+            out[np.ix_(~side, side)] = INT_INF_DISTANCE
+            return out
+    out[sources] = repair_removal_rows(graph, dm, (a, b), sources)
     return out

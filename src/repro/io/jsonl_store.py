@@ -31,14 +31,13 @@ so crash-injection tests can intercept exactly the writes a store performs.
 
 Fault-tolerance additions (ISSUE 6, DESIGN.md §9):
 
-* **Durability cadence** — ``durability=`` selects what :meth:`JsonlStore.
-  append` does after serializing a batch: ``"none"`` (leave it to the OS
-  and the file object's buffer), ``"flush"`` (the default: flush the
-  Python-level buffer, so a fleet crash loses at most the final batch to
-  the torn-tail policy, never minutes of buffered records), or ``"fsync"``
-  (flush + ``os.fsync``, surviving host power loss at a per-batch syscall
-  cost).  The default is ``"flush"`` because the failure mode fleets
-  actually see is process death, not power loss.
+* **Durability cadence** — ``durability=`` selects how far each appended
+  batch is pushed: ``"flush"`` (the default: the Python-level buffer is
+  flushed after every batch, so a fleet crash loses at most the final
+  batch to the torn-tail policy, never minutes of buffered records) or
+  ``"fsync"`` (also ``os.fsync``, surviving host power loss at a per-batch
+  syscall cost).  The default is ``"flush"`` because the failure mode
+  fleets actually see is process death, not power loss.
 * **Quarantine records** — :class:`FleetFailure` is the on-disk shape of a
   task that failed past its retry budget: the task's grid coordinates, the
   error, and the attempt count, marked with the ``"fleet_failure"`` key so
@@ -266,8 +265,8 @@ class JsonlStore:
     record_name:
         Human name of the record type, used in corruption errors.
     durability:
-        What :meth:`append` does after each batch: ``"none"``, ``"flush"``
-        (default), or ``"fsync"`` — see the module docstring.
+        How far :meth:`append` pushes each batch: ``"flush"`` (default) or
+        ``"fsync"`` — see the module docstring.
     """
 
     def __init__(
@@ -281,10 +280,9 @@ class JsonlStore:
         record_name: str = "record",
         durability: str = "flush",
     ):
-        if durability not in ("none", "flush", "fsync"):
+        if durability not in ("flush", "fsync"):
             raise ConfigurationError(
-                f"durability must be 'none', 'flush' or 'fsync', "
-                f"got {durability!r}"
+                f"durability must be 'flush' or 'fsync', got {durability!r}"
             )
         self.path = Path(path)
         self.config_key = config_key
@@ -491,10 +489,8 @@ class JsonlStore:
                 ) from faults.InjectedFault("no space left on device")
         try:
             write_records(sink, records)
-            if self.durability == "flush":
-                sink.flush()
-            elif self.durability == "fsync":
-                sink.flush()
+            sink.flush()
+            if self.durability == "fsync":
                 os.fsync(sink.fileno())
                 # An appended record is only durable once the *file* is —
                 # and a freshly created stream only once its directory

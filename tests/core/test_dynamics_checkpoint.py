@@ -37,6 +37,7 @@ class _KillAfter(CheckpointStore):
     def save(self, payload, config, meta=None):
         out = super().save(payload, config, meta)
         self.saves += 1
+        self.payload = payload
         if self.saves >= self.kills_after:
             raise _SimulatedKill()
         return out
@@ -113,6 +114,37 @@ class TestEngineModeSplice:
             _dyn("sum", "batched").run(
                 initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
             )
+
+
+#: The payload keys of an oracle snapshot.  The oracle keeps no dirty set,
+#: so only batched snapshots add a "dirty" key; resume reads both formats.
+ORACLE_KEYS = {
+    "edges", "seen", "rng", "steps", "activations", "moves", "diam", "cost",
+    "idx", "quiet",
+}
+
+
+@pytest.mark.parametrize("engine_mode", ENGINE_MODES)
+@pytest.mark.parametrize("schedule", ["round_robin", "random", "greedy"])
+def test_snapshot_keys_and_resume_per_schedule(tmp_path, schedule, engine_mode):
+    def dyn():
+        return SwapDynamics(
+            engine_mode=engine_mode, schedule=schedule, record=True,
+            max_steps=400, seed=7,
+        )
+
+    initial = random_connected_gnm(9, 12, seed=3)
+    clean = dyn().run(initial)
+    assert clean.steps >= 2
+    path = tmp_path / "slot.ckpt"
+    killer = _KillAfter(path, kills_after=2)
+    with pytest.raises(_SimulatedKill):
+        dyn().run(initial, checkpoint=killer, checkpoint_every=1)
+    expected = ORACLE_KEYS | ({"dirty"} if engine_mode == "batched" else set())
+    assert set(killer.payload) == expected
+    resumed = dyn().run(initial, checkpoint=path, checkpoint_every=1)
+    assert resumed == clean
+    assert resumed.activations == clean.activations
 
 
 class TestDeadlinePreemption:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import equilibrium
 from repro.core import DistanceEngine, Swap, removal_distance_matrix
-from repro.core.costs import lift_distances
+from repro.core.costs import INT_INF, lift_distances
 from repro.graphs import (
     cycle_graph,
     distance_matrix,
@@ -122,19 +122,10 @@ class TestIncrementalApply:
         g = path_graph(6)
         engine = DistanceEngine(g)
         engine.apply_swap(Swap(0, 1, 5))  # relocate the end edge
-        assert engine.is_connected()
+        assert (engine.dm < INT_INF).all()  # connected again
         assert np.array_equal(
             engine.dm, lift_distances(distance_matrix(engine.graph))
         )
-
-    def test_cost_views(self):
-        g = star_graph(7)
-        engine = DistanceEngine(g)
-        dm = lift_distances(distance_matrix(g))
-        assert engine.cost(0, "sum") == float(dm[0].sum())
-        assert engine.cost(1, "max") == float(dm[1].max())
-        assert np.array_equal(engine.sum_costs(), dm.sum(axis=1))
-        assert np.array_equal(engine.eccentricities(), dm.max(axis=1))
 
     def test_rejects_non_graph(self):
         from repro.errors import GraphError

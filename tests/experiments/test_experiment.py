@@ -229,11 +229,19 @@ class TestStore:
         store.rewrite_prefix(rows)
         assert store.resume_records() == rows
 
-    @pytest.mark.parametrize("durability", ["none", "flush", "fsync"])
+    @pytest.mark.parametrize("durability", ["flush", "fsync"])
     def test_make_store_applies_durability(self, tmp_path, durability):
         store = make_experiment().make_store(tmp_path / "x.jsonl", durability)
         assert store.durability == durability
         assert store.path == tmp_path / "x.jsonl"
+
+    def test_run_fleet_rejects_durability_none(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="durability"):
+            run_fleet(
+                make_experiment(), jsonl_path=tmp_path / "x.jsonl",
+                durability="none",
+            )
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestRunFleet:
