@@ -7,7 +7,9 @@ is organized around three batch ideas:
 1. **Plan** — :func:`repro.graphs.removal_affected_matrix` computes the
    affected-source masks of a whole block of edges in one |E|×n comparison
    against the base matrix (plus a predecessor-count table), and
-   classifies bridges with one half-BFS per all-sources edge.  Blocks are
+   classifies bridges by the one bridge rule
+   (:func:`repro.graphs.repair.bridge_side`: one half-BFS per edge that
+   affects every source).  Blocks are
    built lazily and double from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK``
    edges, so an audit that stops at an early violation plans a handful of
    edges, while a full audit batches as widely as ever.
@@ -62,21 +64,18 @@ import numpy as np
 from ..errors import GraphError
 from ..graphs import CSRGraph
 from ..parallel import check_deadline
-from ..graphs.bfs import UNREACHABLE, bfs_distances
 from ..graphs.repair import (
     batched_removal_rows_multi,
+    bridge_side,
     predecessor_counts,
     removal_affected_matrix,
     removal_affected_sources,
-    removal_matrix_repair,
-    repair_removal_rows,
 )
 from .best_response import BestResponse
 from .costmodel import SUM_COST, CostModel, resolve_cost_model
 from .costs import INT_INF
 from .equilibrium import Violation
 from .moves import Swap
-from .swap_eval import all_swap_costs_for_drop
 
 __all__ = [
     "BatchedRemovalPlan",
@@ -91,6 +90,11 @@ __all__ = [
 class BatchedRemovalPlan:
     """Batched audit state for a set of edges of one graph.
 
+    Every repaired row comes from one union BFS
+    (:func:`~repro.graphs.batched_removal_rows_multi`) over the planned
+    edges' endpoint jobs; a bridge, found by the one bridge rule
+    (:func:`~repro.graphs.repair.bridge_side`), needs no BFS row at all.
+
     Parameters
     ----------
     graph, lifted:
@@ -104,15 +108,14 @@ class BatchedRemovalPlan:
         planned edges' endpoints need are computed — O(deg) rows for a
         per-vertex plan instead of the full table.
     sources:
-        ``"both"`` (default) — classify bridges and repair both endpoint
-        rows per edge, what the audit scans need; ``"mover"`` — the lean
-        per-activation layout of the best-response kernel: only the row of
-        each edge's *first* endpoint is repaired (the kernel's edges are
-        ``(v, w)`` with a fixed mover ``v``), every edge — bridges
-        included — rides the single union BFS (a bridge's mover row falls
-        out naturally: the far side simply stays unreached), and the
-        affected-source masks are derived lazily, only if an exact removal
-        matrix is actually requested.
+        ``"both"`` (default) — plan the affected-source masks, classify
+        bridges and repair both endpoint rows per edge, what the audit
+        scans need; ``"mover"`` — the lean per-activation layout of the
+        best-response kernel: only the row of each edge's *first* endpoint
+        is repaired (the kernel's edges are ``(v, w)`` with a fixed mover
+        ``v``), every edge — bridges included — rides the single union BFS
+        (a bridge's mover row falls out naturally: the far side simply
+        stays unreached), and no affected-source masks are planned.
     """
 
     def __init__(
@@ -130,37 +133,37 @@ class BatchedRemovalPlan:
         self.lifted = lifted
         self.edges = [(int(a), int(b)) for a, b in edges]
         self._sources = sources
-        self._pred_counts = pred_counts
-        n = graph.n
 
         #: edge index -> boolean mask of the component of ``b`` in G − e.
         self._bridge_side: dict[int, np.ndarray] = {}
-        #: lazily materialized exact removal matrix of the last edge asked.
-        self._full_cache: tuple[int, np.ndarray] | None = None
-        #: (len(edges), n) affected-source masks; lazy for mover-only plans.
+        #: (len(edges), n) affected-source masks; ``None`` for mover plans.
         self._affected: np.ndarray | None = None
 
         jobs: list[tuple[int, int, int]] = []  # (a, b, source) per job
         slots: list[int] = []  # edge index owning jobs[k]
         if sources == "mover":
             # Hot-path layout: only mover rows, no bridge probing (either
-            # strategy yields the correct mover row for a bridge — the
-            # severed side simply stays at the infinite sentinel) and no
-            # affected-source planning until an exact matrix is needed.
+            # way the mover row is correct for a bridge — the severed side
+            # simply stays at the infinite sentinel) and no affected-source
+            # planning.
             for i, (a, b) in enumerate(self.edges):
                 jobs.append((a, b, a))
                 slots.append(i)
         else:
-            self._affected = self._affected_masks()
-            counts = self._affected.sum(axis=1)
+            if pred_counts is None and self.edges:
+                pred_counts = predecessor_counts(
+                    graph,
+                    lifted,
+                    vertices=np.unique(np.asarray(self.edges, dtype=np.int64)),
+                )
+            self._affected = removal_affected_matrix(
+                graph, lifted, self.edges, pred_counts=pred_counts
+            )
             for i, (a, b) in enumerate(self.edges):
-                if counts[i] == n and n > 1:
-                    # All sources affected: bridge candidate.  One half-BFS
-                    # settles it (a bridge cuts a off from b's side).
-                    half = bfs_distances(graph, b, exclude=(a, b))
-                    if half[a] == UNREACHABLE:
-                        self._bridge_side[i] = half != UNREACHABLE
-                        continue
+                side = bridge_side(graph, (a, b), self._affected[i])
+                if side is not None:
+                    self._bridge_side[i] = side
+                    continue
                 # Non-bridge: both endpoint rows change (d(a, b) strictly
                 # increases), and they are all the bound scan needs.
                 jobs.append((a, b, a))
@@ -179,32 +182,11 @@ class BatchedRemovalPlan:
             for k, i in enumerate(slots):
                 self._end_rows[i] = rows[per_edge * k : per_edge * (k + 1)]
 
-    def _affected_masks(self) -> np.ndarray:
-        """Affected-source masks of the planned edges (computed on demand)."""
-        if self._affected is None:
-            pc = self._pred_counts
-            if pc is None and self.edges:
-                pc = predecessor_counts(
-                    self.graph,
-                    self.lifted,
-                    vertices=np.unique(
-                        np.asarray(self.edges, dtype=np.int64)
-                    ),
-                )
-            self._affected = removal_affected_matrix(
-                self.graph, self.lifted, self.edges, pred_counts=pc
-            )
-        return self._affected
-
     # ------------------------------------------------------------------
     def is_bridge(self, i: int) -> bool:
         """Whether edge ``i`` was classified a bridge (audit plans only —
         a mover-only plan never probes for bridges)."""
         return i in self._bridge_side
-
-    def affected_sources(self, i: int) -> np.ndarray:
-        """Sorted affected sources of edge ``i`` (all of them for a bridge)."""
-        return np.nonzero(self._affected_masks()[i])[0]
 
     def endpoint_row(self, i: int, v: int) -> np.ndarray:
         """The exact distance row of endpoint ``v`` in ``G − edges[i]``."""
@@ -221,31 +203,6 @@ class BatchedRemovalPlan:
                 f"of edge {self.edges[i]}"
             )
         return self._end_rows[i][0 if v == a else 1]
-
-    def removal_matrix(self, i: int) -> np.ndarray:
-        """Exact lifted APSP of ``G − edges[i]``, cached for the last edge.
-
-        Bridges are two block assignments of the infinite sentinel;
-        everything else goes through the affected-row bucketing (seeded
-        few-row repairs / one batched BFS) of
-        :func:`~repro.graphs.removal_matrix_repair`.
-        """
-        if self._full_cache is not None and self._full_cache[0] == i:
-            return self._full_cache[1]
-        side = self._bridge_side.get(i)
-        if side is not None:
-            out = np.array(self.lifted, copy=True)
-            out[np.ix_(side, ~side)] = INT_INF
-            out[np.ix_(~side, side)] = INT_INF
-        else:
-            out = removal_matrix_repair(
-                self.graph,
-                self.lifted,
-                self.edges[i],
-                affected=self._affected_masks()[i],
-            )
-        self._full_cache = (i, out)
-        return out
 
     # ------------------------------------------------------------------
     def bound_costs(
@@ -286,34 +243,18 @@ class BatchedRemovalPlan:
         w: int,
         objective,
         *,
-        bound: np.ndarray | None = None,
+        bound: np.ndarray,
     ) -> np.ndarray:
         """Exact post-swap costs of mover ``v`` dropping ``edges[i]``.
 
-        ``bound`` — the *unmasked* array a prior :meth:`bound_costs` call
-        for the same ``(i, v, w)`` returned — switches on the patch path:
-        the bound is already **exact** for every add-target whose distance
-        row survives the removal (``min(dv, 1 + base)`` with
-        ``removal == base``), so only the affected rows are repaired and
-        re-aggregated, O(affected · n) instead of the full removal matrix.
-        Bridges are recognized from ``dv`` itself (the severed side sits at
-        the infinite sentinel): near-side re-adds stay disconnected
-        (cost ``inf``) and far-side re-adds aggregate over the intact
-        within-component base distances.  Values are bit-identical to the
-        full-matrix evaluation — same floats, same downstream argmin
-        tie-breaks.
+        ``bound`` is the *unmasked* array a prior :meth:`bound_costs` call
+        for the same ``(i, v, w)`` returned; :func:`exact_costs_from_bound`
+        patches it exactly, reusing the plan's affected-source mask.
         """
         model = (
             objective
             if isinstance(objective, CostModel)
             else resolve_cost_model(objective, self.graph.n)
-        )
-        if bound is None:
-            return all_swap_costs_for_drop(
-                self.graph, v, w, model, self.removal_matrix(i)
-            )
-        affected = (
-            self._affected_masks()[i] if self._affected is not None else None
         )
         return exact_costs_from_bound(
             self.graph,
@@ -323,7 +264,7 @@ class BatchedRemovalPlan:
             self.endpoint_row(i, v),
             model,
             bound,
-            affected=affected,
+            affected=None if self._affected is None else self._affected[i],
         )
 
 
@@ -344,7 +285,8 @@ def exact_costs_from_bound(
     :meth:`BatchedRemovalPlan.bound_costs` (``agg min(dv, 1 + base)``) and
     ``dv`` the mover's exact row in ``G − edge``.  The bound is already
     exact for every add-target whose row the removal does not change
-    (``removal == base`` there), so only the affected rows are repaired and
+    (``removal == base`` there), so only the affected rows are recomputed
+    (one union BFS, :func:`~repro.graphs.batched_removal_rows_multi`) and
     re-aggregated — O(affected · n) instead of materializing the removal
     matrix.  A bridge is recognized from ``dv`` itself (the severed side
     sits at the infinite sentinel): near-side re-adds leave the graph
@@ -368,7 +310,10 @@ def exact_costs_from_bound(
             affected = removal_affected_sources(graph, lifted, edge)
         rows = np.nonzero(affected)[0]
         if rows.size:
-            sub = repair_removal_rows(graph, lifted, edge, rows)
+            k = rows.size
+            sub = batched_removal_rows_multi(
+                graph, np.full(k, edge[0]), np.full(k, edge[1]), rows
+            )
             cand = np.minimum(dv[None, :], sub + 1)
             out[rows] = model.candidate_costs(v, cand)
     out[v] = math.inf
@@ -576,9 +521,12 @@ def best_swap_scan(
     ``lifted`` is the lifted base matrix of ``graph``; ``base_plus1``
     (= ``lifted + 1``) and the ``(n, n)`` int64 scratch ``buf`` are optional
     caller-owned scratch so a dynamics engine can amortize them across
-    activations.
+    activations.  A mover outside ``range(n)`` raises the oracle's
+    :class:`~repro.errors.GraphError`.
     """
     n = graph.n
+    if not 0 <= v < n:
+        raise GraphError(f"source {v} out of range for n={n}")
     check_deadline(deadline)
     model = resolve_cost_model(objective, n)
     if prefer_deletions_on_tie is None:

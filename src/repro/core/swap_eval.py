@@ -104,9 +104,11 @@ def removal_distance_matrix(
         copy).  With ``mode="repair"`` it is the matrix the removal
         rows are derived from; amortize it across edges when auditing.
     mode:
-        ``"repair"`` (default) — affected-row detection plus seeded partial
-        BFS against the base matrix; ``"rebuild"`` — the seed oracle path, a
-        fresh APSP on a rebuilt graph.
+        ``"repair"`` (default) — :func:`~repro.graphs.removal_matrix_repair`
+        against the base matrix: affected-row detection, then a bridge's
+        two sentinel blocks or one union BFS over the affected rows;
+        ``"rebuild"`` — the seed oracle path, a fresh APSP on a rebuilt
+        graph.
     """
     a, b = int(edge[0]), int(edge[1])
     if mode == "rebuild":

@@ -51,7 +51,6 @@ from .repair import (
     removal_affected_matrix,
     removal_affected_sources,
     removal_matrix_repair,
-    repair_row_after_removal,
 )
 from .properties import (
     connected_components,
@@ -110,7 +109,6 @@ __all__ = [
     "removal_affected_matrix",
     "removal_affected_sources",
     "removal_matrix_repair",
-    "repair_row_after_removal",
     "sphere_sizes",
     "star_graph",
     "sum_distances_from",

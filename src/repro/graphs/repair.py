@@ -1,4 +1,4 @@
-"""Incremental single-edge-removal repair of cached distance rows.
+"""Distance rows of ``G − e`` derived from a cached base matrix.
 
 The audit and dynamics hot paths evaluate ``G − e`` for every edge ``e`` of a
 graph whose full APSP matrix is already known.  Recomputing APSP from scratch
@@ -13,16 +13,16 @@ keeps it:
   level ``d(s,a)``, every path through ``e`` can be rerouted at ``b`` without
   a detour, so the whole row survives.  What remains — sources for which ``a``
   is ``b``'s *only* predecessor — is exactly the affected set.
-* :func:`repair_row_after_removal` — a **seeded partial BFS** fixing one
-  affected row in place of a fresh BFS: it walks the shortest-path DAG from
-  the orphaned endpoint to find the *invalid* vertices (those whose every
-  shortest path used ``e``), keeps all other distances, and re-settles the
-  invalid region by a multi-source unit-weight Dijkstra seeded from the valid
-  boundary.  Cost is proportional to the invalid region, not the graph.
-* :func:`repair_removal_rows` — the one strategy choice for many affected
-  rows: per-row seeded repairs for a few, one batched BFS for many.
+  :func:`removal_affected_matrix` computes the masks of many edges at once.
+* :func:`batched_removal_rows_multi` — the **one row kernel**: every
+  repaired row is computed by a level-synchronous BFS over a union of
+  ``(removed edge, source)`` jobs, one sparse product per level.
+* :func:`bridge_side` — the **one bridge rule**: a bridge changes every row,
+  so only an edge that affects every source is probed, by one half-BFS; a
+  confirmed bridge needs no BFS rows at all.
 * :func:`removal_matrix_repair` — the matrix-level wrapper: copy the base
-  matrix, repair only affected rows.
+  matrix, then blank a bridge's cross blocks or recompute only the affected
+  rows with the row kernel.
 
 All inputs and outputs here use the *lifted* int64 convention (unreachable =
 :data:`INT_INF_DISTANCE`), matching :func:`repro.core.costs.lift_distances`,
@@ -35,17 +35,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphError
-from .bfs import UNREACHABLE, _frontier_neighbors, bfs_distances
+from .bfs import UNREACHABLE, bfs_distances
 from .csr import CSRGraph
 
 __all__ = [
     "INT_INF_DISTANCE",
     "batched_removal_rows_multi",
+    "bridge_side",
     "predecessor_counts",
     "removal_affected_matrix",
     "removal_affected_sources",
-    "repair_removal_rows",
-    "repair_row_after_removal",
     "removal_matrix_repair",
 ]
 
@@ -151,106 +150,6 @@ def removal_affected_matrix(
     return affected
 
 
-def _invalid_set(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    old: np.ndarray,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Vertices whose distance from the row's source strictly increases.
-
-    ``old`` is the pre-removal row; ``hi`` is the far endpoint of the removed
-    edge (already known to have lost its only predecessor ``lo``).  A vertex
-    at level ``L+1`` is invalid iff *all* of its level-``L`` predecessors are
-    invalid; propagation is level-synchronous starting from ``hi``.
-    """
-    n = old.shape[0]
-    invalid = np.zeros(n, dtype=bool)
-    invalid[hi] = True
-    frontier = np.asarray([hi], dtype=np.int32)
-    level = int(old[hi])
-    while frontier.size:
-        srcs, nbrs = _frontier_neighbors(indptr, indices, frontier)
-        if nbrs.size == 0:
-            break
-        cand = np.unique(nbrs[(old[nbrs] == level + 1) & ~invalid[nbrs]])
-        if cand.size == 0:
-            break
-        csrcs, cnbrs = _frontier_neighbors(indptr, indices, cand.astype(np.int32))
-        valid_pred = (old[cnbrs] == level) & ~invalid[cnbrs]
-        has_valid = np.zeros(n, dtype=bool)
-        has_valid[csrcs[valid_pred]] = True
-        newly = cand[~has_valid[cand]]
-        if newly.size == 0:
-            break
-        invalid[newly] = True
-        frontier = newly.astype(np.int32)
-        level += 1
-    return invalid
-
-
-def repair_row_after_removal(
-    graph: CSRGraph,
-    edge: tuple[int, int],
-    old_row: np.ndarray,
-) -> np.ndarray:
-    """Repair one lifted distance row of ``graph`` for the deletion of ``edge``.
-
-    ``old_row`` is the row *before* removal (lifted int64); the source is
-    implicit (the unique vertex at distance 0).  Returns a fresh row equal to
-    a from-scratch BFS in ``G − edge`` — including :data:`INT_INF_DISTANCE`
-    entries when the removal disconnects part of the graph from the source.
-
-    The repair is a seeded partial BFS: distances outside the invalid region
-    are kept verbatim; the invalid region is re-settled by unit-weight
-    multi-source Dijkstra seeded from its valid boundary.  Rows that the
-    removal provably cannot change are returned as a plain copy.
-    """
-    a, b = _check_edge(graph, *edge)
-    old = np.asarray(old_row, dtype=np.int64)
-    da, db = int(old[a]), int(old[b])
-    if da >= INT_INF_DISTANCE or db >= INT_INF_DISTANCE or abs(da - db) != 1:
-        return old.copy()
-    lo, hi = (a, b) if da < db else (b, a)
-    indptr, indices = graph.indptr, graph.indices
-
-    # If hi keeps another predecessor the row is provably unchanged.
-    others = graph.neighbors(hi)
-    others = others[others != lo]
-    if others.size and (old[others] == old[hi] - 1).any():
-        return old.copy()
-
-    invalid = _invalid_set(indptr, indices, old, lo, hi)
-    inv = np.nonzero(invalid)[0].astype(np.int32)
-    new = old.copy()
-    new[inv] = INT_INF_DISTANCE
-
-    # Adjacency of the invalid region, with the removed edge masked out.
-    isrcs, inbrs = _frontier_neighbors(indptr, indices, inv)
-    if isrcs.size:
-        keep = ~(
-            ((isrcs == a) & (inbrs == b)) | ((isrcs == b) & (inbrs == a))
-        )
-        isrcs, inbrs = isrcs[keep], inbrs[keep]
-
-    unresolved = invalid.copy()
-    while isrcs.size:
-        open_pairs = unresolved[isrcs]
-        nbr_dist = new[inbrs]
-        usable = open_pairs & (nbr_dist < INT_INF_DISTANCE)
-        if not usable.any():
-            break  # the rest is cut off from the source: stays infinite
-        cand_dist = nbr_dist[usable] + 1
-        settle_at = int(cand_dist.min())
-        settled = np.unique(isrcs[usable][cand_dist == settle_at])
-        new[settled] = settle_at
-        unresolved[settled] = False
-        if not unresolved.any():
-            break
-    return new
-
-
 #: Column cap for one batched-BFS frontier block (bounds peak memory at
 #: roughly ``3 · n · _BLOCK_ENTRIES_TARGET / n`` int32/bool entries).
 _BLOCK_ENTRIES_TARGET = 1 << 24
@@ -325,43 +224,26 @@ def batched_removal_rows_multi(
     return out
 
 
-def _batched_removal_rows(
-    graph: CSRGraph, a: int, b: int, sources: np.ndarray
-) -> np.ndarray:
-    """Single-edge convenience wrapper over the cross-edge batched BFS."""
-    k = np.asarray(sources).size
-    return batched_removal_rows_multi(
-        graph,
-        np.full(k, a, dtype=np.int64),
-        np.full(k, b, dtype=np.int64),
-        sources,
-    )
+def bridge_side(
+    graph: CSRGraph, edge: tuple[int, int], affected: np.ndarray
+) -> np.ndarray | None:
+    """The side of ``b`` in ``G − edge`` when ``edge = (a, b)`` is a bridge.
 
-
-#: Affected-row count above which the batched BFS beats per-row repairs.
-_BATCH_THRESHOLD = 4
-
-
-def repair_removal_rows(
-    graph: CSRGraph,
-    dm: np.ndarray,
-    edge: tuple[int, int],
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Rows ``rows`` of the lifted APSP matrix of ``graph − edge``.
-
-    The one place that picks how removal rows are repaired: a seeded
-    partial BFS per row (:func:`repair_row_after_removal`) for up to
-    ``_BATCH_THRESHOLD`` rows, one batched level-synchronous BFS over all
-    of them (:func:`batched_removal_rows_multi`) above that.  ``dm`` is the
-    lifted base matrix and ``rows`` a non-empty index array; the result is
-    a ``(len(rows), n)`` lifted int64 matrix.
+    ``affected`` is the edge's :func:`removal_affected_sources` mask.  A
+    bridge of a connected graph changes all n rows, so an edge that leaves
+    any row unchanged is not probed; otherwise one half-BFS from ``b`` with
+    the edge masked settles it.  (A bridge inside one component of a
+    disconnected graph is never probed: its affected rows take the row
+    kernel, exact either way.)  Returns the boolean mask of ``b``'s
+    component in ``G − edge``, or ``None``.
     """
-    if rows.size <= _BATCH_THRESHOLD:
-        return np.stack(
-            [repair_row_after_removal(graph, edge, dm[r]) for r in rows]
-        )
-    return _batched_removal_rows(graph, edge[0], edge[1], rows)
+    a, b = edge
+    if not affected.all():
+        return None
+    half = bfs_distances(graph, b, exclude=(a, b))
+    if half[a] != UNREACHABLE:
+        return None
+    return half != UNREACHABLE
 
 
 def removal_matrix_repair(
@@ -374,23 +256,20 @@ def removal_matrix_repair(
 ) -> np.ndarray:
     """Lifted APSP matrix of ``graph − edge`` derived from the base matrix.
 
-    Unaffected rows are copied from ``dm`` wholesale (one memcpy); affected
-    rows are recomputed, picking the cheapest sound strategy:
-
-    * **bridge** — deleting a bridge leaves within-component distances
-      untouched (a simple path cannot cross a bridge twice), so the update
-      is two block assignments of the infinite sentinel — the dominant case
-      for tree dynamics;
-    * otherwise :func:`repair_removal_rows` — per-row seeded BFS for a few
-      rows, one batched BFS over many.
+    Unaffected rows are copied from ``dm`` wholesale (one memcpy).  When
+    :func:`bridge_side` finds a bridge, within-component distances are
+    untouched (a simple path cannot cross a bridge twice), so the update is
+    two block assignments of the infinite sentinel — the dominant case for
+    tree dynamics.  Otherwise the affected rows are recomputed by the one
+    row kernel, :func:`batched_removal_rows_multi`, in a single union BFS.
 
     Exactly equal to recomputing APSP on the rebuilt graph.  ``affected``
     lets a caller that already computed :func:`removal_affected_sources`
     pass it in.  ``out`` selects the destination: ``None`` (default)
     allocates a fresh copy of ``dm``; passing ``dm`` itself repairs **in
-    place** (sound — every strategy reads only a row's own pre-repair
-    state) — the dynamics engine's per-move path, which owns its matrix
-    and must not pay an n×n copy per applied swap.
+    place** (sound — the affected mask is taken before any write, and the
+    row kernel reads only the graph) — the dynamics engine's per-move path,
+    which owns its matrix and must not pay an n×n copy per applied swap.
     """
     a, b = _check_edge(graph, *edge)
     if out is None:
@@ -405,14 +284,13 @@ def removal_matrix_repair(
     sources = np.nonzero(mask)[0]
     if sources.size == 0:
         return out
-    if sources.size > _BATCH_THRESHOLD:
-        # A bridge affects every source, so small affected sets go straight
-        # to the row repairs (which handle disconnection themselves).
-        half = bfs_distances(graph, b, exclude=(a, b))
-        if half[a] == UNREACHABLE:  # bridge: b's side is cut off from a's
-            side = half != UNREACHABLE
-            out[np.ix_(side, ~side)] = INT_INF_DISTANCE
-            out[np.ix_(~side, side)] = INT_INF_DISTANCE
-            return out
-    out[sources] = repair_removal_rows(graph, dm, (a, b), sources)
+    side = bridge_side(graph, (a, b), mask)
+    if side is not None:
+        out[np.ix_(side, ~side)] = INT_INF_DISTANCE
+        out[np.ix_(~side, side)] = INT_INF_DISTANCE
+        return out
+    k = sources.size
+    out[sources] = batched_removal_rows_multi(
+        graph, np.full(k, a), np.full(k, b), sources
+    )
     return out

@@ -11,7 +11,10 @@ A :class:`~http.server.ThreadingHTTPServer` front-ends
 Every response is a complete JSON body with an explicit Content-Length —
 typed errors map to typed statuses (400 client error, 503 shed/degraded
 with a ``Retry-After`` header, 504 deadline exceeded, 500 compute failed)
-and never a hang or a partial body.  Cacheable answers carry their
+and never a hang or a partial body.  A request answered without reading
+its body (an unknown path, a missing, malformed or oversized
+Content-Length) closes its connection, so the unread bytes are never
+parsed as the next request.  Cacheable answers carry their
 content-addressed cache key as an ``ETag`` (also ``"etag"`` in the body);
 a ``POST /audit`` with ``If-None-Match`` naming a cached answer's key is
 answered 304 with no body.  Start one with::
@@ -28,7 +31,7 @@ from ..errors import DeadlineExceeded
 from ..io import ResultCache
 from .admission import AdmissionGate, LoadShed
 from .degradation import DegradationLadder
-from .handlers import AuditEngine, ClientError, NotModified
+from .handlers import _CLIENT_ERRORS, AuditEngine, ClientError, NotModified
 
 __all__ = ["AuditServer", "build_server", "serve"]
 
@@ -69,15 +72,25 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(blob)))
         for name, value in headers:
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ClientError("request body required")
-        if length > _MAX_BODY:
-            raise ClientError(f"request body exceeds {_MAX_BODY} bytes")
+        declared = self.headers.get("Content-Length")
+        try:
+            length = int(declared or 0)
+        except ValueError:
+            length = -1
+        if not 0 < length <= _MAX_BODY:
+            # The body stays unread: close the connection, or its bytes
+            # would be parsed as the next request on it.
+            self.close_connection = True
+            raise ClientError(
+                f"request body needs a Content-Length of 1..{_MAX_BODY} "
+                f"bytes, got {declared!r}"
+            )
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -96,7 +109,10 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
             body = handler()
         except NotModified as exc:
             self._send_not_modified(exc.etag)
-        except ClientError as exc:
+        except (ClientError, *_CLIENT_ERRORS) as exc:
+            # Client errors are 400s wherever they are raised: parsing the
+            # request or inside the audit (a bad vertex, a disconnected
+            # graph) — never a 500 and never a ladder event.
             self._send_json(400, {"ok": False, "error": "bad-request",
                                   "detail": str(exc)})
         except LoadShed as exc:
@@ -147,6 +163,7 @@ class AuditRequestHandler(BaseHTTPRequestHandler):
         elif self.path == "/batch":
             self._dispatch(lambda: engine.handle_batch(self._read_body()))
         else:
+            self.close_connection = True  # the body stays unread
             self._send_json(404, {"ok": False, "error": "not-found",
                                   "detail": self.path})
 

@@ -18,7 +18,10 @@ from repro.core import equilibrium
 from repro.core.batched import BatchedRemovalPlan
 from repro.core.costs import lift_distances
 from repro.core.exhaustive import exhaustive_equilibrium_census
-from repro.core.swap_eval import removal_distance_matrix
+from repro.core.swap_eval import (
+    all_swap_costs_for_drop,
+    removal_distance_matrix,
+)
 from repro.graphs import (
     cycle_graph,
     distance_matrix,
@@ -93,7 +96,7 @@ class TestBatchedRemovalPlan:
         assert not any(plan.is_bridge(i) for i in range(len(plan.edges)))
 
     @pytest.mark.parametrize("idx", range(0, len(BATTERY), 9))
-    def test_endpoint_rows_and_matrices_exact(self, idx):
+    def test_endpoint_rows_exact(self, idx):
         g = BATTERY[idx]
         if g.n < 2:
             return
@@ -104,7 +107,6 @@ class TestBatchedRemovalPlan:
             oracle = removal_distance_matrix(g, (a, b), mode="rebuild")
             assert np.array_equal(plan.endpoint_row(i, a), oracle[a])
             assert np.array_equal(plan.endpoint_row(i, b), oracle[b])
-            assert np.array_equal(plan.removal_matrix(i), oracle)
 
     def test_bound_never_exceeds_exact(self):
         g = random_connected_gnm(12, 20, seed=5)
@@ -114,10 +116,13 @@ class TestBatchedRemovalPlan:
         base_plus1 = lifted + 1
         buf = np.empty((g.n, g.n), dtype=np.int64)
         for i, (a, b) in enumerate(edges):
+            oracle = removal_distance_matrix(g, (a, b), mode="rebuild")
             for v, w in ((a, b), (b, a)):
                 bound = plan.bound_costs(i, v, w, "sum", base_plus1, buf)
-                exact = plan.exact_costs(i, v, w, "sum")
+                exact = all_swap_costs_for_drop(g, v, w, "sum", oracle)
                 assert (bound <= exact).all()
+                patched = plan.exact_costs(i, v, w, "sum", bound=bound)
+                assert np.array_equal(patched, exact)
 
 
 class TestWorkerInvariance:

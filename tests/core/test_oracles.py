@@ -84,7 +84,15 @@ def _swap_violation(spec):
 
 def _best_responses(spec):
     def answer(g, mode):
-        return [_response(best_swap(g, v, spec, mode=mode)) for v in range(g.n)]
+        responses = [
+            _response(best_swap(g, v, spec, mode=mode)) for v in range(g.n)
+        ]
+        # Movers outside range(n) must fail alike, with the same typed error.
+        for v in (g.n, -1):
+            responses.append(
+                _outcome(lambda g, m: best_swap(g, v, spec, mode=m), g, mode)
+            )
+        return responses
 
     return answer
 

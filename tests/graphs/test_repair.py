@@ -1,31 +1,33 @@
 """Removal-row repair kernel vs the fresh-APSP oracle.
 
-The incremental engine's correctness reduces to one claim: for every edge
+The distance engine's correctness reduces to one claim: for every edge
 ``e`` of every graph, :func:`removal_matrix_repair` equals APSP of the
 rebuilt graph ``G − e``.  These tests check the claim exhaustively on the
 deterministic battery (trees / sparse / dense, so bridges and disconnecting
-removals occur by construction), on Hypothesis-driven graphs, and on the
-hand-picked degenerate cases, along with the exactness of the affected-source
-mask both kernels share.
+removals occur by construction), on Hypothesis-driven graphs, on the
+hand-picked degenerate cases and on high-diameter cycles and spiders the
+n ≤ 14 battery lacks, along with the exactness of the affected-source mask
+and of the one row kernel, the union BFS, at its default and at narrow
+frontier block widths.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.constructions.spider import SpiderShape, spider_graph
 from repro.core.costs import lift_distances
 from repro.errors import GraphError
 from repro.graphs import (
     CSRGraph,
+    batched_removal_rows_multi,
     cycle_graph,
     distance_matrix,
     path_graph,
     removal_affected_sources,
     removal_matrix_repair,
-    repair_row_after_removal,
     star_graph,
 )
-from repro.graphs.repair import _BATCH_THRESHOLD, _batched_removal_rows
 
 from ..conftest import connected_graphs, edge_lists, graph_battery
 
@@ -100,13 +102,11 @@ class TestStructuredCases:
         )
 
     def test_cycle_uses_batched_path(self):
-        # Removing a cycle edge affects most sources, well past the batch
-        # threshold, so this exercises _batched_removal_rows end to end.
+        # Removing a cycle edge affects most sources; their rows come from
+        # one union BFS.
         g = cycle_graph(12)
         base = lift_distances(distance_matrix(g))
         edge = (0, 11)
-        affected = removal_affected_sources(g, base, edge)
-        assert int(affected.sum()) > _BATCH_THRESHOLD
         assert np.array_equal(
             removal_matrix_repair(g, base, edge), _oracle(g, edge)
         )
@@ -114,28 +114,11 @@ class TestStructuredCases:
     def test_batched_rows_directly(self):
         g = cycle_graph(10)
         sources = np.asarray([0, 3, 7])
-        rows = _batched_removal_rows(g, 0, 9, sources)
+        rows = batched_removal_rows_multi(
+            g, np.full(3, 0), np.full(3, 9), sources
+        )
         oracle = _oracle(g, (0, 9))
         assert np.array_equal(rows, oracle[sources])
-
-    def test_single_row_repair_matches(self):
-        g = cycle_graph(8).with_edges(add=[(0, 4)])
-        base = lift_distances(distance_matrix(g))
-        for edge in g.iter_edges():
-            mask = removal_affected_sources(g, base, edge)
-            for s in np.nonzero(mask)[0]:
-                row = repair_row_after_removal(g, edge, base[s])
-                assert np.array_equal(row, _oracle(g, edge)[s])
-
-    def test_unaffected_row_returned_as_copy(self):
-        g = cycle_graph(6).with_edges(add=[(0, 3)])
-        base = lift_distances(distance_matrix(g))
-        mask = removal_affected_sources(g, base, (0, 3))
-        quiet = np.nonzero(~mask)[0]
-        assert quiet.size  # the chord is redundant for some sources
-        row = repair_row_after_removal(g, (0, 3), base[quiet[0]])
-        assert np.array_equal(row, base[quiet[0]])
-        assert row is not base[quiet[0]]
 
     def test_tiny_graphs(self):
         for g in (CSRGraph(2, [(0, 1)]), CSRGraph(3, [(0, 1), (1, 2)])):
@@ -151,7 +134,7 @@ class TestStructuredCases:
         # neighbour — the hub was never settled and its distances corrupted.
         leaves = list(range(4, 154))  # 150 leaves, all adjacent to b and h
         hub = 154
-        chain = list(range(155, 165))  # pushes the affected set past batching
+        chain = list(range(155, 165))
         edges = [(0, 1), (0, 2), (2, 3), (3, 1)]  # a=0, b=1 + alternate path
         edges += [(1, leaf) for leaf in leaves]
         edges += [(hub, leaf) for leaf in leaves]
@@ -159,8 +142,6 @@ class TestStructuredCases:
         edges += list(zip(chain, chain[1:]))
         g = CSRGraph(165, edges)
         base = lift_distances(distance_matrix(g))
-        affected = removal_affected_sources(g, base, (0, 1))
-        assert int(affected.sum()) > _BATCH_THRESHOLD
         assert np.array_equal(
             removal_matrix_repair(g, base, (0, 1)), _oracle(g, (0, 1))
         )
@@ -170,3 +151,49 @@ class TestStructuredCases:
         base = lift_distances(distance_matrix(g))
         with pytest.raises(GraphError):
             removal_matrix_repair(g, base, (0, 3))
+
+
+#: High-diameter inputs the n ≤ 14 random battery lacks — long cycles with
+#: and without one chord, and a spider (every edge a bridge) whose legs run
+#: five edges from the hub — plus the C8-plus-chord graph.
+HIGH_DIAMETER = {
+    "C8+chord": cycle_graph(8).with_edges(add=[(0, 4)]),
+    "C16": cycle_graph(16),
+    "C17": cycle_graph(17),
+    "C16+chord": cycle_graph(16).with_edges(add=[(0, 8)]),
+    "C20+chord": cycle_graph(20).with_edges(add=[(3, 11)]),
+    "spider": spider_graph(SpiderShape(legs=3, path_len=4, blob=2)),
+}
+
+
+class TestHighDiameter:
+    @pytest.mark.parametrize("name", list(HIGH_DIAMETER))
+    def test_every_edge_removal_matches_oracle(self, name):
+        g = HIGH_DIAMETER[name]
+        base = lift_distances(distance_matrix(g))
+        untouched = base.copy()
+        for edge in g.iter_edges():
+            fast = removal_matrix_repair(g, base, edge)
+            assert np.array_equal(fast, _oracle(g, edge)), edge
+            assert not np.shares_memory(fast, base)
+        assert np.array_equal(base, untouched)
+
+    @pytest.mark.parametrize("block_columns", [1, 3])
+    @pytest.mark.parametrize("name", list(HIGH_DIAMETER))
+    def test_union_bfs_blocks_match_oracle(self, name, block_columns):
+        # Jobs remove different edges: both endpoints of every edge plus
+        # the vertex half-way round from its first endpoint.
+        g = HIGH_DIAMETER[name]
+        edges = g.edges()
+        a = np.repeat(edges[:, 0], 3)
+        b = np.repeat(edges[:, 1], 3)
+        sources = np.stack(
+            [edges[:, 0], edges[:, 1], (edges[:, 0] + g.n // 2) % g.n], axis=1
+        ).ravel()
+        rows = batched_removal_rows_multi(
+            g, a, b, sources, block_columns=block_columns
+        )
+        oracle = {edge: _oracle(g, edge) for edge in g.iter_edges()}
+        for j, s in enumerate(sources):
+            edge = (int(a[j]), int(b[j]))
+            assert np.array_equal(rows[j], oracle[edge][s]), (edge, s)

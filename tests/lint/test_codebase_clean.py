@@ -114,7 +114,9 @@ _RETIRED_FLEET_NAMES = {
 }
 
 
-def test_retired_fleet_entry_points_are_not_defined():
+def _definitions_of(retired: "set[str]") -> "list[str]":
+    """``file:name`` for every def, class or assignment in src/ of a
+    retired name."""
     defined = []
     for path, tree in _src_trees():
         for node in ast.walk(tree):
@@ -131,10 +133,27 @@ def test_retired_fleet_entry_points_are_not_defined():
             else:
                 continue
             defined += [
-                f"{path.name}:{name}"
-                for name in names if name in _RETIRED_FLEET_NAMES
+                f"{path.name}:{name}" for name in names if name in retired
             ]
-    assert defined == []
+    return defined
+
+
+def test_retired_fleet_entry_points_are_not_defined():
+    assert _definitions_of(_RETIRED_FLEET_NAMES) == []
+
+
+# One removal-row kernel (DESIGN.md §2): every repaired distance row comes
+# from the union BFS, so the seeded per-row repair and the threshold that
+# chose it stay gone.
+
+_RETIRED_ROW_REPAIR_NAMES = {
+    "repair_row_after_removal", "_invalid_set", "repair_removal_rows",
+    "_batched_removal_rows", "_BATCH_THRESHOLD",
+}
+
+
+def test_retired_row_repair_names_are_not_defined():
+    assert _definitions_of(_RETIRED_ROW_REPAIR_NAMES) == []
 
 
 def test_only_the_experiment_layer_builds_jsonl_stores():

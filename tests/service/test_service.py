@@ -13,6 +13,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -529,6 +530,66 @@ class TestHTTP:
         assert status == 400 and body["error"] == "bad-request"
         status, body, _ = client.post("/audit", {"query": "explode"})
         assert status == 400 and body["error"] == "bad-request"
+
+    @pytest.mark.parametrize("request_body", [
+        {"query": "is_equilibrium", "graph6": "Dzz{"},
+        {"query": "is_equilibrium", "graph": {"n": 3, "edges": [[0]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 4, "edges": [[0, 1], [2, 3]]}},
+        {"query": "best_swap", "graph6": _g6(path_graph(5)), "vertex": 5},
+    ], ids=["graph6", "edge-list", "disconnected", "vertex"])
+    def test_client_errors_are_typed_400s(self, http, request_body):
+        client, server = http
+        status, body, _ = client.post("/audit", request_body)
+        assert status == 400 and body["error"] == "bad-request"
+        assert server.engine.compute_failures == 0
+
+    def test_client_errors_never_degrade_the_ladder(self, http):
+        client, server = http
+        out_of_range = {"query": "best_swap", "graph6": _g6(path_graph(5)),
+                        "vertex": 5}
+        for _ in range(2):  # the ladder's descent threshold
+            status, body, _ = client.post("/audit", out_of_range)
+            assert status == 400 and body["error"] == "bad-request"
+        _, health, _ = client.get("/healthz")
+        assert health["mode"] == "serial"
+        assert server.engine.compute_failures == 0
+        status, body, _ = client.post(
+            "/audit", {"query": "is_equilibrium", "graph6": _g6(cycle_graph(7))}
+        )
+        assert status == 200 and not body["cached"]
+
+    @pytest.mark.parametrize("path, length, status, error", [
+        ("/nope", None, 404, "not-found"),
+        ("/audit", "abc", 400, "bad-request"),
+        ("/audit", str(8 * 1024 * 1024 + 1), 400, "bad-request"),
+    ], ids=["unknown-path", "malformed-length", "oversized-length"])
+    def test_unread_body_never_desyncs_keep_alive(
+        self, http, path, length, status, error
+    ):
+        # One client connection: the first request's body is never read,
+        # so the server must close rather than parse it as a request line.
+        _, server = http
+        body = json.dumps(
+            {"query": "is_equilibrium", "graph6": _g6(cycle_graph(7))}
+        ).encode()
+        conn = HTTPConnection(*server.server_address, timeout=30)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length or str(len(body)))
+            conn.endheaders(body)
+            first = conn.getresponse()
+            assert first.status == status
+            assert json.loads(first.read())["error"] == error
+            conn.request(
+                "POST", "/audit", body, {"Content-Type": "application/json"}
+            )
+            second = conn.getresponse()
+            assert second.status == 200
+            assert json.loads(second.read())["ok"]
+        finally:
+            conn.close()
 
     def test_deadline_exceeded_is_a_typed_504(self, http):
         client, server = http
