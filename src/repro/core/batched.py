@@ -1,56 +1,51 @@
 """Cross-edge batched audit kernel — plan once, bound first, repair rarely.
 
 The fast path of every equilibrium audit (``mode="batched"``, the default;
-``mode="rebuild"`` — a fresh APSP per edge — is its oracle).  A full audit
-is organized around three batch ideas:
+``mode="rebuild"`` — a fresh APSP per edge — is its oracle).  Every scan is
+built from three steps, each written once:
 
-1. **Plan** — :func:`repro.graphs.removal_affected_matrix` computes the
-   affected-source masks of a whole block of edges in one |E|×n comparison
-   against the base matrix (plus a predecessor-count table), and
-   classifies bridges by the one bridge rule
-   (:func:`repro.graphs.repair.bridge_side`: one half-BFS per edge that
-   affects every source).  Blocks are
-   built lazily and double from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK``
-   edges, so an audit that stops at an early violation plans a handful of
-   edges, while a full audit batches as widely as ever.
-2. **Endpoint rows in one BFS** — a mover's own post-removal row is the
-   only repaired row most of the audit needs.  A block's 2·|E| endpoint
-   rows are computed by a single level-synchronous BFS over the union of
-   (edge, row) jobs (:func:`repro.graphs.batched_removal_rows_multi`),
+1. **Plan** — a mover's own post-removal row is the only repaired row most
+   of the audit needs.  A :class:`BatchedRemovalPlan` computes the endpoint
+   rows of a block of edges in a single level-synchronous BFS over the
+   union of (edge, row) jobs (:func:`repro.graphs.batched_removal_rows_multi`),
    whose per-level cost is one sparse product — Python overhead
-   O(diameter) per block, not O(m · diameter).  Bridge endpoints are
-   masked base rows (free).
-3. **Bound-then-verify scan** — deleting an edge can only *increase*
-   distances, so every other row of the removal matrix dominates its base
-   row, and
+   O(diameter) per block, not O(m · diameter).  A bridge rides the BFS
+   like any other edge: the severed side of its endpoint rows simply stays
+   at the infinite sentinel.  Scans walk their directed edges through one
+   iterator whose blocks are built lazily and double from ``_FIRST_BLOCK``
+   up to ``_SCAN_BLOCK`` edges, so an audit that stops at an early
+   violation plans a handful of edges, while a full audit batches widely.
+2. **Bound** — deleting an edge can only *increase* distances, so every
+   other row of the removal matrix dominates its base row, and
 
    ``costs_lb[w'] = agg_u min(dv[u], 1 + base[w', u]) <= costs[w']``
 
    is a sound optimistic bound computed straight off the base matrix (no
-   per-edge copy; it is *exact* for unaffected ``w'``).  A mover whose
-   bound never beats its current cost provably has no improving swap —
-   the common case on and near equilibria, where the census spends its
-   time.  Only when a candidate survives does the kernel repair the
-   edge's affected rows (:func:`exact_costs_from_bound`) and re-evaluate
-   exactly.
+   per-edge copy; it is *exact* for unaffected ``w'``).  One function
+   computes it for every caller.
+3. **Verify** — a mover whose bound never beats its threshold provably has
+   no improving swap — the common case on and near equilibria, where the
+   census spends its time.  Only when a candidate survives does the kernel
+   repair the edge's affected rows (:func:`exact_costs_from_bound`, which
+   finds them by the one affected-source rule,
+   :func:`repro.graphs.removal_affected_sources`) and re-evaluate exactly.
 
 Every scan outcome is bit-identical to the ``mode="rebuild"`` oracle —
 same costs, same argmin tie-breaking, same directed-edge order — because
 the bound only ever *skips* movers whose exact evaluation could not have
 produced a violation, and survivors are re-evaluated exactly.
 
-The same machinery also powers the **per-vertex best-response kernel**
+The same steps also power the **per-vertex best-response kernel**
 (:func:`best_swap_scan` — ``best_swap(mode="batched")`` and the dynamics
 hot path, DESIGN.md §8).  For one agent the kernel adds a cheaper *level-0*
-bound shared by every incident drop: since deletion only increases
-distances, ``agg_u min(base[v, u], 1 + base[w', u])`` lower-bounds the
-post-swap cost for **any** dropped edge, so one aggregation pass can
-certify an agent move-free without a single BFS — the common state of most
-agents for most of a dynamics run.  Only when level-0 fails does the kernel
-plan the agent's incident edges (one union BFS for the mover-side removal
-rows), gate each drop with the per-edge :meth:`~BatchedRemovalPlan.
-bound_costs`, and repair exact costs only for the few drops whose bound
-beats the incumbent.  :func:`certify_at_rest` is the audit-scan analog used
+bound shared by every incident drop: the bound with the mover's *base* row
+in place of ``dv`` lower-bounds the post-swap cost for **any** dropped
+edge, so one aggregation pass can certify an agent move-free without a
+single BFS — the common state of most agents for most of a dynamics run.
+Only when level-0 fails does the kernel plan the agent's incident edges
+(one union BFS for the mover-side removal rows), gate each drop with its
+own bound (level 1), and verify the few drops whose bound beats the
+incumbent (level 2).  :func:`certify_at_rest` is the audit-scan analog used
 by the dynamics verification sweep: one cross-edge bound-then-verify pass
 replacing n independent best responses.
 """
@@ -66,9 +61,6 @@ from ..graphs import CSRGraph
 from ..parallel import check_deadline
 from ..graphs.repair import (
     batched_removal_rows_multi,
-    bridge_side,
-    predecessor_counts,
-    removal_affected_matrix,
     removal_affected_sources,
 )
 from .best_response import BestResponse
@@ -88,12 +80,12 @@ __all__ = [
 
 
 class BatchedRemovalPlan:
-    """Batched audit state for a set of edges of one graph.
+    """Endpoint rows of ``G − e`` for a set of edges of one graph.
 
-    Every repaired row comes from one union BFS
+    Every row comes from one union BFS
     (:func:`~repro.graphs.batched_removal_rows_multi`) over the planned
-    edges' endpoint jobs; a bridge, found by the one bridge rule
-    (:func:`~repro.graphs.repair.bridge_side`), needs no BFS row at all.
+    edges' endpoint jobs.  A bridge needs no special case: the severed side
+    of its endpoint rows stays at the infinite sentinel.
 
     Parameters
     ----------
@@ -102,20 +94,12 @@ class BatchedRemovalPlan:
     edges:
         The (undirected) edges to plan, as ``(a, b)`` pairs — one block
         of an audit scan, or one agent's incident edges.
-    pred_counts:
-        Optional precomputed :func:`repro.graphs.predecessor_counts`
-        (shared across a scan's plan blocks).  When absent, only the rows the
-        planned edges' endpoints need are computed — O(deg) rows for a
-        per-vertex plan instead of the full table.
     sources:
-        ``"both"`` (default) — plan the affected-source masks, classify
-        bridges and repair both endpoint rows per edge, what the audit
-        scans need; ``"mover"`` — the lean per-activation layout of the
-        best-response kernel: only the row of each edge's *first* endpoint
-        is repaired (the kernel's edges are ``(v, w)`` with a fixed mover
-        ``v``), every edge — bridges included — rides the single union BFS
-        (a bridge's mover row falls out naturally: the far side simply
-        stays unreached), and no affected-source masks are planned.
+        ``"both"`` (default) — the rows of both endpoints of every edge,
+        what the audit scans need; ``"mover"`` — the lean per-activation
+        layout of the best-response kernel: only the row of each edge's
+        *first* endpoint (the kernel's edges are ``(v, w)`` with a fixed
+        mover ``v``).
     """
 
     def __init__(
@@ -124,7 +108,6 @@ class BatchedRemovalPlan:
         lifted: np.ndarray,
         edges,
         *,
-        pred_counts: np.ndarray | None = None,
         sources: str = "both",
     ):
         if sources not in ("both", "mover"):
@@ -132,77 +115,26 @@ class BatchedRemovalPlan:
         self.graph = graph
         self.lifted = lifted
         self.edges = [(int(a), int(b)) for a, b in edges]
-        self._sources = sources
-
-        #: edge index -> boolean mask of the component of ``b`` in G − e.
-        self._bridge_side: dict[int, np.ndarray] = {}
-        #: (len(edges), n) affected-source masks; ``None`` for mover plans.
-        self._affected: np.ndarray | None = None
-
-        jobs: list[tuple[int, int, int]] = []  # (a, b, source) per job
-        slots: list[int] = []  # edge index owning jobs[k]
-        if sources == "mover":
-            # Hot-path layout: only mover rows, no bridge probing (either
-            # way the mover row is correct for a bridge — the severed side
-            # simply stays at the infinite sentinel) and no affected-source
-            # planning.
-            for i, (a, b) in enumerate(self.edges):
-                jobs.append((a, b, a))
-                slots.append(i)
-        else:
-            if pred_counts is None and self.edges:
-                pred_counts = predecessor_counts(
-                    graph,
-                    lifted,
-                    vertices=np.unique(np.asarray(self.edges, dtype=np.int64)),
-                )
-            self._affected = removal_affected_matrix(
-                graph, lifted, self.edges, pred_counts=pred_counts
-            )
-            for i, (a, b) in enumerate(self.edges):
-                side = bridge_side(graph, (a, b), self._affected[i])
-                if side is not None:
-                    self._bridge_side[i] = side
-                    continue
-                # Non-bridge: both endpoint rows change (d(a, b) strictly
-                # increases), and they are all the bound scan needs.
-                jobs.append((a, b, a))
-                jobs.append((a, b, b))
-                slots.append(i)
-
-        #: edge index -> (2, n) rows for sources (a, b) — (1, n) for a
-        #: mover-only plan; audit-plan bridges absent.
-        self._end_rows: dict[int, np.ndarray] = {}
-        if jobs:
-            per_edge = 2 if sources == "both" else 1
-            arr = np.asarray(jobs, dtype=np.int64)
-            rows = batched_removal_rows_multi(
-                graph, arr[:, 0], arr[:, 1], arr[:, 2]
-            )
-            for k, i in enumerate(slots):
-                self._end_rows[i] = rows[per_edge * k : per_edge * (k + 1)]
+        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        per_edge = 2 if sources == "both" else 1
+        jobs = np.repeat(ends, per_edge, axis=0)
+        rows = batched_removal_rows_multi(
+            graph, jobs[:, 0], jobs[:, 1], ends[:, :per_edge].ravel()
+        )
+        #: (len(edges), per_edge, n): row k of edge i is endpoint k's row.
+        self._rows = rows.reshape(len(self.edges), per_edge, graph.n)
 
     # ------------------------------------------------------------------
-    def is_bridge(self, i: int) -> bool:
-        """Whether edge ``i`` was classified a bridge (audit plans only —
-        a mover-only plan never probes for bridges)."""
-        return i in self._bridge_side
-
     def endpoint_row(self, i: int, v: int) -> np.ndarray:
         """The exact distance row of endpoint ``v`` in ``G − edges[i]``."""
         a, b = self.edges[i]
-        side = self._bridge_side.get(i)
-        if side is not None:
-            # A bridge leaves within-component distances untouched.
-            row = np.array(self.lifted[v], copy=True)
-            row[~side if side[v] else side] = INT_INF
-            return row
-        if v != a and self._sources == "mover":
-            raise GraphError(
-                f"mover-only plan holds no repaired row for endpoint {v} "
-                f"of edge {self.edges[i]}"
-            )
-        return self._end_rows[i][0 if v == a else 1]
+        if v == a:
+            return self._rows[i, 0]
+        if v == b and self._rows.shape[1] == 2:
+            return self._rows[i, 1]
+        raise GraphError(
+            f"plan holds no row for vertex {v} of edge {self.edges[i]}"
+        )
 
     # ------------------------------------------------------------------
     def bound_costs(
@@ -216,25 +148,15 @@ class BatchedRemovalPlan:
     ) -> np.ndarray:
         """Optimistic post-swap costs of mover ``v`` dropping ``v–w``.
 
-        ``bound_costs[w'] <= exact costs[w']`` for every target ``w'``
-        (removal only increases distances, so ``1 + base`` row-dominates
-        the true removal matrix — and every cost model's row aggregate is
-        monotone under row dominance, the contract in
-        :mod:`repro.core.costmodel`), with equality whenever ``w'`` is
-        unaffected by the removal.  ``base_plus1`` (= base + 1) and the
-        ``(n, n)`` scratch ``buf`` come from the scan loop, so the bound
-        allocates nothing matrix-sized per edge.
+        :func:`_bound` of the mover's exact row in ``G − edges[i]``:
+        ``bound_costs[w'] <= exact costs[w']`` for every target ``w'``, with
+        equality whenever ``w'`` is unaffected by the removal.
+        ``base_plus1`` (= base + 1) and the ``(n, n)`` scratch ``buf`` come
+        from the scan loop, so the bound allocates nothing matrix-sized per
+        edge.
         """
-        model = (
-            objective
-            if isinstance(objective, CostModel)
-            else resolve_cost_model(objective, self.graph.n)
-        )
-        dv = self.endpoint_row(i, v)
-        np.minimum(dv[None, :], base_plus1, out=buf)
-        costs = model.candidate_costs(v, buf)
-        costs[v] = math.inf
-        return costs
+        model = resolve_cost_model(objective, self.graph.n)
+        return _bound(model, v, self.endpoint_row(i, v), base_plus1, buf)
 
     def exact_costs(
         self,
@@ -249,23 +171,60 @@ class BatchedRemovalPlan:
 
         ``bound`` is the *unmasked* array a prior :meth:`bound_costs` call
         for the same ``(i, v, w)`` returned; :func:`exact_costs_from_bound`
-        patches it exactly, reusing the plan's affected-source mask.
+        patches it exactly.
         """
-        model = (
-            objective
-            if isinstance(objective, CostModel)
-            else resolve_cost_model(objective, self.graph.n)
-        )
         return exact_costs_from_bound(
             self.graph,
             self.lifted,
             v,
             self.edges[i],
             self.endpoint_row(i, v),
-            model,
+            resolve_cost_model(objective, self.graph.n),
             bound,
-            affected=None if self._affected is None else self._affected[i],
         )
+
+
+def _bound(
+    model: CostModel,
+    v: int,
+    dv: np.ndarray,
+    base_plus1: np.ndarray,
+    buf: np.ndarray,
+) -> np.ndarray:
+    """``agg_u min(dv[u], 1 + base[w', u])`` for every target ``w'``.
+
+    The one optimistic bound of every scan.  ``dv`` is a lower bound of
+    mover ``v``'s row after the drop — its exact row in ``G − e``, or (the
+    best-response kernel's level 0) its base row.  Removal only increases
+    distances, so ``1 + base`` row-dominates the true removal matrix, and
+    every cost model's row aggregate is monotone under row dominance (the
+    contract in :mod:`repro.core.costmodel`).  ``costs[v]`` is ``inf``.
+    """
+    np.minimum(dv[None, :], base_plus1, out=buf)
+    costs = model.candidate_costs(v, buf)
+    costs[v] = math.inf
+    return costs
+
+
+def _legal(costs: np.ndarray, mask, w: int) -> np.ndarray:
+    """``costs`` with illegal targets and the identity re-add ``w`` at inf."""
+    if mask is not None:
+        costs[~mask] = math.inf  # move-set constraint (budget cap)
+    costs[w] = math.inf
+    return costs
+
+
+def _verify(plan, i, v, w, model, bound, mask, threshold):
+    """Exact legal costs of ``v`` dropping ``plan.edges[i]`` — or ``None``.
+
+    ``None`` when the unmasked ``bound`` proves that no legal target beats
+    ``threshold``: the exact costs dominate the bound entrywise.  Otherwise
+    the bound is patched exactly (:meth:`BatchedRemovalPlan.exact_costs`)
+    and returned with ``mask``'s illegal targets and ``w`` at ``inf``.
+    """
+    if float(np.min(_legal(bound.copy(), mask, w))) >= threshold:
+        return None
+    return _legal(plan.exact_costs(i, v, w, model, bound=bound), mask, w)
 
 
 def exact_costs_from_bound(
@@ -276,8 +235,6 @@ def exact_costs_from_bound(
     dv: np.ndarray,
     model: CostModel,
     bound: np.ndarray,
-    *,
-    affected: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact post-swap costs of ``v`` dropping ``edge``, patched from a bound.
 
@@ -285,8 +242,9 @@ def exact_costs_from_bound(
     :meth:`BatchedRemovalPlan.bound_costs` (``agg min(dv, 1 + base)``) and
     ``dv`` the mover's exact row in ``G − edge``.  The bound is already
     exact for every add-target whose row the removal does not change
-    (``removal == base`` there), so only the affected rows are recomputed
-    (one union BFS, :func:`~repro.graphs.batched_removal_rows_multi`) and
+    (``removal == base`` there), so only the affected rows
+    (:func:`~repro.graphs.removal_affected_sources`) are recomputed (one
+    union BFS, :func:`~repro.graphs.batched_removal_rows_multi`) and
     re-aggregated — O(affected · n) instead of materializing the removal
     matrix.  A bridge is recognized from ``dv`` itself (the severed side
     sits at the infinite sentinel): near-side re-adds leave the graph
@@ -306,9 +264,7 @@ def exact_costs_from_bound(
         cand[:, near] = dv[near][None, :]
         out[far_idx] = model.candidate_costs(v, cand)
     else:
-        if affected is None:
-            affected = removal_affected_sources(graph, lifted, edge)
-        rows = np.nonzero(affected)[0]
+        rows = np.nonzero(removal_affected_sources(graph, lifted, edge))[0]
         if rows.size:
             k = rows.size
             sub = batched_removal_rows_multi(
@@ -330,41 +286,26 @@ _SCAN_BLOCK = 128
 
 #: Edges in a scan's first block.  Most non-equilibrium graphs show a
 #: violation within their first few edges, so a scan that stops early pays
-#: for a handful of endpoint repairs instead of a full block plus the
-#: whole predecessor-count table.
+#: for a handful of endpoint rows instead of a full block.
 _FIRST_BLOCK = 8
 
 
-def _plan_blocks(graph, lifted, edges, pred_counts):
-    """Yield lazily built plans over blocks that double up to ``_SCAN_BLOCK``.
+def _directed_edges(graph, lifted, edges, deadline):
+    """Yield ``(plan, i, v, w)`` for each directed edge of ``edges``.
 
-    Without a caller-supplied predecessor-count table the scan fills one
-    row by row: a vertex's row is counted when the first block touching it
-    is planned, so a full scan counts each row once (the full table) and a
-    scan that stops early counts only the endpoints it planned.  A caller
-    that supplies the table (the dynamics verification sweep, which mostly
-    certifies a graph at rest) gets full-size blocks from the start.
+    The oracle's scan order — ``(a, b)`` then ``(b, a)`` per canonical
+    edge — over lazily built plans whose blocks double from
+    ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges.  ``deadline`` is checked
+    once per edge.
     """
-    edges = [(int(a), int(b)) for a, b in edges]
-    counted = None
-    size = _SCAN_BLOCK
-    if pred_counts is None:
-        pred_counts = np.zeros((graph.n, graph.n), dtype=np.int32)
-        counted = np.zeros(graph.n, dtype=bool)
-        size = _FIRST_BLOCK
-    lo = 0
+    edges = list(edges)
+    lo, size = 0, _FIRST_BLOCK
     while lo < len(edges):
-        block = edges[lo : lo + size]
-        if counted is not None:
-            ends = np.unique(np.asarray(block, dtype=np.int64))
-            fresh = ends[~counted[ends]]
-            pred_counts[fresh] = predecessor_counts(
-                graph, lifted, vertices=fresh
-            )[fresh]
-            counted[fresh] = True
-        yield BatchedRemovalPlan(
-            graph, lifted, block, pred_counts=pred_counts
-        )
+        plan = BatchedRemovalPlan(graph, lifted, edges[lo : lo + size])
+        for i, (a, b) in enumerate(plan.edges):
+            check_deadline(deadline)
+            yield plan, i, a, b
+            yield plan, i, b, a
         lo += size
         size = min(2 * size, _SCAN_BLOCK)
 
@@ -376,7 +317,6 @@ def scan_swap_violations(
     edges,
     objective,
     *,
-    pred_counts: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> "Violation | None":
     """First swap violation among ``edges``, or ``None``.
@@ -392,28 +332,18 @@ def scan_swap_violations(
     model = resolve_cost_model(objective, n)
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
-    for plan in _plan_blocks(graph, lifted, edges, pred_counts):
-        for i, (a, b) in enumerate(plan.edges):
-            check_deadline(deadline)
-            for v, w in ((a, b), (b, a)):
-                mask = model.target_mask(graph, v, w)
-                bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
-                raw = bound.copy()  # unmasked, for the exact patch path
-                if mask is not None:
-                    bound[~mask] = math.inf
-                bound[w] = math.inf  # identity move is not a violation
-                if float(np.min(bound)) >= base[v]:
-                    continue  # exact costs dominate the bound: no violation
-                costs = plan.exact_costs(i, v, w, model, bound=raw)
-                if mask is not None:
-                    costs[~mask] = math.inf
-                costs[w] = math.inf
-                best = int(np.argmin(costs))
-                if costs[best] < base[v]:
-                    return Violation(
-                        model.violation_kind, v, w, best,
-                        float(base[v]), float(costs[best]),
-                    )
+    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
+        bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
+        mask = model.target_mask(graph, v, w)
+        costs = _verify(plan, i, v, w, model, bound, mask, base[v])
+        if costs is None:
+            continue
+        best = int(np.argmin(costs))
+        if costs[best] < base[v]:
+            return Violation(
+                model.violation_kind, v, w, best,
+                float(base[v]), float(costs[best]),
+            )
     return None
 
 
@@ -435,20 +365,11 @@ def scan_gap(
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
     gap = 0.0
-    for plan in _plan_blocks(graph, lifted, edges, None):
-        for i, (a, b) in enumerate(plan.edges):
-            check_deadline(deadline)
-            for v, w in ((a, b), (b, a)):
-                bound = plan.bound_costs(i, v, w, SUM_COST, base_plus1, buf)
-                raw = bound.copy()
-                bound[w] = math.inf
-                if float(np.min(bound)) >= base_sum[v]:
-                    continue
-                costs = plan.exact_costs(i, v, w, SUM_COST, bound=raw)
-                costs[w] = math.inf
-                best = float(np.min(costs))
-                if best < base_sum[v]:
-                    gap = max(gap, float(base_sum[v]) - best)
+    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
+        bound = plan.bound_costs(i, v, w, SUM_COST, base_plus1, buf)
+        costs = _verify(plan, i, v, w, SUM_COST, bound, None, base_sum[v])
+        if costs is not None:
+            gap = max(gap, float(base_sum[v]) - float(np.min(costs)))
     return gap
 
 
@@ -465,17 +386,11 @@ def scan_deletion_violations(
     Needs only the two endpoint rows per edge — no dense matrix at all —
     so this audit drops from O(m·n²) to O(m·n) plus the shared plan.
     """
-    for plan in _plan_blocks(graph, lifted, edges, None):
-        for i, (a, b) in enumerate(plan.edges):
-            check_deadline(deadline)
-            for v in (a, b):
-                ecc_v = int(plan.endpoint_row(i, v).max())
-                after = math.inf if ecc_v >= INT_INF else float(ecc_v)
-                if not after > float(base_ecc[v]):
-                    other = b if v == a else a
-                    return Violation(
-                        "deletion", v, other, None, float(base_ecc[v]), after
-                    )
+    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
+        ecc_v = int(plan.endpoint_row(i, v).max())
+        after = math.inf if ecc_v >= INT_INF else float(ecc_v)
+        if not after > float(base_ecc[v]):
+            return Violation("deletion", v, w, None, float(base_ecc[v]), after)
     return None
 
 
@@ -510,13 +425,14 @@ def best_swap_scan(
       short-circuits when ``prefer_deletions_on_tie`` is off.)
     * **level 1** — plan all incident edges at once (one union BFS for the
       mover-side removal rows via :class:`BatchedRemovalPlan`) and gate each
-      drop with the per-edge :meth:`~BatchedRemovalPlan.bound_costs`; a drop
-      whose bound cannot beat ``min(incumbent, current cost)`` is skipped —
-      sound for the returned response because the oracle loop only
-      *returns* a move that strictly beats the current cost, and only
-      *updates* its incumbent on a strict improvement.
-    * **level 2** — surviving drops repair the removal's affected rows
-      (:func:`exact_costs_from_bound`) and re-evaluate exactly.
+      drop with the same bound off its mover row; a drop whose bound cannot
+      beat ``min(incumbent, current cost)`` is skipped — sound for the
+      returned response because the oracle loop only *returns* a move that
+      strictly beats the current cost, and only *updates* its incumbent on
+      a strict improvement.
+    * **level 2** — surviving drops take the audits' verify step: the
+      removal's affected rows are repaired (:func:`exact_costs_from_bound`)
+      and re-evaluated exactly.
 
     ``lifted`` is the lifted base matrix of ``graph``; ``base_plus1``
     (= ``lifted + 1``) and the ``(n, n)`` int64 scratch ``buf`` are optional
@@ -542,9 +458,7 @@ def best_swap_scan(
         buf = np.empty((n, n), dtype=np.int64)
 
     # Level 0: one bound pass shared by every incident drop.
-    np.minimum(lifted[v][None, :], base_plus1, out=buf)
-    costs0 = model.candidate_costs(v, buf)
-    costs0[v] = math.inf
+    costs0 = _bound(model, v, lifted[v], base_plus1, buf)
     if not prefer_deletions_on_tie and float(np.min(costs0)) >= before:
         return BestResponse(None, before, before, False)
 
@@ -599,24 +513,11 @@ def best_swap_scan(
         thr = min(best_cost, before)
         if gates[i] >= thr:
             continue  # the incumbent tightened past this edge's gate
-        mask = masks[i]
-        # Level 1: the edge-specific bound off the mover's exact row.
-        np.minimum(dv[None, :], base_plus1, out=buf)
-        bound = model.candidate_costs(v, buf)
-        bound[v] = math.inf
-        raw = bound.copy()  # unmasked, for the exact patch path
-        if mask is not None:
-            bound[~mask] = math.inf  # move-set constraint (budget cap)
-        bound[w] = math.inf  # identity
-        if float(np.min(bound)) >= thr:
+        # Level 1 (the edge's bound) gates level 2 (exact costs).
+        bound = _bound(model, v, dv, base_plus1, buf)
+        costs = _verify(plan, k, v, w, model, bound, masks[i], thr)
+        if costs is None:
             continue  # cannot beat the incumbent nor win: skip exact work
-        # Level 2: exact — affected rows repaired, the rest is the bound.
-        costs = exact_costs_from_bound(
-            graph, lifted, v, (v, w), dv, model, raw
-        )
-        if mask is not None:
-            costs[~mask] = math.inf
-        costs[w] = math.inf
         top = int(np.argmin(costs))
         cost = float(costs[top])
         if cost < best_cost:
@@ -636,7 +537,6 @@ def certify_at_rest(
     objective,
     *,
     prefer_deletions_on_tie: bool | None = None,
-    pred_counts: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> bool:
     """Whether **no** vertex has a best-response move — one batched scan.
@@ -646,8 +546,8 @@ def certify_at_rest(
     among its legal moves and (for ``prefer_deletions_on_tie`` models) no
     agent of degree ≥ 2 holds a cost-neutral deletion.  This is the
     dynamics verification sweep collapsed into the cross-edge audit kernel:
-    one plan, one union BFS, bounds dismissing the overwhelmingly-quiet
-    edge population — instead of n independent best responses.
+    one scan, bounds dismissing the overwhelmingly-quiet edge population —
+    instead of n independent best responses.
     """
     n = graph.n
     model = resolve_cost_model(objective, n)
@@ -657,43 +557,21 @@ def certify_at_rest(
     if not edges:
         return True
     base = model.base_costs(lifted)
-    if not prefer_deletions_on_tie:
-        return (
-            scan_swap_violations(
-                graph, lifted, base, edges, model,
-                pred_counts=pred_counts, deadline=deadline,
-            )
-            is None
-        )
-    # Prefer-deletion models fold the cost-neutral-deletion endpoint check
-    # (best_swap takes one whenever the drop leaves the mover's cost
-    # unchanged and a replacement add-target exists, degree >= 2 — the
-    # lexicographic tie-break that drives max dynamics toward
-    # deletion-criticality) into the same block pass as the violation
-    # scan, so each edge is planned exactly once.
     degrees = np.diff(graph.indptr)
     base_plus1 = lifted + 1
     buf = np.empty((n, n), dtype=np.int64)
-    for plan in _plan_blocks(graph, lifted, edges, pred_counts):
-        for i, (a, b) in enumerate(plan.edges):
-            check_deadline(deadline)
-            for v, w in ((a, b), (b, a)):
-                if degrees[v] >= 2:
-                    del_cost = model.row_cost(v, plan.endpoint_row(i, v))
-                    if del_cost != math.inf and del_cost <= base[v]:
-                        return False
-                mask = model.target_mask(graph, v, w)
-                bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
-                raw = bound.copy()
-                if mask is not None:
-                    bound[~mask] = math.inf
-                bound[w] = math.inf
-                if float(np.min(bound)) >= base[v]:
-                    continue
-                costs = plan.exact_costs(i, v, w, model, bound=raw)
-                if mask is not None:
-                    costs[~mask] = math.inf
-                costs[w] = math.inf
-                if float(np.min(costs)) < base[v]:
-                    return False
+    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
+        if prefer_deletions_on_tie and degrees[v] >= 2:
+            # best_swap takes a cost-neutral deletion whenever the drop
+            # leaves the mover's cost unchanged and a replacement
+            # add-target exists (degree >= 2): the lexicographic tie-break
+            # that drives max dynamics toward deletion-criticality.
+            del_cost = model.row_cost(v, plan.endpoint_row(i, v))
+            if del_cost != math.inf and del_cost <= base[v]:
+                return False
+        bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
+        mask = model.target_mask(graph, v, w)
+        costs = _verify(plan, i, v, w, model, bound, mask, base[v])
+        if costs is not None and float(np.min(costs)) < base[v]:
+            return False
     return True

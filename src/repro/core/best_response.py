@@ -31,11 +31,11 @@ from typing import Literal
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..graphs import CSRGraph, distance_matrix
+from ..graphs import CSRGraph
 from ..parallel import check_deadline
 from ..rng import make_rng
 from .costmodel import CostModel, resolve_cost_model
-from .costs import ensure_lifted
+from .costs import lifted_base
 from .moves import Swap
 from .swap_eval import all_swap_costs_for_drop, removal_distance_matrix
 
@@ -120,11 +120,8 @@ def best_swap(
         # Deferred: repro.core.batched imports this module for BestResponse.
         from .batched import best_swap_scan
 
-        base = ensure_lifted(
-            distance_matrix(graph) if base_dm is None else base_dm
-        )
         return best_swap_scan(
-            graph, v, model, base,
+            graph, v, model, lifted_base(graph, base_dm),
             prefer_deletions_on_tie=prefer_deletions_on_tie,
             deadline=deadline,
         )

@@ -19,12 +19,14 @@ import math
 
 import numpy as np
 
+from ..errors import GraphError
 from ..graphs import CSRGraph, UNREACHABLE, bfs_aggregates, distance_matrix
 
 __all__ = [
     "INT_INF",
     "ensure_lifted",
     "lift_distances",
+    "lifted_base",
     "sum_cost",
     "local_diameter",
     "sum_cost_vector",
@@ -61,6 +63,25 @@ def ensure_lifted(dm: np.ndarray) -> np.ndarray:
     if dm.dtype == np.int64 and not bool((dm == UNREACHABLE).any()):
         return dm
     return lift_distances(dm)
+
+
+def lifted_base(graph: CSRGraph, base_dm: "np.ndarray | None") -> np.ndarray:
+    """Lifted distance matrix of ``graph``: ``base_dm`` if given, else an APSP.
+
+    ``base_dm`` is a caller's precomputed distance matrix of ``graph``, raw
+    or lifted (:func:`ensure_lifted`: a lifted one is used by reference).
+    One of any shape but ``(n, n)`` raises :class:`~repro.errors.GraphError`
+    naming both shapes.
+    """
+    if base_dm is None:
+        return lift_distances(distance_matrix(graph))
+    shape = tuple(np.shape(base_dm))
+    if shape != (graph.n, graph.n):
+        raise GraphError(
+            f"base_dm has shape {shape}, but the graph needs "
+            f"{(graph.n, graph.n)}"
+        )
+    return ensure_lifted(base_dm)
 
 
 def sum_cost(graph: CSRGraph, v: int) -> float:

@@ -252,10 +252,7 @@ class _BatchedEngine(_Engine):
         from .batched import certify_at_rest
 
         return self.responder == "best" and certify_at_rest(
-            self.graph,
-            self.dm,
-            self.model,
-            pred_counts=self._engine.pred_counts(),
+            self.graph, self.dm, self.model
         )
 
 

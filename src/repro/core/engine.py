@@ -7,15 +7,17 @@ rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
 :class:`DistanceEngine` answers them from a cached base matrix:
 
 * **applied swaps** — :meth:`apply_swap` keeps the matrix current across
-  dynamics moves: the dropped edge is handled by affected-row repair
-  (:func:`repro.graphs.removal_matrix_repair`), the added edge by the exact
-  single-insertion min-plus closure
+  dynamics moves: the dropped edge's affected rows (the one affected-source
+  rule, :func:`repro.graphs.removal_affected_sources`) are repaired in
+  place (:func:`repro.graphs.removal_matrix_repair`), the added edge goes
+  through the exact single-insertion min-plus closure
   ``d'(x, y) = min(d(x, y), d(x, v) + 1 + d(v', y), d(x, v') + 1 + d(v, y))``
   (an inserted edge appears at most once on any shortest path), so a move
   costs O(affected + n²) instead of a full APSP;
 * **best responses** — :meth:`best_swap` runs the bound-then-verify
   per-vertex kernel (:func:`repro.core.batched.best_swap_scan`) against the
-  cached matrix with engine-owned scratch.
+  cached matrix with engine-owned scratch (``dm + 1`` and an n×n
+  workspace), the only state the engine keeps besides the matrix.
 
 The engine reports which matrix rows each applied swap changed; the dynamics
 layer uses that as its dirty-vertex signal.  Matrices use the lifted int64
@@ -32,11 +34,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graphs import AdjacencyGraph, CSRGraph, distance_matrix
-from ..graphs.repair import (
-    predecessor_counts,
-    removal_affected_sources,
-    removal_matrix_repair,
-)
+from ..graphs.repair import removal_affected_sources, removal_matrix_repair
 from .costs import lift_distances
 from .moves import Swap
 
@@ -54,10 +52,9 @@ class DistanceEngine:
         Initial graph (copied into a mutable adjacency form).
     """
 
-    __slots__ = ("_adj", "_dm", "_pc", "_base_plus1", "_scratch")
+    __slots__ = ("_adj", "_dm", "_base_plus1", "_scratch")
 
     def __init__(self, graph: CSRGraph):
-        self._pc: np.ndarray | None = None  # lazy predecessor-count table
         self._base_plus1: np.ndarray | None = None  # lazy dm + 1 scratch
         self._scratch: np.ndarray | None = None  # (n, n) kernel workspace
         if not isinstance(graph, CSRGraph):
@@ -88,19 +85,6 @@ class DistanceEngine:
     def dm(self) -> np.ndarray:
         """Current lifted (int64, :data:`INT_INF`) distance matrix."""
         return self._dm
-
-    def pred_counts(self) -> np.ndarray:
-        """Predecessor-count table of the current graph/matrix, cached.
-
-        The shared input of the batched audit kernel
-        (:func:`repro.graphs.predecessor_counts`): computed lazily on first
-        use and invalidated by :meth:`apply_swap`, so dynamics verification
-        sweeps, trajectory-census endpoint audits, and anything else riding
-        this engine reuse one table per quiescent graph state.
-        """
-        if self._pc is None:
-            self._pc = predecessor_counts(self.graph, self._dm)
-        return self._pc
 
     def _kernel_scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(dm + 1, (n, n) workspace)`` for the batched kernel.
@@ -150,8 +134,7 @@ class DistanceEngine:
             # The min against new_dm (whose entries are <= INT_INF) also
             # discards any closure sums that overflowed past the sentinel.
             np.minimum(new_dm, closure, out=new_dm)
-        self._pc = None  # derived caches follow the matrix
-        self._base_plus1 = None
+        self._base_plus1 = None  # derived scratch follows the matrix
         return changed
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ from ..errors import ConfigurationError, DisconnectedGraphError
 from ..graphs import CSRGraph, distance_matrix, is_connected
 from ..parallel import check_deadline
 from .costmodel import CostModel, resolve_cost_model
-from .costs import INT_INF, ensure_lifted, lift_distances
+from .costs import INT_INF, lift_distances, lifted_base
 from .moves import Swap
 from .swap_eval import all_swap_costs_for_drop, removal_distance_matrix
 
@@ -112,7 +112,7 @@ def _prepare(
     input is used by reference.  Connectivity is validated off the matrix.
     """
     if base_dm is not None:
-        lifted = ensure_lifted(base_dm)
+        lifted = lifted_base(graph, base_dm)
         if graph.n > 1 and bool((lifted[0] >= INT_INF).any()):
             raise DisconnectedGraphError(
                 "equilibrium audits are defined on connected graphs"

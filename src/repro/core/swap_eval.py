@@ -37,7 +37,7 @@ from ..errors import ConfigurationError
 from ..graphs import CSRGraph, distance_matrix
 from ..graphs.repair import removal_matrix_repair
 from .costmodel import CostModel, resolve_cost_model
-from .costs import ensure_lifted, lift_distances
+from .costs import lift_distances, lifted_base
 from .moves import Swap, swapped_graph
 
 __all__ = [
@@ -116,9 +116,7 @@ def removal_distance_matrix(
         return lift_distances(distance_matrix(reduced))
     if mode != "repair":
         raise ConfigurationError(f"unknown removal mode {mode!r}")
-    if base_dm is None:
-        base_dm = distance_matrix(graph)
-    return removal_matrix_repair(graph, ensure_lifted(base_dm), (a, b))
+    return removal_matrix_repair(graph, lifted_base(graph, base_dm), (a, b))
 
 
 def all_swap_costs_for_drop(

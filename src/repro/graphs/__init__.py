@@ -48,7 +48,6 @@ from .repair import (
     INT_INF_DISTANCE,
     batched_removal_rows_multi,
     predecessor_counts,
-    removal_affected_matrix,
     removal_affected_sources,
     removal_matrix_repair,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "random_tree",
     "read_edge_list",
     "relabel_to_integers",
-    "removal_affected_matrix",
     "removal_affected_sources",
     "removal_matrix_repair",
     "sphere_sizes",

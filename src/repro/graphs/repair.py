@@ -5,24 +5,23 @@ graph whose full APSP matrix is already known.  Recomputing APSP from scratch
 per edge — the seed implementation — throws that knowledge away.  This module
 keeps it:
 
-* :func:`removal_affected_sources` — the **exact** set of BFS sources whose
-  distance row changes when ``e = {a, b}`` is deleted.  Soundness rests on two
-  level facts: a shortest path only uses edges between consecutive BFS levels,
-  so a source ``s`` with ``|d(s,a) − d(s,b)| ≠ 1`` never routes through ``e``;
-  and when ``d(s,b) = d(s,a) + 1`` but ``b`` retains another predecessor at
-  level ``d(s,a)``, every path through ``e`` can be rerouted at ``b`` without
-  a detour, so the whole row survives.  What remains — sources for which ``a``
-  is ``b``'s *only* predecessor — is exactly the affected set.
-  :func:`removal_affected_matrix` computes the masks of many edges at once.
+* :func:`removal_affected_sources` — the **one affected-source rule**: the
+  exact set of BFS sources whose distance row changes when ``e = {a, b}``
+  is deleted.  Soundness rests on two level facts: a shortest path only
+  uses edges between consecutive BFS levels, so a source ``s`` with
+  ``|d(s,a) − d(s,b)| ≠ 1`` never routes through ``e``; and when
+  ``d(s,b) = d(s,a) + 1`` but ``b`` retains another predecessor at level
+  ``d(s,a)``, every path through ``e`` can be rerouted at ``b`` without a
+  detour, so the whole row survives.  What remains — sources for which
+  ``a`` is ``b``'s *only* predecessor (:func:`predecessor_counts` of the
+  two endpoints) — is exactly the affected set.
 * :func:`batched_removal_rows_multi` — the **one row kernel**: every
   repaired row is computed by a level-synchronous BFS over a union of
   ``(removed edge, source)`` jobs, one sparse product per level.
-* :func:`bridge_side` — the **one bridge rule**: a bridge changes every row,
-  so only an edge that affects every source is probed, by one half-BFS; a
-  confirmed bridge needs no BFS rows at all.
 * :func:`removal_matrix_repair` — the matrix-level wrapper: copy the base
-  matrix, then blank a bridge's cross blocks or recompute only the affected
-  rows with the row kernel.
+  matrix, then blank a bridge's cross blocks (:func:`bridge_side`: a bridge
+  changes every row, so only an edge that affects every source is probed,
+  by one half-BFS) or recompute only the affected rows with the row kernel.
 
 All inputs and outputs here use the *lifted* int64 convention (unreachable =
 :data:`INT_INF_DISTANCE`), matching :func:`repro.core.costs.lift_distances`,
@@ -43,7 +42,6 @@ __all__ = [
     "batched_removal_rows_multi",
     "bridge_side",
     "predecessor_counts",
-    "removal_affected_matrix",
     "removal_affected_sources",
     "removal_matrix_repair",
 ]
@@ -66,27 +64,17 @@ def removal_affected_sources(
     """Boolean mask of sources whose distance row changes in ``G − edge``.
 
     ``dm`` is the lifted APSP matrix of ``graph``.  The mask is exact: row
-    ``s`` of ``G − edge``'s APSP differs from ``dm[s]`` iff ``mask[s]``.
+    ``s`` of ``G − edge``'s APSP differs from ``dm[s]`` iff ``mask[s]`` —
+    iff the edge joins consecutive BFS levels of ``s`` and its nearer
+    endpoint is the farther one's only predecessor.
     """
     a, b = _check_edge(graph, *edge)
-    da = dm[a]
-    db = dm[b]
+    da, db = dm[a], dm[b]
+    pa, pb = predecessor_counts(graph, dm, (a, b))
     finite = (da < INT_INF_DISTANCE) & (db < INT_INF_DISTANCE)
-    affected = np.zeros(graph.n, dtype=bool)
-    for hi, lo in ((b, a), (a, b)):
-        # Sources that see the edge as lo -> hi (hi one level further away).
-        d_hi, d_lo = (db, da) if hi == b else (da, db)
-        cand = finite & (d_hi == d_lo + 1)
-        if not cand.any():
-            continue
-        others = graph.neighbors(hi)
-        others = others[others != lo]
-        if others.size:
-            # hi keeps a predecessor besides lo => the row survives.
-            has_alt = (dm[others] == d_hi[None, :] - 1).any(axis=0)
-            cand = cand & ~has_alt
-        affected |= cand
-    return affected
+    return finite & (
+        ((db == da + 1) & (pb < 2)) | ((da == db + 1) & (pa < 2))
+    )
 
 
 def predecessor_counts(
@@ -94,60 +82,27 @@ def predecessor_counts(
     dm: np.ndarray,
     vertices: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """``pc[v, s]`` = number of BFS predecessors of ``v`` from source ``s``.
+    """``pc[k, s]`` = number of BFS predecessors of ``vertices[k]`` from ``s``.
 
-    A predecessor is a neighbour ``u`` of ``v`` with ``d(s, u) = d(s, v) − 1``.
-    ``dm`` is the lifted APSP matrix.  This is the quantity the affected-source
-    test needs: deleting ``{a, b}`` can change row ``s`` only when the far
-    endpoint has *exactly one* predecessor (the near endpoint), i.e. its
-    ``pc`` entry is 1.  One (n, n) int32 matrix shared by every edge of an
-    audit — O(m·n) total work, no per-edge recomputation.
-
-    ``vertices`` restricts the computation to the given rows (the rest stay
-    zero) — the per-vertex best-response kernel only audits edges incident to
-    one agent, so it needs ``deg(v) + 1`` rows, not the full table.
+    A predecessor of ``v`` is a neighbour ``u`` with ``d(s, u) = d(s, v) − 1``.
+    ``dm`` is the lifted APSP matrix.  This is the quantity the
+    affected-source test needs: deleting ``{a, b}`` can change row ``s``
+    only when the far endpoint has *exactly one* predecessor (the near
+    endpoint).  Returns one int32 row per requested vertex — O(deg · n)
+    each; ``vertices`` defaults to every vertex (the full ``(n, n)`` table).
     """
-    n = graph.n
-    pc = np.zeros((n, n), dtype=np.int32)
     indptr, indices = graph.indptr, graph.indices
-    rows = range(n) if vertices is None else np.asarray(vertices, dtype=np.int64)
-    for v in rows:
+    rows = (
+        np.arange(graph.n)
+        if vertices is None
+        else np.asarray(vertices, dtype=np.int64).ravel()
+    )
+    pc = np.zeros((rows.size, graph.n), dtype=np.int32)
+    for k, v in enumerate(rows):
         nbrs = indices[indptr[v] : indptr[v + 1]]
         if nbrs.size:
-            pc[v] = (dm[nbrs] == dm[v] - 1).sum(axis=0)
+            pc[k] = (dm[nbrs] == dm[v] - 1).sum(axis=0)
     return pc
-
-
-def removal_affected_matrix(
-    graph: CSRGraph,
-    dm: np.ndarray,
-    edges: "np.ndarray | list[tuple[int, int]] | None" = None,
-    *,
-    pred_counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Affected-source masks for **many** edges in one vectorized pass.
-
-    Returns a ``(len(edges), n)`` boolean matrix whose row ``i`` equals
-    :func:`removal_affected_sources` for ``edges[i]`` — the level-difference
-    test becomes one |E|×n comparison against the base matrix, and the
-    only-predecessor test one lookup into :func:`predecessor_counts` (pass
-    ``pred_counts`` to amortize it across calls).  ``edges`` defaults to
-    every edge of the graph; each pair must be an existing edge.
-    """
-    if edges is None:
-        edges = graph.edges()
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0:
-        return np.zeros((0, graph.n), dtype=bool)
-    pc = predecessor_counts(graph, dm) if pred_counts is None else pred_counts
-    a = edges[:, 0]
-    b = edges[:, 1]
-    da = dm[a]
-    db = dm[b]
-    finite = (da < INT_INF_DISTANCE) & (db < INT_INF_DISTANCE)
-    affected = finite & (db == da + 1) & (pc[b] < 2)
-    affected |= finite & (da == db + 1) & (pc[a] < 2)
-    return affected
 
 
 #: Column cap for one batched-BFS frontier block (bounds peak memory at

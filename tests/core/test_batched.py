@@ -1,10 +1,10 @@
 """Batched audit kernel internals + fleet cross-validation.
 
-The removal plan must classify bridges, repair endpoint rows exactly and
-bound every exact cost from below, and every parallel surface (audits in
-fleet workers, census fleet, exhaustive census) must be bit-identical
-across worker counts.  Agreement of the batched audits with the rebuild oracle lives in
-the differential harness, ``test_oracles.py``.
+The removal plan must repair endpoint rows exactly in both layouts,
+bridges included, and bound every exact cost from below, and every parallel
+surface (audits in fleet workers, census fleet, exhaustive census) must be
+bit-identical across worker counts.  Agreement of the batched audits with
+the rebuild oracle lives in the differential harness, ``test_oracles.py``.
 """
 
 import json
@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import best_swap, census_experiment
+from repro.core import (
+    best_swap,
+    census_experiment,
+    find_deletion_criticality_violation,
+    is_equilibrium,
+)
 from repro.core import equilibrium
 from repro.core.batched import BatchedRemovalPlan
 from repro.core.costs import lift_distances
@@ -30,6 +35,7 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
+from repro.errors import GraphError
 from repro.experiments import Experiment, run_fleet
 from repro.parallel import parallel_map
 
@@ -82,31 +88,31 @@ def _at_rest(answer) -> bool:
     )
 
 
+#: Every ninth battery graph, plus a tree (every edge a bridge) and a cycle
+#: (no bridge at all).
+ENDPOINT_INPUTS = {
+    **{str(idx): BATTERY[idx] for idx in range(0, len(BATTERY), 9)},
+    "random_tree(12,seed=3)": random_tree(12, seed=3),
+    "cycle_graph(9)": cycle_graph(9),
+}
+
+
 class TestBatchedRemovalPlan:
-    def test_bridge_detection_on_tree(self):
-        g = random_tree(12, seed=3)
-        lifted = lift_distances(distance_matrix(g))
-        plan = BatchedRemovalPlan(g, lifted, list(g.iter_edges()))
-        assert all(plan.is_bridge(i) for i in range(len(plan.edges)))
-
-    def test_cycle_has_no_bridges(self):
-        g = cycle_graph(9)
-        lifted = lift_distances(distance_matrix(g))
-        plan = BatchedRemovalPlan(g, lifted, list(g.iter_edges()))
-        assert not any(plan.is_bridge(i) for i in range(len(plan.edges)))
-
-    @pytest.mark.parametrize("idx", range(0, len(BATTERY), 9))
-    def test_endpoint_rows_exact(self, idx):
-        g = BATTERY[idx]
+    @pytest.mark.parametrize("name", list(ENDPOINT_INPUTS))
+    def test_endpoint_rows_exact(self, name):
+        # Both plan layouts, row for row against the rebuild oracle.
+        g = ENDPOINT_INPUTS[name]
         if g.n < 2:
             return
         lifted = lift_distances(distance_matrix(g))
         edges = list(g.iter_edges())
         plan = BatchedRemovalPlan(g, lifted, edges)
+        mover = BatchedRemovalPlan(g, lifted, edges, sources="mover")
         for i, (a, b) in enumerate(edges):
             oracle = removal_distance_matrix(g, (a, b), mode="rebuild")
             assert np.array_equal(plan.endpoint_row(i, a), oracle[a])
             assert np.array_equal(plan.endpoint_row(i, b), oracle[b])
+            assert np.array_equal(mover.endpoint_row(i, a), oracle[a])
 
     def test_bound_never_exceeds_exact(self):
         g = random_connected_gnm(12, 20, seed=5)
@@ -234,3 +240,19 @@ class TestBestSwapBaseDm:
                 assert plain.before == other.before
                 assert plain.after == other.after
                 assert plain.is_deletion == other.is_deletion
+
+
+# Every entry point that takes a caller's base matrix checks its shape.
+@pytest.mark.parametrize("call", [
+    lambda g, dm: is_equilibrium(g, base_dm=dm),
+    lambda g, dm: best_swap(g, 1, base_dm=dm),
+    lambda g, dm: find_deletion_criticality_violation(g, base_dm=dm),
+    lambda g, dm: removal_distance_matrix(g, (0, 1), base_dm=dm),
+], ids=[
+    "is_equilibrium", "best_swap", "find_deletion_criticality_violation",
+    "removal_distance_matrix",
+])
+def test_mismatched_base_dm_is_a_graph_error(call):
+    wrong = distance_matrix(path_graph(5))
+    with pytest.raises(GraphError, match=r"\(5, 5\).*\(4, 4\)"):
+        call(path_graph(4), wrong)

@@ -5,13 +5,15 @@ oracle (DESIGN.md §2, "Oracles").  Each pair is registered here once, in
 :data:`PAIRS`, as a function ``answer(graph, mode)`` whose result must be
 *exactly* equal — violations, costs, tie-breaks, record order, and the typed
 error raised on bad input — between the fast mode and the oracle mode, on
-two kinds of input:
+three kinds of input:
 
 * the deterministic 216-graph battery of ``tests/conftest.py`` (trees,
   sparse and dense G(n, m), bridges, disconnecting removals, n ≤ 3);
 * a Hypothesis strategy built from the same conftest strategies, biased
   toward n ≤ 3, bridges and disconnecting removals, plus possibly
-  disconnected edge lists, on which both sides must raise alike.
+  disconnected edge lists, on which both sides must raise alike;
+* the high-diameter inputs of ``tests/graphs/test_repair.py`` (diameter
+  up to 11, long chains of bridges), which the n ≤ 14 battery lacks.
 
 The dynamics pair is pinned move for move (and activation for activation)
 on the ``greedy`` schedule, where both engines activate every vertex by
@@ -59,6 +61,7 @@ from repro.graphs import (
 )
 
 from ..conftest import connected_graphs, edge_lists, graph_battery, trees
+from ..graphs.test_repair import HIGH_DIAMETER
 
 BATTERY = graph_battery()
 
@@ -210,6 +213,12 @@ def test_pair_agrees_on_battery(name, idx):
 @pytest.mark.parametrize("idx", _DYNAMICS_BATTERY)
 def test_greedy_dynamics_agree_on_battery(idx):
     _assert_pair_agrees(_DYNAMICS[idx // 4 % len(_DYNAMICS)], BATTERY[idx])
+
+
+@pytest.mark.parametrize("graph", list(HIGH_DIAMETER))
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_pair_agrees_on_high_diameter_graphs(name, graph):
+    _assert_pair_agrees(name, HIGH_DIAMETER[graph])
 
 
 # ---------------------------------------------------------------------------

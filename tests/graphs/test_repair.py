@@ -5,9 +5,10 @@ The distance engine's correctness reduces to one claim: for every edge
 rebuilt graph ``G − e``.  These tests check the claim exhaustively on the
 deterministic battery (trees / sparse / dense, so bridges and disconnecting
 removals occur by construction), on Hypothesis-driven graphs, on the
-hand-picked degenerate cases and on high-diameter cycles and spiders the
-n ≤ 14 battery lacks, along with the exactness of the affected-source mask
-and of the one row kernel, the union BFS, at its default and at narrow
+hand-picked degenerate cases and on high-diameter cycles, spiders and
+paths the n ≤ 14 battery lacks, along with the exactness of the
+affected-source mask (and of the predecessor-count rows it reads) and of
+the one row kernel, the union BFS, at its default and at narrow
 frontier block widths.
 """
 
@@ -24,6 +25,7 @@ from repro.graphs import (
     cycle_graph,
     distance_matrix,
     path_graph,
+    predecessor_counts,
     removal_affected_sources,
     removal_matrix_repair,
     star_graph,
@@ -32,6 +34,27 @@ from repro.graphs import (
 from ..conftest import connected_graphs, edge_lists, graph_battery
 
 BATTERY = graph_battery()
+
+
+#: High-diameter inputs the n ≤ 14 random battery lacks — long cycles with
+#: and without one chord, a spider (every edge a bridge) whose legs run
+#: five edges from the hub, and a 12-path (diameter 11, a chain of eleven
+#: bridges) — plus the C8-plus-chord graph.
+HIGH_DIAMETER = {
+    "C8+chord": cycle_graph(8).with_edges(add=[(0, 4)]),
+    "C16": cycle_graph(16),
+    "C17": cycle_graph(17),
+    "C16+chord": cycle_graph(16).with_edges(add=[(0, 8)]),
+    "C20+chord": cycle_graph(20).with_edges(add=[(3, 11)]),
+    "spider": spider_graph(SpiderShape(legs=3, path_len=4, blob=2)),
+    "P12": path_graph(12),
+}
+
+#: Every fourth battery graph plus the high-diameter inputs.
+AFFECTED_INPUTS = {
+    **{str(idx): BATTERY[idx] for idx in range(0, len(BATTERY), 4)},
+    **HIGH_DIAMETER,
+}
 
 
 def _oracle(g: CSRGraph, edge) -> np.ndarray:
@@ -51,14 +74,25 @@ class TestBatteryCrossValidation:
             fast = removal_matrix_repair(g, base, edge)
             assert np.array_equal(fast, oracle), (g.edges().tolist(), edge)
 
-    @pytest.mark.parametrize("idx", range(0, len(BATTERY), 4))
-    def test_affected_mask_is_exact(self, idx):
-        g = BATTERY[idx]
+    @pytest.mark.parametrize("name", list(AFFECTED_INPUTS))
+    def test_affected_mask_is_exact(self, name):
+        g = AFFECTED_INPUTS[name]
         base = lift_distances(distance_matrix(g))
         for edge in g.iter_edges():
             mask = removal_affected_sources(g, base, edge)
             truth = (_oracle(g, edge) != base).any(axis=1)
             assert np.array_equal(mask, truth), (g.edges().tolist(), edge)
+
+    @pytest.mark.parametrize("name", list(AFFECTED_INPUTS))
+    def test_predecessor_count_rows_match_full_table(self, name):
+        # The affected-source rule reads the rows of an edge's endpoints.
+        g = AFFECTED_INPUTS[name]
+        base = lift_distances(distance_matrix(g))
+        table = predecessor_counts(g, base)
+        assert table.shape == (g.n, g.n)
+        for edge in g.iter_edges():
+            rows = predecessor_counts(g, base, edge)
+            assert np.array_equal(rows, table[list(edge)]), edge
 
 
 class TestHypothesisFuzz:
@@ -151,19 +185,6 @@ class TestStructuredCases:
         base = lift_distances(distance_matrix(g))
         with pytest.raises(GraphError):
             removal_matrix_repair(g, base, (0, 3))
-
-
-#: High-diameter inputs the n ≤ 14 random battery lacks — long cycles with
-#: and without one chord, and a spider (every edge a bridge) whose legs run
-#: five edges from the hub — plus the C8-plus-chord graph.
-HIGH_DIAMETER = {
-    "C8+chord": cycle_graph(8).with_edges(add=[(0, 4)]),
-    "C16": cycle_graph(16),
-    "C17": cycle_graph(17),
-    "C16+chord": cycle_graph(16).with_edges(add=[(0, 8)]),
-    "C20+chord": cycle_graph(20).with_edges(add=[(3, 11)]),
-    "spider": spider_graph(SpiderShape(legs=3, path_len=4, blob=2)),
-}
 
 
 class TestHighDiameter:

@@ -156,6 +156,18 @@ def test_retired_row_repair_names_are_not_defined():
     assert _definitions_of(_RETIRED_ROW_REPAIR_NAMES) == []
 
 
+# One batched scan (DESIGN.md §2): audit plans take every endpoint row,
+# bridges included, from the union BFS, and `removal_affected_sources` is
+# the one affected-source rule, so the bridge probe, the many-edge affected
+# matrix and the threaded predecessor-count table stay gone.
+
+_RETIRED_PLAN_NAMES = {"removal_affected_matrix", "is_bridge", "pred_counts"}
+
+
+def test_retired_plan_names_are_not_defined():
+    assert _definitions_of(_RETIRED_PLAN_NAMES) == []
+
+
 def test_only_the_experiment_layer_builds_jsonl_stores():
     builders = set()
     for path, tree in _src_trees():
