@@ -70,7 +70,6 @@ from .core import (
 )
 from .experiments import run_fleet
 from .graphs import (
-    AdjacencyGraph,
     CSRGraph,
     bfs_distances,
     complete_graph,
@@ -87,7 +86,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "AdjacencyGraph",
     "BestResponse",
     "CSRGraph",
     "CostModel",

@@ -47,7 +47,7 @@ from .equilibrium import (
     sum_equilibrium_gap,
 )
 from .kswap import is_k_swap_stable, k_swap_witness
-from .moves import Swap, apply_swap, legal_add_targets, swapped_graph
+from .moves import Swap, legal_add_targets, swapped_graph
 from .swap_eval import (
     all_swap_costs_for_drop,
     removal_distance_matrix,
@@ -72,7 +72,6 @@ __all__ = [
     "TrajectoryRecord",
     "Violation",
     "all_swap_costs_for_drop",
-    "apply_swap",
     "best_swap",
     "census_experiment",
     "cost_model_spec",

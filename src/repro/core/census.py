@@ -142,7 +142,11 @@ def _census_task(task: tuple) -> CensusRecord:
     final = result.graph
     verified: bool | None = None
     if verify and result.converged:
-        verified = is_equilibrium(final, model, mode=audit_mode)
+        # The endpoint audit rides the dynamics engine's own matrix, as in
+        # the trajectory census: no converged slot recomputes the APSP.
+        verified = is_equilibrium(
+            final, model, mode=audit_mode, base_dm=result.final_dm
+        )
     return CensusRecord(
         n=n,
         family=family,

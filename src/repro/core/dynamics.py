@@ -12,7 +12,9 @@ Design notes
   the checkpoints and the deadline guard.  ``engine_mode`` only picks the
   engine the loop asks for a vertex's move (``respond``), applies moves
   through (``apply``), certifies a graph at rest with (``certify``) and
-  reads the ``graph`` / ``adjacency`` / ``dm`` views of:
+  reads the ``graph`` / ``dm`` views of.  Both engines hold an immutable
+  :class:`~repro.graphs.CSRGraph` and replace it per applied move with
+  :func:`~repro.core.moves.swapped_graph`:
 
   - ``"batched"`` (default) — a :class:`~repro.core.engine.DistanceEngine`
     maintains the distance matrix across applied swaps by BFS row repair
@@ -23,8 +25,8 @@ Design notes
     cross-edge audit scan (:func:`~repro.core.batched.certify_at_rest`)
     for best responders;
   - ``"oracle"`` — the seed path, kept for cross-validation: fresh
-    ``best_swap(mode="oracle")`` responses on a CSR snapshot, a fresh APSP
-    per trace point, no changed rows and no certificate.
+    ``best_swap(mode="oracle")`` responses on the current graph, a fresh
+    APSP per trace point, no changed rows and no certificate.
 * **Schedules** — ``round_robin`` (deterministic sweeps), ``random``
   (uniform activations), and ``greedy`` (activate the vertex with the
   globally best improvement — expensive but canonical; every step scans
@@ -46,16 +48,18 @@ Design notes
   the oracle's best response.
 * **Termination** — sum dynamics have no known potential (a swap lowers the
   mover's cost but can raise others'), so cycles are possible in principle;
-  the loop hashes every visited edge set and reports ``cycle_detected``
-  instead of looping.  Deletions strictly reduce the edge count, so only
-  pure-swap cycles can occur.
+  the loop keys every visited state by the bytes of its canonical edge
+  array — exact, since two canonical arrays are equal exactly when the
+  edge sets are — and reports ``cycle_detected`` instead of looping.
+  Deletions strictly reduce the edge count, so only pure-swap cycles can
+  occur.
 * **Instrumentation** — optional trajectory recording (applied swaps,
   per-step diameter and social cost) feeds the convergence examples and the
   census diagnostics.
 * **Preemptibility** — ``run(checkpoint=, checkpoint_every=)`` keeps a
   crash-safe :class:`~repro.io.checkpoint.CheckpointStore` current with the
   run's *full* resumable state — edge set, the cycle detector's ``seen``
-  hashes, the serialized RNG stream, the dirty set (batched engine only),
+  states, the serialized RNG stream, the dirty set (batched engine only),
   counters, traces, and the schedule's loop position — snapshotted only at
   applied-move boundaries (the states a resumed loop can actually
   re-enter).  A run killed at any instant and re-``run`` with the same
@@ -80,7 +84,7 @@ from ..errors import (
     DeadlineExceeded,
     DisconnectedGraphError,
 )
-from ..graphs import AdjacencyGraph, CSRGraph, distance_matrix, is_connected
+from ..graphs import CSRGraph, distance_matrix, is_connected
 from ..io.checkpoint import CheckpointStore
 from ..io.hashing import graph_fingerprint
 from ..parallel import check_deadline, current_task_deadline
@@ -89,7 +93,7 @@ from .best_response import BestResponse, best_swap, first_improving_swap
 from .costmodel import CostModel, parse_cost_spec, resolve_cost_model
 from .costs import INT_INF, lift_distances
 from .engine import DistanceEngine
-from .moves import Swap
+from .moves import Swap, swapped_graph
 
 __all__ = ["DynamicsResult", "SwapDynamics"]
 
@@ -103,7 +107,8 @@ EngineMode = Literal["batched", "oracle"]
 # Checkpoint payload codecs.  The checkpoint contract (DESIGN.md §13) is
 # canonical JSON — strict, no NaN/Infinity literals — so non-finite trace
 # floats round-trip as strings and every edge/move coordinate is coerced
-# to a plain int (numpy scalars are not JSON).
+# to a plain int (numpy scalars are not JSON).  Edge sets travel as sorted
+# ``[u, v]`` lists, the canonical edge array's own order.
 # ----------------------------------------------------------------------
 def _encode_trace(values: "list[float]") -> list:
     out: list = []
@@ -124,12 +129,16 @@ def _decode_trace(values: list) -> "list[float]":
     return [float(x) for x in values]
 
 
-def _encode_edges(edge_set) -> list:
-    return [[int(a), int(b)] for a, b in sorted(edge_set)]
+def _state_key(edges) -> bytes:
+    """The cycle detector's key: the canonical ``(m, 2)`` edge array's bytes
+    (``graph.edges()`` of a live state, a snapshot's list of a resumed one).
+    """
+    return np.asarray(edges, dtype=np.int32).reshape(-1, 2).tobytes()
 
 
-def _decode_edges(edges: list) -> "list[tuple[int, int]]":
-    return [(int(a), int(b)) for a, b in edges]
+def _key_edges(key: bytes) -> list:
+    """A :func:`_state_key` back as its sorted ``[u, v]`` list."""
+    return np.frombuffer(key, dtype=np.int32).reshape(-1, 2).tolist()
 
 
 @dataclass
@@ -200,8 +209,8 @@ class _Engine:
     ``respond(v)`` is ``v``'s chosen move, ``apply(swap)`` makes a move and
     returns the mask of rows it may have changed (``None`` when the engine
     does not track them), ``certify()`` proves that no vertex can move
-    (``False`` when it cannot tell), and ``graph`` / ``adjacency`` / ``dm``
-    view the current state.
+    (``False`` when it cannot tell), and ``graph`` / ``dm`` view the current
+    state.
     """
 
     #: ``dm`` is maintained across moves and ``apply`` reports changed rows.
@@ -235,10 +244,6 @@ class _BatchedEngine(_Engine):
         return self._engine.graph
 
     @property
-    def adjacency(self) -> AdjacencyGraph:
-        return self._engine.adjacency
-
-    @property
     def dm(self) -> np.ndarray:
         return self._engine.dm
 
@@ -257,15 +262,11 @@ class _BatchedEngine(_Engine):
 
 
 class _OracleEngine(_Engine):
-    """The seed path: a mutable graph, fresh best responses and APSPs."""
+    """The seed path: the current graph, fresh best responses and APSPs."""
 
     def __init__(self, graph: CSRGraph, model, responder, rng):
         super().__init__(model, responder, rng)
-        self.adjacency = AdjacencyGraph.from_csr(graph)
-
-    @property
-    def graph(self) -> CSRGraph:
-        return self.adjacency.to_csr()  # cached until the next move
+        self.graph = graph
 
     @property
     def dm(self) -> np.ndarray:
@@ -275,7 +276,7 @@ class _OracleEngine(_Engine):
         return best_swap(self.graph, v, self.model, mode="oracle")
 
     def apply(self, swap: Swap) -> None:
-        self.adjacency.swap_edge(swap.vertex, swap.drop, swap.add)
+        self.graph = swapped_graph(self.graph, swap)
 
 
 class SwapDynamics:
@@ -453,7 +454,7 @@ class SwapDynamics:
             # and restore every piece of loop state — including the RNG
             # stream — so the continuation is bit-identical to the run the
             # snapshot interrupted.
-            start = CSRGraph(n, _decode_edges(loaded["edges"]))
+            start = CSRGraph(n, loaded["edges"])
             rng.bit_generator.state = loaded["rng"]
         make = _OracleEngine if self.engine_mode == "oracle" else _BatchedEngine
         engine = make(start, model, self.responder, rng)
@@ -462,17 +463,13 @@ class SwapDynamics:
         # no dirty key.
         dirty = np.ones(n, dtype=bool) if engine.maintains_dm else None
         if loaded is None:
-            seen: set[frozenset[tuple[int, int]]] = {
-                engine.adjacency.edge_set()
-            }
+            seen: set[bytes] = {_state_key(engine.graph.edges())}
             steps = activations = idx = quiet = 0
             moves: list[Swap] = []
             diam_trace: list[float] = []
             cost_trace: list[float] = []
         else:
-            seen = {
-                frozenset(_decode_edges(key)) for key in loaded["seen"]
-            }
+            seen = {_state_key(edges) for edges in loaded["seen"]}
             steps = int(loaded["steps"])
             activations = int(loaded["activations"])
             idx = int(loaded["idx"])
@@ -487,8 +484,8 @@ class SwapDynamics:
 
         def save_checkpoint() -> None:
             payload = {
-                "edges": _encode_edges(engine.adjacency.edge_set()),
-                "seen": sorted(_encode_edges(key) for key in seen),
+                "edges": engine.graph.edges().tolist(),
+                "seen": sorted(_key_edges(key) for key in seen),
                 "rng": rng.bit_generator.state,
                 "steps": steps,
                 "activations": activations,
@@ -552,7 +549,7 @@ class SwapDynamics:
             if self.record:
                 moves.append(swap)
                 record_state()
-            key = engine.adjacency.edge_set()
+            key = _state_key(engine.graph.edges())
             if key in seen:
                 return False
             seen.add(key)

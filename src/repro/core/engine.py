@@ -6,9 +6,11 @@ edges.  The seed implementation answered each question from scratch (a
 rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
 :class:`DistanceEngine` answers them from a cached base matrix:
 
-* **applied swaps** — :meth:`apply_swap` keeps the matrix current across
-  dynamics moves: the dropped edge's affected rows (the one affected-source
-  rule, :func:`repro.graphs.removal_affected_sources`) are repaired in
+* **applied swaps** — :meth:`apply_swap` replaces the engine's immutable
+  graph with the next one (:func:`repro.core.moves.swapped_graph`) and
+  keeps the matrix current across dynamics moves: the dropped edge's
+  affected rows (the one affected-source rule,
+  :func:`repro.graphs.removal_affected_sources`) are repaired in
   place (:func:`repro.graphs.removal_matrix_repair`), the added edge goes
   through the exact single-insertion min-plus closure
   ``d'(x, y) = min(d(x, y), d(x, v) + 1 + d(v', y), d(x, v') + 1 + d(v, y))``
@@ -17,7 +19,8 @@ rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
 * **best responses** — :meth:`best_swap` runs the bound-then-verify
   per-vertex kernel (:func:`repro.core.batched.best_swap_scan`) against the
   cached matrix with engine-owned scratch (``dm + 1`` and an n×n
-  workspace), the only state the engine keeps besides the matrix.
+  workspace), the only state the engine keeps besides the graph and the
+  matrix.
 
 The engine reports which matrix rows each applied swap changed; the dynamics
 layer uses that as its dirty-vertex signal.  Matrices use the lifted int64
@@ -33,10 +36,10 @@ from typing import Literal
 import numpy as np
 
 from ..errors import GraphError
-from ..graphs import AdjacencyGraph, CSRGraph, distance_matrix
+from ..graphs import CSRGraph, distance_matrix
 from ..graphs.repair import removal_affected_sources, removal_matrix_repair
 from .costs import lift_distances
-from .moves import Swap
+from .moves import Swap, swapped_graph
 
 __all__ = ["DistanceEngine"]
 
@@ -44,15 +47,16 @@ Objective = Literal["sum", "max"]
 
 
 class DistanceEngine:
-    """Cached-APSP view of a mutable graph, updated incrementally.
+    """Cached-APSP view of a graph that moves, updated incrementally.
 
     Parameters
     ----------
     graph:
-        Initial graph (copied into a mutable adjacency form).
+        Initial graph.  Graphs are immutable; each applied swap replaces
+        the engine's graph with the next one.
     """
 
-    __slots__ = ("_adj", "_dm", "_base_plus1", "_scratch")
+    __slots__ = ("_graph", "_dm", "_base_plus1", "_scratch")
 
     def __init__(self, graph: CSRGraph):
         self._base_plus1: np.ndarray | None = None  # lazy dm + 1 scratch
@@ -61,7 +65,7 @@ class DistanceEngine:
             raise GraphError(
                 f"DistanceEngine needs a CSRGraph, got {type(graph).__name__}"
             )
-        self._adj = AdjacencyGraph.from_csr(graph)
+        self._graph = graph
         self._dm = lift_distances(distance_matrix(graph))
 
     # ------------------------------------------------------------------
@@ -69,17 +73,12 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        return self._adj.n
+        return self._graph.n
 
     @property
     def graph(self) -> CSRGraph:
-        """Current CSR snapshot (cached by the underlying adjacency graph)."""
-        return self._adj.to_csr()
-
-    @property
-    def adjacency(self) -> AdjacencyGraph:
-        """The live mutable graph.  Mutate only through :meth:`apply_swap`."""
-        return self._adj
+        """The current graph (:meth:`apply_swap` replaces it)."""
+        return self._graph
 
     @property
     def dm(self) -> np.ndarray:
@@ -104,24 +103,23 @@ class DistanceEngine:
     def apply_swap(self, swap: Swap) -> np.ndarray:
         """Apply ``swap`` and repair the matrix; returns the changed-row mask.
 
-        The mask is sound: every row that differs between the old and new
-        graphs is marked.  It may over-report a row whose removal-time change
-        is exactly undone by the insertion closure — harmless for the dirty
-        bookkeeping it feeds.
+        The swap is validated (raising :class:`IllegalSwapError`) before
+        any state changes.  The mask is sound: every row that differs
+        between the old and new graphs is marked.  It may over-report a row
+        whose removal-time change is exactly undone by the insertion
+        closure — harmless for the dirty bookkeeping it feeds.
         """
-        swap.validate(self._adj)
+        graph = self._graph
+        after = swapped_graph(graph, swap)
         v, w, add = swap.vertex, swap.drop, swap.add
-        csr = self.graph  # snapshot of the pre-move graph
-        changed = removal_affected_sources(csr, self._dm, (v, w))
+        changed = removal_affected_sources(graph, self._dm, (v, w))
         # In-place repair: the engine owns its matrix, so the removal's
         # affected rows are rewritten directly (out=dm) instead of copying
         # all n×n entries per move; audit callers keep the copying default.
         new_dm = removal_matrix_repair(
-            csr, self._dm, (v, w), affected=changed, out=self._dm
+            graph, self._dm, (v, w), affected=changed, out=self._dm
         )
-        self._adj.remove_edge(v, w)
-        if add != w and not self._adj.has_edge(v, add):
-            self._adj.add_edge(v, add)
+        if not graph.has_edge(v, add):  # otherwise a pure deletion
             dv = new_dm[v]
             da = new_dm[add]
             # min(dv[x] + da[y], da[x] + dv[y]) + 1: one outer sum and its
@@ -134,6 +132,7 @@ class DistanceEngine:
             # The min against new_dm (whose entries are <= INT_INF) also
             # discards any closure sums that overflowed past the sentinel.
             np.minimum(new_dm, closure, out=new_dm)
+        self._graph = after
         self._base_plus1 = None  # derived scratch follows the matrix
         return changed
 
@@ -169,4 +168,4 @@ class DistanceEngine:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DistanceEngine(n={self.n}, m={self._adj.m})"
+        return f"DistanceEngine(n={self.n}, m={self._graph.m})"

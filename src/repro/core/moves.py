@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IllegalSwapError
-from ..graphs import AdjacencyGraph, CSRGraph
+from ..graphs import CSRGraph
 
-__all__ = ["Swap", "apply_swap", "legal_add_targets", "swapped_graph"]
+__all__ = ["Swap", "legal_add_targets", "swapped_graph"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +41,7 @@ class Swap:
     drop: int
     add: int
 
-    def validate(self, graph: "CSRGraph | AdjacencyGraph") -> None:
+    def validate(self, graph: CSRGraph) -> None:
         """Raise :class:`IllegalSwapError` unless the swap is legal in ``graph``."""
         v, w, w2 = self.vertex, self.drop, self.add
         n = graph.n
@@ -54,11 +54,6 @@ class Swap:
             raise IllegalSwapError(f"{self} is the identity move")
         if not graph.has_edge(v, w):
             raise IllegalSwapError(f"{self} drops a non-existent edge")
-
-    @property
-    def is_deletion_when_add_exists(self) -> bool:
-        """Marker used in reporting; resolved against a graph at apply time."""
-        return False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"swap(v={self.vertex}: drop {self.drop}, add {self.add})"
@@ -84,17 +79,13 @@ def legal_add_targets(
     return mask
 
 
-def apply_swap(graph: AdjacencyGraph, swap: Swap) -> None:
-    """Apply ``swap`` to a mutable graph in place (validating first)."""
-    swap.validate(graph)
-    graph.swap_edge(swap.vertex, swap.drop, swap.add)
-
-
 def swapped_graph(graph: CSRGraph, swap: Swap) -> CSRGraph:
-    """Return the CSR graph resulting from ``swap`` (the *copy* eval mode).
+    """The graph ``swap`` leads to: the one way to apply a move.
 
-    When ``add`` is an existing neighbour the result is pure deletion, per
-    the paper's convention.
+    Graphs are immutable: the swap is validated (raising
+    :class:`IllegalSwapError`) and the next graph derived from ``graph``'s
+    edge array.  When ``add`` is an existing neighbour the result is pure
+    deletion, per the paper's convention.
     """
     swap.validate(graph)
     if graph.has_edge(swap.vertex, swap.add):

@@ -5,7 +5,6 @@ and can be used as a small standalone unweighted-graph toolkit.  The game
 layer (:mod:`repro.core`) is built entirely on top of it.
 """
 
-from .adjacency import AdjacencyGraph
 from .bfs import UNREACHABLE, bfs_aggregates, bfs_distances, bfs_tree_parents
 from .convert import (
     from_networkx,
@@ -63,7 +62,6 @@ from .properties import (
 )
 
 __all__ = [
-    "AdjacencyGraph",
     "CSRGraph",
     "INT_INF_DISTANCE",
     "UNREACHABLE",

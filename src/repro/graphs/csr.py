@@ -9,9 +9,11 @@ expansion: the neighbours of a vertex are a contiguous slice, and batch
 neighbour gathers are single fancy-indexing operations.
 
 Graphs are simple (no self-loops, no parallel edges) and undirected; every
-edge ``{u, v}`` is stored twice (as ``u -> v`` and ``v -> u``).  Mutation goes
-through :class:`repro.graphs.adjacency.AdjacencyGraph`; CSR graphs are frozen
-and hashable by canonical edge set.
+edge ``{u, v}`` is stored twice (as ``u -> v`` and ``v -> u``).  It is the
+library's only graph type: graphs are frozen and hashable by canonical edge
+set, and a move never mutates one — :meth:`CSRGraph.with_edges` derives the
+next graph from the canonical edge array, so a dynamics step costs a few
+array passes and no per-edge Python work.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ class CSRGraph:
     n:
         Number of vertices; vertices are ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Order and orientation are irrelevant;
-        duplicates and self-loops raise :class:`InvalidEdgeError`.
+        Iterable of ``(u, v)`` pairs, or an integer array of shape
+        ``(m, 2)`` (taken without a per-edge Python loop).  Order and
+        orientation are irrelevant; duplicates, self-loops and out-of-range
+        endpoints raise :class:`InvalidEdgeError`, as does an integer array
+        of any other shape.
 
     Notes
     -----
@@ -49,27 +54,31 @@ class CSRGraph:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self.n = int(n)
 
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        m = len(edge_list)
-        if m == 0:
-            arr = np.empty((0, 2), dtype=np.int32)
-        else:
-            arr = np.asarray(edge_list, dtype=np.int64)
-            if arr.min(initial=0) < 0 or (m and arr.max(initial=-1) >= n):
-                bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+            if edges.ndim != 2 or edges.shape[1] != 2:
                 raise InvalidEdgeError(
-                    f"edge {tuple(bad)} out of range for n={n}"
+                    f"edge array must have shape (m, 2), got {edges.shape}"
                 )
-            if (arr[:, 0] == arr[:, 1]).any():
-                bad = arr[arr[:, 0] == arr[:, 1]][0]
-                raise InvalidEdgeError(f"self-loop {tuple(bad)} not allowed")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            keys = lo * np.int64(n) + hi
-            if np.unique(keys).size != m:
-                raise InvalidEdgeError("duplicate edges not allowed")
-            order = np.argsort(keys, kind="stable")
-            arr = np.stack([lo[order], hi[order]], axis=1).astype(np.int32)
+            arr = edges.astype(np.int64)
+        else:
+            arr = np.array(
+                [(int(u), int(v)) for u, v in edges], dtype=np.int64
+            ).reshape(-1, 2)
+        m = arr.shape[0]
+        if arr.min(initial=0) < 0 or arr.max(initial=-1) >= n:
+            bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
+            raise InvalidEdgeError(f"edge {tuple(bad)} out of range for n={n}")
+        if (arr[:, 0] == arr[:, 1]).any():
+            bad = arr[arr[:, 0] == arr[:, 1]][0]
+            raise InvalidEdgeError(f"self-loop {tuple(bad)} not allowed")
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        keys = lo * np.int64(n) + hi
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise InvalidEdgeError("duplicate edges not allowed")
+        arr = np.stack([lo[order], hi[order]], axis=1).astype(np.int32)
 
         self._edge_array = arr
         self._edge_array.setflags(write=False)
@@ -136,7 +145,7 @@ class CSRGraph:
             yield int(u), int(v)
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Frozen set of canonical edges, usable as a dynamics-state key."""
+        """Frozen set of canonical edges as Python int pairs."""
         return frozenset((int(u), int(v)) for u, v in self._edge_array)
 
     # ------------------------------------------------------------------
@@ -149,26 +158,43 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Return a new graph with ``remove`` dropped and ``add`` inserted.
 
-        Raises :class:`InvalidEdgeError` when a removed edge does not exist or
-        an added edge already does (after removals were applied).
+        Listed edges are found by binary search over the sorted edge keys
+        ``u * n + v`` and the next graph is built from the edited key array:
+        a few O(m) array passes, no per-edge Python work.  Removals apply
+        before additions, in order.  Raises :class:`InvalidEdgeError` for a
+        self-loop or out-of-range edge, a removed edge that is missing (or
+        already removed), and an added edge that exists (after the
+        removals, or earlier in ``add``).
         """
-        current = set(self.edge_set())
+        n = self.n
+        edges = self._edge_array
+        keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
+        dropped: list[int] = []
         for u, v in remove:
             e = self._canon(u, v)
-            if e not in current:
+            key = e[0] * n + e[1]
+            if key in dropped or not _holds(keys, key):
                 raise InvalidEdgeError(f"cannot remove missing edge {e}")
-            current.discard(e)
+            dropped.append(key)
+        added: list[int] = []
         for u, v in add:
             e = self._canon(u, v)
-            if e in current:
+            key = e[0] * n + e[1]
+            if key in added or (key not in dropped and _holds(keys, key)):
                 raise InvalidEdgeError(f"cannot add existing edge {e}")
-            current.add(e)
-        return CSRGraph(self.n, current)
+            added.append(key)
+        keys = np.concatenate([
+            np.delete(keys, np.searchsorted(keys, dropped)),
+            np.asarray(added, dtype=np.int64),
+        ])
+        return CSRGraph(n, np.stack([keys // n, keys % n], axis=1))
 
     def _canon(self, u: int, v: int) -> tuple[int, int]:
         u, v = int(u), int(v)
-        self._check_vertex(u)
-        self._check_vertex(v)
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidEdgeError(
+                f"edge ({u}, {v}) out of range for n={self.n}"
+            )
         if u == v:
             raise InvalidEdgeError(f"self-loop ({u}, {v}) not allowed")
         return (u, v) if u < v else (v, u)
@@ -211,3 +237,9 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(n={self.n}, m={self.m})"
+
+
+def _holds(keys: np.ndarray, key: int) -> bool:
+    """Whether the sorted key array ``keys`` contains ``key``."""
+    i = int(np.searchsorted(keys, key))
+    return i < keys.size and int(keys[i]) == key

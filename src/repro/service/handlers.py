@@ -75,6 +75,14 @@ class ClientError(ReproError):
     """The request itself is malformed (unknown query, bad graph, ...)."""
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; never truncates a float or parses
+    a string, and refuses ``true``/``false`` (a ``bool`` is an ``int``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ClientError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class NotModified(Exception):
     """The client's cached answer (``If-None-Match``) is still current.
 
@@ -176,8 +184,16 @@ class AuditEngine:
                 or "edges" not in spec
             ):
                 raise ClientError('graph must be {"n": N, "edges": [[a,b],..]}')
-            edges = [(int(a), int(b)) for a, b in spec["edges"]]
-            return CSRGraph(int(spec["n"]), edges)
+            n = _json_int(spec["n"], "n")
+            if not isinstance(spec["edges"], list):
+                raise ClientError("edges must be a list of [a, b] pairs")
+            edges = []
+            for edge in spec["edges"]:
+                if not isinstance(edge, list) or len(edge) != 2:
+                    raise ClientError(f"edge {edge!r} is not an [a, b] pair")
+                a, b = (_json_int(x, "an edge endpoint") for x in edge)
+                edges.append((a, b))
+            return CSRGraph(n, edges)
         raise ClientError('request needs "graph6" or "graph"')
 
     def _deadline_from(self, request: dict) -> float:
@@ -205,12 +221,9 @@ class AuditEngine:
         if kind == "best_swap":
             if "vertex" not in item:
                 raise ClientError('best_swap needs "vertex"')
-            params["vertex"] = int(item["vertex"])
+            params["vertex"] = _json_int(item["vertex"], "vertex")
         elif kind == "k_swap_stable":
-            try:
-                k = int(item.get("k", 1))
-            except (TypeError, ValueError):
-                raise ClientError(f'k must be an integer, got {item.get("k")!r}')
+            k = _json_int(item.get("k", 1), "k")
             if k < 1:
                 raise ClientError(f"k must be >= 1, got {k}")
             params["k"] = k

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from repro.core import census_experiment
-from repro.core.census import seed_graph
+from repro.core import census_experiment, equilibrium
+from repro.core.census import _census_task, seed_graph
 from repro.experiments import run_fleet
 from repro.graphs import is_connected
 from repro.io.jsonl_store import write_records
@@ -74,3 +74,23 @@ class TestCensus:
         (r,) = records
         if r.converged:
             assert r.verified_equilibrium is True
+
+    @pytest.mark.parametrize("objective", ["sum", "max"])
+    def test_endpoint_audit_reuses_the_dynamics_matrix(
+        self, monkeypatch, objective
+    ):
+        # A converged slot's audit (for max: the swap audit and the
+        # criticality audit) reads the matrix the dynamics already hold.
+        calls = []
+        original = equilibrium.distance_matrix
+
+        def counting(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(equilibrium, "distance_matrix", counting)
+        task = (10, "sparse", 4, objective, "round_robin", "best",
+                20_000, True, "batched")
+        record = _census_task(task)
+        assert record.converged and record.verified_equilibrium is True
+        assert calls == []

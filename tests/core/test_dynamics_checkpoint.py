@@ -11,7 +11,7 @@ between two moves leaves on disk.
 
 import pytest
 
-from repro.core import SwapDynamics
+from repro.core import Swap, SwapDynamics, swapped_graph
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -145,6 +145,30 @@ def test_snapshot_keys_and_resume_per_schedule(tmp_path, schedule, engine_mode):
     resumed = dyn().run(initial, checkpoint=path, checkpoint_every=1)
     assert resumed == clean
     assert resumed.activations == clean.activations
+
+
+@pytest.mark.parametrize("engine_mode", ENGINE_MODES)
+@pytest.mark.parametrize("schedule", ["round_robin", "random", "greedy"])
+def test_snapshot_edges_and_seen_replay_its_moves(
+    tmp_path, schedule, engine_mode
+):
+    # The payload's graph state is exactly what its moves lead to: `edges`
+    # is the current graph and `seen` every state the run has visited,
+    # each as the sorted canonical edge list.
+    initial = random_connected_gnm(9, 12, seed=3)
+    killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=3)
+    with pytest.raises(_SimulatedKill):
+        SwapDynamics(
+            engine_mode=engine_mode, schedule=schedule, record=True,
+            max_steps=400, seed=7,
+        ).run(initial, checkpoint=killer, checkpoint_every=1)
+    payload = killer.payload
+    assert payload["steps"] == 3 and len(payload["moves"]) == 3
+    visited = [initial]
+    for move in payload["moves"]:
+        visited.append(swapped_graph(visited[-1], Swap(*move)))
+    assert payload["edges"] == visited[-1].edges().tolist()
+    assert payload["seen"] == sorted(g.edges().tolist() for g in visited)
 
 
 class TestDeadlinePreemption:

@@ -71,11 +71,11 @@ class TestSerialAudits:
 
 
 class TestIncrementalApply:
-    def _random_legal_swap(self, adj, rng) -> Swap | None:
-        n = adj.n
+    def _random_legal_swap(self, graph, rng) -> Swap | None:
+        n = graph.n
         for _ in range(50):
             v = int(rng.integers(0, n))
-            nbrs = sorted(adj.neighbors(v))
+            nbrs = graph.neighbors(v).tolist()
             if not nbrs:
                 continue
             w = int(rng.choice(nbrs))
@@ -98,7 +98,7 @@ class TestIncrementalApply:
         )
         engine = DistanceEngine(g)
         for _ in range(8):
-            swap = self._random_legal_swap(engine.adjacency, rng)
+            swap = self._random_legal_swap(engine.graph, rng)
             if swap is None:
                 break
             before = engine.dm.copy()

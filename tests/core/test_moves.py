@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import IllegalSwapError
-from repro.core import Swap, apply_swap, swapped_graph
-from repro.graphs import AdjacencyGraph, CSRGraph, path_graph
+from repro.core import Swap, swapped_graph
+from repro.graphs import CSRGraph, path_graph
 
 
 class TestValidation:
@@ -44,16 +44,17 @@ class TestApplication:
         assert g2.m == 2
         assert not g2.has_edge(0, 1)
 
-    def test_apply_swap_mutates(self):
-        adj = AdjacencyGraph(4, [(0, 1), (1, 2), (2, 3)])
-        apply_swap(adj, Swap(1, 0, 3))
-        assert adj.has_edge(1, 3)
-        assert not adj.has_edge(0, 1)
-
-    def test_apply_swap_validates(self):
-        adj = AdjacencyGraph(3, [(0, 1)])
+    @pytest.mark.parametrize("swap", [
+        Swap(0, 2, 1),  # drops a missing edge
+        Swap(0, 1, 1),  # identity
+        Swap(0, 1, 0),  # self-loop
+        Swap(0, 1, 3),  # out of range
+    ], ids=["missing-drop", "identity", "self-loop", "out-of-range"])
+    def test_swapped_graph_validates(self, swap):
+        g = CSRGraph(3, [(0, 1)])
         with pytest.raises(IllegalSwapError):
-            apply_swap(adj, Swap(0, 2, 1))
+            swapped_graph(g, swap)
+        assert g == CSRGraph(3, [(0, 1)])  # graphs are never mutated
 
     def test_as_swap_dataclass_semantics(self):
         assert Swap(1, 2, 3) == Swap(1, 2, 3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import GraphError, InvalidEdgeError
 from repro.graphs import CSRGraph
 
-from ..conftest import edge_lists
+from ..conftest import connected_graphs, edge_lists
 
 
 class TestConstruction:
@@ -56,6 +56,27 @@ class TestConstruction:
             CSRGraph(3, [(0, 3)])
         with pytest.raises(InvalidEdgeError):
             CSRGraph(3, [(-1, 0)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_integer_array_equals_pair_list(self, dtype):
+        pairs = [(3, 1), (2, 0), (1, 0)]
+        g = CSRGraph(4, np.array(pairs, dtype=dtype))
+        assert g == CSRGraph(4, pairs)
+        assert g.edges().dtype == np.int32
+        assert CSRGraph(4, np.empty((0, 2), dtype=dtype)).m == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 3), (2, 1), (1, 2, 2)])
+    def test_integer_array_must_be_m_by_2(self, shape):
+        arr = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(InvalidEdgeError, match=r"shape \(m, 2\)"):
+            CSRGraph(4, arr)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 4)], [(-1, 0)], [(2, 2)], [(0, 1), (1, 0)],
+    ], ids=["out-of-range", "negative", "self-loop", "duplicate"])
+    def test_integer_array_is_checked_like_pairs(self, pairs):
+        with pytest.raises(InvalidEdgeError):
+            CSRGraph(4, np.array(pairs, dtype=np.int64))
 
 
 class TestAccessors:
@@ -127,6 +148,105 @@ class TestWithEdges:
         g = CSRGraph(3, [(0, 1)])
         g2 = g.with_edges(add=[(0, 1)], remove=[(0, 1)])
         assert g2 == g
+
+
+def _reference_with_edges(g, add=(), remove=()):
+    """The set-based ``with_edges`` the edge-key version replaced: every
+    edge through one Python set, removals then additions, in order.  Its
+    range check raises ``InvalidEdgeError``, as both versions now do."""
+
+    def canon(u, v):
+        u, v = int(u), int(v)
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise InvalidEdgeError(
+                f"edge ({u}, {v}) out of range for n={g.n}"
+            )
+        if u == v:
+            raise InvalidEdgeError(f"self-loop ({u}, {v}) not allowed")
+        return (u, v) if u < v else (v, u)
+
+    current = set(g.edge_set())
+    for u, v in remove:
+        e = canon(u, v)
+        if e not in current:
+            raise InvalidEdgeError(f"cannot remove missing edge {e}")
+        current.discard(e)
+    for u, v in add:
+        e = canon(u, v)
+        if e in current:
+            raise InvalidEdgeError(f"cannot add existing edge {e}")
+        current.add(e)
+    return CSRGraph(g.n, current)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A derived graph, or the error's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except InvalidEdgeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _edits(draw):
+    """A connected graph plus add and remove lists drawn from its edges,
+    its non-edges, self-loops and one step past either end of the range."""
+    g = draw(connected_graphs(max_n=10))
+    vertex = st.integers(min_value=-1, max_value=g.n)
+    pair = st.one_of(
+        st.sampled_from([tuple(e) for e in g.edges().tolist()]),
+        st.tuples(vertex, vertex),
+    )
+    edits = st.lists(pair, max_size=4)
+    return g, draw(edits), draw(edits)
+
+
+class TestWithEdgesAgainstSetReference:
+    """``with_edges`` is the one way a move derives the next graph, and
+    both dynamics engines apply moves through it, so the dynamics oracle
+    pair cannot catch a fault in it: this reference does."""
+
+    @given(_edits())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_set_reference(self, case):
+        g, add, remove = case
+        expected = _outcome(_reference_with_edges, g, add=add, remove=remove)
+        assert _outcome(g.with_edges, add=add, remove=remove) == expected
+
+    @given(connected_graphs(max_n=10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_legal_edits_agree(self, g, data):
+        edges = [tuple(e) for e in g.edges().tolist()]
+        non_edges = [
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if not g.has_edge(u, v)
+        ]
+        remove = data.draw(st.lists(st.sampled_from(edges), unique=True))
+        add = data.draw(
+            st.lists(st.sampled_from(non_edges + remove), unique=True)
+            if non_edges or remove else st.just([])
+        )
+        derived = g.with_edges(add=add, remove=remove)
+        assert derived == _reference_with_edges(g, add=add, remove=remove)
+        assert derived.m == g.m - len(remove) + len(add)
+
+    @pytest.mark.parametrize("add, remove, message", [
+        ([], [(1, 2)], "cannot remove missing edge (1, 2)"),
+        ([], [(0, 1), (1, 0)], "cannot remove missing edge (0, 1)"),
+        ([(1, 0)], [], "cannot add existing edge (0, 1)"),
+        ([(0, 2), (2, 0)], [], "cannot add existing edge (0, 2)"),
+        ([(1, 1)], [], "self-loop (1, 1) not allowed"),
+        ([], [(2, 2)], "self-loop (2, 2) not allowed"),
+        ([(0, 3)], [], "edge (0, 3) out of range for n=3"),
+        ([], [(-1, 0)], "edge (-1, 0) out of range for n=3"),
+    ], ids=["missing-removal", "repeated-removal", "existing-addition",
+            "repeated-addition", "self-loop-add", "self-loop-remove",
+            "out-of-range-add", "out-of-range-remove"])
+    def test_errors_match_reference(self, add, remove, message):
+        g = CSRGraph(3, [(0, 1)])
+        expected = (InvalidEdgeError, message)
+        assert _outcome(_reference_with_edges, g, add, remove) == expected
+        assert _outcome(g.with_edges, add=add, remove=remove) == expected
 
 
 class TestScipyBridge:

@@ -168,6 +168,22 @@ def test_retired_plan_names_are_not_defined():
     assert _definitions_of(_RETIRED_PLAN_NAMES) == []
 
 
+# One graph type (DESIGN.md §1): a move derives the next immutable
+# `CSRGraph`, so the mutable adjacency graph, its mutators and snapshots,
+# and the dead deletion marker on `Swap` stay gone.  (`apply_swap` is still
+# `DistanceEngine`'s method name; test_api_surface.py guards the retired
+# function's export instead.)
+
+_RETIRED_GRAPH_NAMES = {
+    "AdjacencyGraph", "swap_edge", "to_csr", "neighbors_array",
+    "is_deletion_when_add_exists",
+}
+
+
+def test_retired_graph_names_are_not_defined():
+    assert _definitions_of(_RETIRED_GRAPH_NAMES) == []
+
+
 def test_only_the_experiment_layer_builds_jsonl_stores():
     builders = set()
     for path, tree in _src_trees():

@@ -537,7 +537,24 @@ class TestHTTP:
         {"query": "is_equilibrium",
          "graph": {"n": 4, "edges": [[0, 1], [2, 3]]}},
         {"query": "best_swap", "graph6": _g6(path_graph(5)), "vertex": 5},
-    ], ids=["graph6", "edge-list", "disconnected", "vertex"])
+        # Ids are JSON integers: never truncated, parsed or read from bools.
+        {"query": "is_equilibrium",
+         "graph": {"n": 3, "edges": [[0.9, 1], [1, 2]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 3, "edges": [["1", 0], [1, 2]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 3, "edges": [[0, 1], [1, 2.7]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 3, "edges": [[0, True], [1, 2]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 2.5, "edges": [[0, 1]]}},
+        {"query": "is_equilibrium",
+         "graph": {"n": 3, "edges": ["01", [1, 2]]}},
+        {"query": "best_swap", "graph6": _g6(path_graph(5)), "vertex": 1.7},
+        {"query": "k_swap_stable", "graph6": _g6(path_graph(5)), "k": 2.9},
+    ], ids=["graph6", "edge-list", "disconnected", "vertex", "float-endpoint",
+            "string-endpoint", "float-endpoint-late", "bool-endpoint",
+            "float-n", "string-edge", "float-vertex", "float-k"])
     def test_client_errors_are_typed_400s(self, http, request_body):
         client, server = http
         status, body, _ = client.post("/audit", request_body)

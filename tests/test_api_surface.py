@@ -97,6 +97,15 @@ class TestCrossLayerConsistency:
         assert "graph_fingerprint" not in core.__all__
         assert "graph_fingerprint" not in trajcensus.__all__
 
+    def test_one_graph_type_and_one_move_path(self):
+        # Graphs are immutable CSRGraphs; `swapped_graph` applies a move.
+        from repro import core, graphs
+
+        assert "AdjacencyGraph" not in repro.__all__
+        assert "AdjacencyGraph" not in graphs.__all__
+        assert "apply_swap" not in core.__all__
+        assert "swapped_graph" in core.__all__
+
     def test_unreachable_constant_consistent(self):
         from repro.graphs import UNREACHABLE
         from repro.graphs.bfs import UNREACHABLE as inner
