@@ -2,17 +2,20 @@
 """CI smoke of the audit service under injected faults (DESIGN.md §10).
 
 Starts ``repro.cli serve`` as a real subprocess on an ephemeral port with
-one fault armed through the environment channel:
+both cache-write fault sites armed through the environment channel:
 
 * ``torn-write:path=<cache dir>`` — one cache entry is torn in half on
   its final path (the checksum must quarantine it and the answer must be
-  recomputed, never served corrupt).
+  recomputed, never served corrupt);
+* ``enospc:path=<cache dir>`` — the next cache write fails as if the disk
+  were full (the answer is served uncached and counted in
+  ``cache_write_failures``).
 
 The load generator then drives a deterministic query mix twice and
 asserts: every response is well-formed, warm answers are bit-equal to
 cold ones and to direct library computation, the cache hit rate is
-nonzero, the tear was quarantined, and SIGINT shuts the service down
-cleanly (exit code 0, port released).
+nonzero, the tear was quarantined, each fault fired exactly once, and
+SIGINT shuts the service down cleanly (exit code 0, port released).
 
 Run from the repository root::
 
@@ -70,7 +73,10 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONUNBUFFERED"] = "1"
-    env["REPRO_FAULTS"] = f"torn-write:path={os.path.basename(cache_dir)}"
+    cache_name = os.path.basename(cache_dir)
+    env["REPRO_FAULTS"] = (
+        f"torn-write:path={cache_name};enospc:path={cache_name}"
+    )
     env["REPRO_FAULTS_DIR"] = token_dir
 
     proc = subprocess.Popen(
@@ -113,12 +119,14 @@ def main() -> int:
         print(f"[smoke] stats: {json.dumps(stats)}")
         assert cache["hits"] > 0, stats  # nonzero cache hit rate
         assert cache["hit_rate"] > 0, stats
-        # The torn write fired, was detected, and was recomputed around.
-        assert stats["store_failures"] >= 1, stats
+        # The torn write fired, was detected, and was recomputed around;
+        # the full-disk write was served uncached and counted.
+        assert stats["cache_write_failures"] == 1, stats
+        assert stats["store_failures"] >= 2, stats
         assert cache["quarantined"] >= 1, stats
         assert (Path(cache_dir) / "quarantine").is_dir()
-        # The fault consumed exactly its one-shot budget (one token file).
-        assert len(os.listdir(token_dir)) == 1, os.listdir(token_dir)
+        # Each fault consumed exactly its one-shot budget (a token file each).
+        assert len(os.listdir(token_dir)) == 2, os.listdir(token_dir)
         health = _get(base, "/healthz")
         assert health["ok"] and health["mode"] == "serial", health
 

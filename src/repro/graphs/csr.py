@@ -50,9 +50,11 @@ class CSRGraph:
     __slots__ = ("n", "indptr", "indices", "_edge_array", "_hash", "_scipy")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise GraphError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        self.n = int(n)
+        self.n = n = int(n)
 
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
             if edges.ndim != 2 or edges.shape[1] != 2:

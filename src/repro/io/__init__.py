@@ -1,7 +1,7 @@
 """Audited on-disk state: record streams, fingerprints, caches, checkpoints."""
 
 from .checkpoint import CheckpointStore, peek_checkpoint
-from .fsutil import fsync_dir, publish_replace
+from .fsutil import canonical_json, fsync_dir, publish_replace
 from .hashing import graph_fingerprint
 from .jsonl_store import (
     FleetFailure,
@@ -10,7 +10,7 @@ from .jsonl_store import (
     maybe_decode_failure,
     summarize_stream,
 )
-from .result_cache import ResultCache, cache_key, canonical_json
+from .result_cache import ResultCache, cache_key
 
 __all__ = [
     "CheckpointStore",

@@ -2,29 +2,14 @@
 
 A :class:`CheckpointStore` holds the latest snapshot of one resumable
 computation — for the dynamics engine, the full mid-run state of one
-:meth:`~repro.core.dynamics.SwapDynamics.run` (DESIGN.md §13).  It shares
-the integrity contract of :class:`~repro.io.result_cache.ResultCache`:
-
-* **writes are atomic and durable** — the entry is serialized completely
-  before any disk state changes, written to a writer-unique ``.tmp``
-  sidecar, fsynced, and published via
-  :func:`~repro.io.fsutil.publish_replace` (``os.replace`` + parent
-  directory fsync).  A crash at any instant leaves either the previous
-  checkpoint or the new one — never a torn final file;
-* **reads verify** — entries carry a SHA-256 checksum of the canonically
-  serialized payload plus the run configuration they claim to continue.
-  A corrupt entry (torn bytes, bit rot) is moved aside to
-  ``<path>.quarantined.<pid>`` and reported as "no checkpoint", so a
-  damaged snapshot degrades to a restart, never to a wrong resume.  A
-  *valid* entry whose embedded config differs from the caller's raises
-  :class:`~repro.errors.StoreIntegrityError`: resuming someone else's run
-  would silently splice two different games;
-* **faults are injectable** — :meth:`CheckpointStore.save` exposes
-  ``enospc`` (partial ``.tmp``, typed error, final file untouched) and
-  ``torn-write`` (half an entry on the *final* path — the post-rename
-  content loss the checksum must catch) sites, and the publish step
-  inherits :func:`~repro.io.fsutil.publish_replace`'s ``torn-rename``
-  site.  See :mod:`repro.parallel.faults`.
+:meth:`~repro.core.dynamics.SwapDynamics.run` (DESIGN.md §13).  Each
+snapshot is one checksummed entry, written and verified by
+:mod:`repro.io.fsutil` (fault sites included).  The store adds the run's
+``config``, which a resume must match (a verified entry of another run
+raises and is never quarantined); the quarantine of a corrupt entry to
+``<path>.quarantined.<pid>``, so a damaged snapshot degrades to a
+restart, never to a wrong resume; and a ``meta`` progress block, which
+:func:`peek_checkpoint` reads from verified entries only.
 
 Payloads must be canonical-JSON serializable (the dynamics snapshot
 encodes non-finite trace floats as strings; see ``core/dynamics.py``).
@@ -34,58 +19,29 @@ run leaves no checkpoint behind.
 
 from __future__ import annotations
 
-import errno
-import hashlib
-import itertools
-import json
 import os
 from pathlib import Path
 
 from ..errors import StoreIntegrityError
-from ..parallel import faults
-from .fsutil import publish_replace
-from .result_cache import canonical_json
+from .fsutil import read_entry, sweep_tmp, write_entry
 
 __all__ = ["CheckpointStore", "peek_checkpoint"]
 
-_ENTRY_VERSION = 1
-
-
-def _read_entry(path: Path) -> "dict | None":
-    """Parse an entry file: ``None`` when absent, ``{}`` when unreadable."""
-    try:
-        raw = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        return None
-    try:
-        entry = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return {}
-    if not isinstance(entry, dict) or entry.get("v") != _ENTRY_VERSION:
-        return {}
-    return entry
-
 
 def peek_checkpoint(path: "str | os.PathLike") -> "dict | None":
-    """A checkpoint's ``meta`` progress block, with **no side effects**.
+    """The ``meta`` block of a verified checkpoint, with **no side effects**.
 
     Unlike constructing a :class:`CheckpointStore` (which sweeps stale
     sidecars and creates the parent directory), this only reads: the
     status path reports progress of checkpoints owned by a possibly-live
     fleet and must not race its writers.  Returns ``None`` for a missing
-    or unreadable slot.
+    slot and for one that fails verification.
     """
-    entry = _read_entry(Path(path))
+    entry = read_entry(path)
     if not entry:
         return None
     meta = entry.get("meta")
     return dict(meta) if isinstance(meta, dict) else None
-
-
-def _payload_checksum(payload) -> str:
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()
 
 
 class CheckpointStore:
@@ -93,124 +49,47 @@ class CheckpointStore:
 
     ``save(payload, config, meta=...)`` atomically replaces the slot;
     ``load(config)`` returns the verified payload (or ``None`` after
-    quarantining corruption / when no checkpoint exists); ``peek()``
-    returns the unverified-but-parsed ``meta`` block for cheap progress
-    reporting; ``clear()`` removes the slot.  Stale ``.tmp`` sidecars of
-    this slot (crashed writers, injected torn renames) are swept on
-    construction — the final file is always authoritative.
+    quarantining corruption / when no checkpoint exists); ``clear()``
+    removes the slot.  Stale ``.tmp`` sidecars of this slot (crashed
+    writers, injected torn renames) are swept on construction — the final
+    file is always authoritative.
     """
 
     def __init__(self, path: "str | os.PathLike"):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._unique = itertools.count()
-        self.swept_tmp = self._sweep_stale_tmp()
-
-    # -- layout -----------------------------------------------------------
-
-    def _tmp_path(self) -> Path:
-        serial = next(self._unique)
-        return self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{serial}.tmp"
-        )
-
-    def _sweep_stale_tmp(self) -> int:
-        swept = 0
-        for tmp in self.path.parent.glob(self.path.name + ".*.tmp"):
-            try:
-                tmp.unlink()
-                swept += 1
-            except OSError:  # pragma: no cover - racing sweeper
-                pass
-        return swept
+        self.swept_tmp = sweep_tmp(self.path.parent, self.path.name + ".*.tmp")
 
     def exists(self) -> bool:
         return self.path.exists()
-
-    # -- write path -------------------------------------------------------
 
     def save(self, payload, config: dict, meta: "dict | None" = None) -> Path:
         """Atomically replace the slot with ``payload``; returns the path.
 
         ``config`` pins the run this snapshot continues (validated by
         :meth:`load`); ``meta`` is a small progress block readable via
-        :meth:`peek` without deserializing the payload's semantics.
-        Serializes the entry first, so encoding errors surface before any
-        disk state changes.  Injected or real ``OSError`` on the sidecar
-        write path (``ENOSPC`` above all) raises
-        :class:`~repro.errors.StoreIntegrityError` with the final file
-        untouched — the previous checkpoint, if any, stays live.
+        :func:`peek_checkpoint`.  A failed write raises
+        :class:`~repro.errors.StoreIntegrityError` with the previous
+        checkpoint, if any, still live.
         """
-        entry = {
-            "v": _ENTRY_VERSION,
-            "config": config,
-            "meta": meta or {},
-            "checksum": _payload_checksum(payload),
-            "payload": payload,
-        }
-        blob = canonical_json(entry).encode("utf-8")
-        spec = faults.take("torn-write", path=str(self.path))
-        if spec is not None:
-            # Post-rename content loss: half the entry on the FINAL path,
-            # exactly what load()'s checksum must quarantine.
-            self.path.write_bytes(blob[: len(blob) // 2])
-            raise faults.InjectedFault(
-                f"injected torn-write of checkpoint {self.path}"
-            )
-        tmp = self._tmp_path()
-        spec = faults.take("enospc", path=str(self.path))
-        if spec is not None:
-            # The disk fills mid-sidecar-write: partial tmp, typed error,
-            # final file untouched.  The stale sidecar is swept later.
-            tmp.write_bytes(blob[: len(blob) // 2])
-            raise StoreIntegrityError(
-                f"checkpoint write failed: injected ENOSPC at {self.path}"
-            ) from faults.InjectedFault(
-                os.strerror(errno.ENOSPC)
-            )
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - full-disk unlink race
-                pass
-            raise StoreIntegrityError(
-                f"checkpoint write failed at {self.path}: {exc}"
-            ) from exc
-        publish_replace(tmp, self.path)
-        return self.path
-
-    # -- read path --------------------------------------------------------
-
-    def _read_entry(self) -> "dict | None":
-        return _read_entry(self.path)
+        return write_entry(
+            self.path, {"config": config, "meta": meta or {}}, payload,
+            what="checkpoint",
+        )
 
     def load(self, config: dict):
         """The verified payload, or ``None`` (no / quarantined checkpoint).
 
-        Corruption — unparsable entry, checksum mismatch — moves the file
-        to ``<path>.quarantined.<pid>`` and returns ``None``: the caller
-        restarts from scratch, which is always correct.  A verified entry
-        written under a *different* config raises
-        :class:`~repro.errors.StoreIntegrityError` instead: that file is
-        not noise, it is somebody else's run, and resuming it would
-        silently splice two games.
+        Corruption moves the file to ``<path>.quarantined.<pid>`` and
+        returns ``None``: the caller restarts from scratch, which is always
+        correct.  A verified entry written under a *different* config
+        raises :class:`~repro.errors.StoreIntegrityError` instead: that
+        file is not noise, it is somebody else's run.
         """
-        entry = self._read_entry()
+        entry = read_entry(self.path)
         if entry is None:
             return None
-        payload = entry.get("payload") if entry else None
-        try:
-            ok = bool(entry) and (
-                _payload_checksum(payload) == entry.get("checksum")
-            )
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
+        if not entry:
             self._quarantine()
             return None
         if entry.get("config") != config:
@@ -221,19 +100,7 @@ class CheckpointStore:
                 "runs — clear the checkpoint or rerun with the original "
                 "arguments"
             )
-        return payload
-
-    def peek(self) -> "dict | None":
-        """The entry's ``meta`` progress block, or ``None``.
-
-        Cheap and side-effect free (no quarantine, no config check): the
-        status path reports progress of checkpoints it does not own.
-        """
-        entry = self._read_entry()
-        if not entry:
-            return None
-        meta = entry.get("meta")
-        return dict(meta) if isinstance(meta, dict) else None
+        return entry.get("payload")
 
     def _quarantine(self) -> None:
         dest = self.path.with_name(
@@ -243,8 +110,6 @@ class CheckpointStore:
             os.replace(self.path, dest)
         except OSError:  # pragma: no cover - concurrent quarantine
             pass
-
-    # -- lifecycle --------------------------------------------------------
 
     def clear(self) -> None:
         """Remove the slot (a finished run leaves no checkpoint behind)."""

@@ -68,6 +68,7 @@ Disk-fault hardening (ISSUE 10, DESIGN.md §13):
 
 from __future__ import annotations
 
+import glob
 import io
 import json
 import os
@@ -77,7 +78,7 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError, StoreIntegrityError
 from ..parallel import faults
-from .fsutil import fsync_dir, publish_replace
+from .fsutil import fsync_dir, publish_replace, sweep_tmp
 
 __all__ = [
     "FleetFailure",
@@ -183,6 +184,56 @@ class StreamSummary:
         return self.results + len(self.failures)
 
 
+def _read_stream(
+    path: Path,
+    is_header: Callable[[object], bool],
+    decode: Callable[[dict], object],
+    record_name: str,
+) -> "tuple[dict | None, list, bool]":
+    """Apply the torn-line policy to the stream at ``path``.
+
+    Returns ``(header, records, torn_tail)``: ``header`` is the first line
+    when ``is_header`` accepts it (else ``None``), ``records`` holds
+    ``decode`` of every later line, and a final line that is not JSON or
+    that ``decode`` rejects with ``TypeError`` is dropped as the torn
+    tail.  The same failure on any earlier line raises
+    :class:`~repro.errors.StoreIntegrityError`: records beyond a mid-file
+    tear would be silently lost.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header: "dict | None" = None
+    records: list = []
+    for idx, line in enumerate(lines):
+        final = idx == len(lines) - 1
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            if final:
+                return header, records, True
+            raise StoreIntegrityError(
+                f"{path}: line {idx + 1} of {len(lines)} is not valid JSON "
+                "but is not the final line — the stream is corrupt "
+                "mid-file, not merely torn by a crash"
+            ) from None
+        if idx == 0 and is_header(obj):
+            header = obj
+            continue
+        try:
+            records.append(decode(obj))
+        except TypeError:
+            if final:
+                return header, records, True
+            raise StoreIntegrityError(
+                f"{path}: line {idx + 1} of {len(lines)} is valid JSON but "
+                f"not a {record_name}; the stream is corrupt mid-file"
+            ) from None
+    return header, records, False
+
+
+def _is_any_header(obj) -> bool:
+    return isinstance(obj, dict) and any(k.endswith("_config") for k in obj)
+
+
 def summarize_stream(
     path: "str | Path", *, record_name: str = "record"
 ) -> StreamSummary:
@@ -197,49 +248,14 @@ def summarize_stream(
     quarantine coordinates, no recompute.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header: "dict | None" = None
-    results = 0
-    failures: list = []
-    torn_tail = False
-    for idx, line in enumerate(lines):
-        final = idx == len(lines) - 1
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            if final:
-                torn_tail = True
-                break
-            raise StoreIntegrityError(
-                f"{path}: line {idx + 1} of {len(lines)} is not valid JSON "
-                "but is not the final line — the stream is corrupt "
-                "mid-file, not merely torn by a crash"
-            ) from None
-        if (
-            idx == 0
-            and isinstance(obj, dict)
-            and any(key.endswith("_config") for key in obj)
-        ):
-            header = obj
-            continue
-        try:
-            failure = maybe_decode_failure(obj)
-        except TypeError:
-            if final:
-                torn_tail = True
-                break
-            raise StoreIntegrityError(
-                f"{path}: line {idx + 1} of {len(lines)} is valid JSON but "
-                f"not a {record_name}; the stream is corrupt mid-file"
-            ) from None
-        if failure is not None:
-            failures.append(failure)
-        else:
-            results += 1
+    header, decoded, torn_tail = _read_stream(
+        path, _is_any_header, maybe_decode_failure, record_name
+    )
+    failures = [failure for failure in decoded if failure is not None]
     return StreamSummary(
         path=path,
         header=header,
-        results=results,
+        results=len(decoded) - len(failures),
         failures=failures,
         torn_tail=torn_tail,
     )
@@ -296,10 +312,6 @@ class JsonlStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def summary(self) -> StreamSummary:
-        """Header + slot counts + quarantined failures, no recomputation."""
-        return summarize_stream(self.path, record_name=self.record_name)
-
     def read_prefix(self) -> "tuple[dict | None, list]":
         """Parse a (possibly torn) stream -> ``(config header, records)``.
 
@@ -309,36 +321,12 @@ class JsonlStore:
         is returned separately when present; legacy files that start
         straight with records yield ``header=None``.
         """
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        header: "dict | None" = None
-        records: list = []
-        for idx, line in enumerate(lines):
-            final = idx == len(lines) - 1
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                if final:
-                    break  # torn tail from a mid-write crash: drop and resume
-                raise StoreIntegrityError(
-                    f"{self.path}: line {idx + 1} of {len(lines)} is not "
-                    "valid JSON but is not the final line — the stream is "
-                    "corrupt mid-file, not merely torn by a crash; refusing "
-                    "to resume (records beyond the tear would be silently "
-                    "lost)"
-                ) from None
-            if idx == 0 and isinstance(obj, dict) and self.config_key in obj:
-                header = obj
-                continue
-            try:
-                records.append(self._decode(obj))
-            except TypeError:
-                if final:
-                    break  # complete JSON but torn fields: treat as torn tail
-                raise StoreIntegrityError(
-                    f"{self.path}: line {idx + 1} of {len(lines)} is valid "
-                    f"JSON but not a {self.record_name}; refusing to resume "
-                    "from a corrupt stream"
-                ) from None
+        header, records, _ = _read_stream(
+            self.path,
+            lambda obj: isinstance(obj, dict) and self.config_key in obj,
+            self._decode,
+            self.record_name,
+        )
         return header, records
 
     def check_header(self, header: dict) -> None:
@@ -411,11 +399,7 @@ class JsonlStore:
         # swap either happened completely or not at all), so a stale
         # sidecar is pure garbage — drop it rather than let it shadow the
         # next rewrite or alarm forensics.
-        stale = self.path.with_name(self.path.name + ".tmp")
-        try:
-            stale.unlink()
-        except OSError:
-            pass
+        sweep_tmp(self.path.parent, glob.escape(self.path.name) + ".tmp")
         done: list = []
         if resume:
             done = self.resume_records()[:count]
@@ -454,35 +438,33 @@ class JsonlStore:
         """Append ``records`` through :func:`write_records`.
 
         Applies the store's durability cadence per batch, and honours an
-        armed ``torn-write`` fault (half the serialized batch is written,
-        flushed, and :class:`~repro.parallel.faults.InjectedFault` raised —
-        the deterministic crash-mid-append the resume policy must absorb).
+        armed ``torn-write`` or ``enospc`` fault: half the serialized batch
+        is written and flushed, then
+        :class:`~repro.parallel.faults.InjectedFault` (the crash) or
+        :class:`~repro.errors.StoreIntegrityError` (the full disk) is
+        raised — the torn tail the resume policy must absorb.
         """
         batch = self._append_batch
         self._append_batch += 1
         if faults.faults_armed():
             records = list(records)
-            spec = faults.take("torn-write", batch=batch, path=str(self.path))
-            if spec is not None:
+            torn = faults.take("torn-write", batch=batch, path=str(self.path))
+            if torn is not None or faults.take(
+                "enospc", batch=batch, path=str(self.path)
+            ) is not None:
+                # A crash or a full disk mid-append: half the batch lands
+                # (a torn tail the resume policy drops), then the site's
+                # error — the injected crash, or the typed integrity error
+                # of the real-OSError branch below.
                 buf = io.StringIO()
                 write_records(buf, records)
                 text = buf.getvalue()
                 sink.write(text[: len(text) // 2])
                 sink.flush()
-                raise faults.InjectedFault(
-                    f"injected torn-write at batch {batch}"
-                )
-            spec = faults.take("enospc", batch=batch, path=str(self.path))
-            if spec is not None:
-                # The disk fills mid-append: half the batch lands (a torn
-                # tail the resume policy drops) and the write path raises
-                # its typed integrity error, exactly like the real-OSError
-                # branch below.
-                buf = io.StringIO()
-                write_records(buf, records)
-                text = buf.getvalue()
-                sink.write(text[: len(text) // 2])
-                sink.flush()
+                if torn is not None:
+                    raise faults.InjectedFault(
+                        f"injected torn-write at batch {batch}"
+                    )
                 raise StoreIntegrityError(
                     f"stream append failed: injected ENOSPC at batch "
                     f"{batch} of {self.path}"

@@ -8,31 +8,17 @@ params)`` into a hex digest, and :class:`ResultCache` maps each key to one
 JSON entry file under a two-level sharded directory layout
 (``root/<key[:2]>/<key>.json``).
 
-Integrity is never assumed:
-
-* **writes are atomic and durable** — each entry is serialized to a
-  uniquely named ``*.tmp`` sidecar in the final directory, fsynced, then
-  published with :func:`~repro.io.fsutil.publish_replace` (``os.replace``
-  plus a parent-directory fsync: the rename itself is not crash-durable
-  until the directory entry is synced).  A crash mid-write leaves only a
-  ``.tmp`` (swept on the next startup), never a partial entry; two
-  concurrent writers of the same key each publish a complete entry and the
-  last rename wins — both are valid, because the payload is a pure
-  function of the key.  A failed write — the injected ``enospc`` site or
-  any real ``OSError`` — raises :class:`~repro.errors.StoreIntegrityError`
-  with the final path untouched, so callers degrade (serve the computed
-  answer uncached) instead of corrupting the cache;
-* **reads verify** — every entry carries a SHA-256 checksum of its
-  canonically serialized payload plus the key it claims to answer.  A
-  mismatch (torn file, bit rot, hand-edited entry, key collision) moves
-  the file into ``root/quarantine/`` and reports a miss, so corruption is
-  *recomputed around*, never served;
-* **faults are injectable** — :meth:`ResultCache.put` exposes a
-  ``torn-write`` site (``path=`` filter matches the entry's final path):
-  the injector writes only half of the serialized entry **to the final
-  path** and raises, simulating the post-rename content loss a power cut
-  inflicts on an unsynced file — exactly the corruption the checksum must
-  catch (see :mod:`repro.parallel.faults`).
+Each entry is one checksummed entry, written and verified by
+:mod:`repro.io.fsutil` (fault sites included; ``path=`` filters match
+the entry's final path).  The cache adds the key each entry claims to
+answer, and the quarantine: an entry that fails verification or answers
+another key is moved into ``root/quarantine/`` and reported as a miss,
+so corruption is *recomputed around*, never served.  An unreadable file
+is a plain miss.  Concurrent writers of one key converge — each publishes
+a complete entry and the last rename wins, both valid because the
+payload is a pure function of the key — and a failed write raises
+:class:`~repro.errors.StoreIntegrityError` with the final path untouched,
+so callers serve the computed answer uncached.
 
 Counters (hits / misses / writes / quarantined / swept tmp files) feed the
 service's ``/stats`` endpoint.  All methods are thread-safe: the service
@@ -42,33 +28,16 @@ handles requests from ``ThreadingHTTPServer`` threads.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
 import os
 import threading
 from pathlib import Path
 
-from ..errors import ConfigurationError, StoreIntegrityError
-from ..parallel import faults
-from .fsutil import publish_replace
+from ..errors import ConfigurationError
+from .fsutil import canonical_json, read_entry, sweep_tmp, write_entry
 
+# canonical_json lives in fsutil; it is re-exported here, where the cache
+# key and the traced `io.canonical_json` layer have always found it.
 __all__ = ["ResultCache", "cache_key", "canonical_json"]
-
-_ENTRY_VERSION = 1
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace, strict).
-
-    The checksum contract hashes these bytes, so the encoding must be
-    canonical and standard: ``allow_nan=False`` rejects non-finite floats
-    — callers encode them as strings first (see the service's payload
-    builders) — because ``Infinity`` is not valid JSON and would make
-    entries unreadable to strict parsers.
-    """
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
 
 
 def cache_key(
@@ -83,8 +52,8 @@ def cache_key(
     ``model_spec`` the canonical cost-model spec string; ``params`` any
     extra query arguments that change the answer (e.g. ``{"vertex": 3}``
     for a best-swap query).  The audit ``mode`` is deliberately *not* part
-    of the key: repair / batched / rebuild are answer-equivalent by the
-    library's core invariant, and the cache stores answers.
+    of the key: batched and rebuild are answer-equivalent by the library's
+    core invariant, and the cache stores answers.
     """
     material = canonical_json(
         [fingerprint, model_spec, query_kind, params or {}]
@@ -92,16 +61,14 @@ def cache_key(
     return hashlib.sha256(material.encode("ascii")).hexdigest()[:32]
 
 
-def _payload_checksum(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
 class ResultCache:
     """Content-addressed audit-result store with integrity verification.
 
     ``get`` returns the verified payload or ``None``; ``put`` atomically
     publishes ``payload`` under ``key``.  Payloads must be canonical-JSON
-    serializable (plain dicts/lists/strings/finite numbers).
+    serializable (plain dicts/lists/strings/finite numbers).  Stale
+    ``.tmp`` sidecars (crashed writers, lost renames) are swept on
+    construction.
     """
 
     def __init__(self, root: "str | os.PathLike"):
@@ -110,84 +77,40 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(exist_ok=True)
         self._lock = threading.Lock()
-        self._unique = itertools.count()
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        self.swept_tmp = self._sweep_stale_tmp()
-
-    # -- layout -----------------------------------------------------------
+        self.swept_tmp = sweep_tmp(self.root, "*/*.tmp")
 
     def entry_path(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ConfigurationError(f"malformed cache key {key!r}")
         return self.root / key[:2] / f"{key}.json"
 
-    def _tmp_path(self, final: Path) -> Path:
-        with self._lock:
-            serial = next(self._unique)
-        return final.with_name(
-            f"{final.stem}.{os.getpid()}.{serial}.tmp"
-        )
-
-    def _sweep_stale_tmp(self) -> int:
-        """Remove ``.tmp`` litter left by crashed writers (startup only)."""
-        swept = 0
-        for tmp in self.root.glob("*/*.tmp"):
-            try:
-                tmp.unlink()
-                swept += 1
-            except OSError:  # pragma: no cover - racing sweeper
-                pass
-        return swept
-
     # -- read path --------------------------------------------------------
 
     def get(self, key: str, *, count_miss: bool = True):
         """The verified payload stored under ``key``, or ``None``.
 
-        Any unreadable, unparsable, mis-keyed, or checksum-failing entry is
-        moved to ``quarantine/`` and reported as a miss — the caller
-        recomputes and overwrites.  ``count_miss=False`` keeps a re-check
-        of an already-counted miss (the service double-checks under its
+        An unparsable, checksum-failing, or mis-keyed entry is moved to
+        ``quarantine/`` and reported as a miss — the caller recomputes and
+        overwrites.  ``count_miss=False`` keeps a re-check of an
+        already-counted miss (the service double-checks under its
         admission gate) from inflating the miss counter; hits always count.
         """
         path = self.entry_path(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            if count_miss:
-                with self._lock:
-                    self.misses += 1
-            return None
-        payload = self._verify(key, raw)
-        if payload is None:
+        entry = read_entry(path)
+        if entry and entry.get("key") == key:
+            with self._lock:
+                self.hits += 1
+            return entry.get("payload")
+        if entry is not None:
             self._quarantine(path)
-            if count_miss:
-                with self._lock:
-                    self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return payload
-
-    @staticmethod
-    def _verify(key: str, raw: bytes):
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict) or entry.get("v") != _ENTRY_VERSION:
-            return None
-        if entry.get("key") != key:
-            return None
-        payload = entry.get("payload")
-        try:
-            ok = _payload_checksum(payload) == entry.get("checksum")
-        except (TypeError, ValueError):
-            return None
-        return payload if ok else None
+        if count_miss:
+            with self._lock:
+                self.misses += 1
+        return None
 
     def _quarantine(self, path: Path) -> None:
         dest = self.quarantine_dir / f"{path.name}.{os.getpid()}.quarantined"
@@ -203,58 +126,15 @@ class ResultCache:
     def put(self, key: str, payload, meta: "dict | None" = None) -> Path:
         """Atomically publish ``payload`` under ``key``; returns the path.
 
-        Serializes the full entry first (so encoding errors surface before
-        any disk state changes), writes it to a writer-unique ``.tmp``
-        sidecar, fsyncs, and ``os.replace``s onto the final path.
-        Concurrent writers of the same key converge: each rename publishes
-        a complete, valid entry.
+        A failed write raises :class:`~repro.errors.StoreIntegrityError`
+        with the final path untouched.
         """
         final = self.entry_path(key)
-        entry = {
-            "v": _ENTRY_VERSION,
-            "key": key,
-            "meta": meta or {},
-            "checksum": _payload_checksum(payload),
-            "payload": payload,
-        }
-        blob = canonical_json(entry).encode("utf-8")
         final.parent.mkdir(exist_ok=True)
-        spec = faults.take("torn-write", path=str(final))
-        if spec is not None:
-            # Simulated post-rename content loss: half the entry lands on
-            # the FINAL path (bypassing the tmp+rename discipline the way a
-            # power cut bypasses it) and the writer dies.
-            final.write_bytes(blob[: len(blob) // 2])
-            raise faults.InjectedFault(
-                f"injected torn-write of cache entry {final}"
-            )
-        tmp = self._tmp_path(final)
-        spec = faults.take("enospc", path=str(final))
-        if spec is not None:
-            # The disk fills mid-sidecar-write: partial tmp (startup sweep
-            # litter), typed error, final path untouched — never a torn
-            # published entry.
-            tmp.write_bytes(blob[: len(blob) // 2])
-            raise StoreIntegrityError(
-                f"cache write failed: injected ENOSPC at {final}"
-            ) from faults.InjectedFault("no space left on device")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - full-disk unlink race
-                pass
-            raise StoreIntegrityError(
-                f"cache write failed at {final}: {exc}"
-            ) from exc
-        # os.replace + parent-directory fsync (+ the torn-rename fault
-        # site): the rename is not crash-durable until the directory
-        # entry is synced.
-        publish_replace(tmp, final)
+        write_entry(
+            final, {"key": key, "meta": meta or {}}, payload,
+            what="cache entry",
+        )
         with self._lock:
             self.writes += 1
         return final

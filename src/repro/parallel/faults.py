@@ -26,18 +26,18 @@ Kinds
 * ``torn-write`` — a file write is torn in half: :meth:`repro.io.
   jsonl_store.JsonlStore.append` writes only half of the serialized batch,
   flushes, and raises (a host crash tearing the stream's final line);
-  :meth:`repro.io.result_cache.ResultCache.put` and :meth:`repro.io.
-  checkpoint.CheckpointStore.save` write only half of the serialized
-  entry *to the final path* and raise (the post-rename content loss a
-  power cut can inflict on an unsynced entry — exactly the corruption the
-  stores' checksum verification must quarantine);
+  :func:`repro.io.fsutil.write_entry`, the one writer of result-cache
+  entries and checkpoints, writes only half of the serialized entry *to
+  the final path* and raises (the post-rename content loss a power cut
+  can inflict on an unsynced entry — exactly the corruption the entry
+  checksum must quarantine);
 * ``enospc`` — the disk fills mid-write: the store writes a partial blob,
   then raises the typed integrity error its write contract promises
-  (wrapping ``OSError(ENOSPC)``); fired at stream appends
-  (:meth:`~repro.io.jsonl_store.JsonlStore.append`), cache puts, and
-  checkpoint saves.  The partial bytes land where a real ``ENOSPC`` would
-  leave them — a torn stream tail, a dead ``.tmp`` sidecar — never a torn
-  final entry;
+  (wrapping ``OSError(ENOSPC)``); fired at the same two sites,
+  :meth:`~repro.io.jsonl_store.JsonlStore.append` and
+  :func:`~repro.io.fsutil.write_entry`.  The partial bytes land where a
+  real ``ENOSPC`` would leave them — a torn stream tail, a dead ``.tmp``
+  sidecar — never a torn final entry;
 * ``torn-rename`` — the crash window *between* ``os.replace`` and the
   parent-directory fsync: :func:`repro.io.fsutil.publish_replace` leaves
   the complete ``.tmp`` sidecar in place, skips the rename, and raises —
@@ -242,9 +242,10 @@ def take(kind: str, **site) -> "FaultSpec | None":
     """Consume a matching armed env fault of ``kind`` at this site, if any.
 
     Returns the spec that fired (its token now consumed) or ``None``.  The
-    JSONL store uses this directly for ``torn-write`` (the tear itself is
-    performed by the store, which knows the bytes); the runtime sites go
-    through :func:`maybe_fault`.
+    byte-writing sites — :func:`repro.io.fsutil.write_entry`, the JSONL
+    append, and :func:`repro.io.fsutil.publish_replace` — use this
+    directly (the tear itself is performed by the writer, which knows the
+    bytes); the runtime sites go through :func:`maybe_fault`.
     """
     text = os.environ.get(ENV_SPEC)
     if not text:

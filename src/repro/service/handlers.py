@@ -198,6 +198,8 @@ class AuditEngine:
 
     def _deadline_from(self, request: dict) -> float:
         timeout = request.get("timeout_s", self.default_timeout)
+        if isinstance(timeout, bool):  # float(True) == 1.0 is no budget
+            raise ClientError(f"timeout_s must be a number, got {timeout!r}")
         try:
             timeout = float(timeout)
         except (TypeError, ValueError):

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(GraphError):
             CSRGraph(-1, [])
 
+    @pytest.mark.parametrize("n", [2.5, "3", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(GraphError, match="must be an integer"):
+            CSRGraph(n, [(0, 1)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidEdgeError):
             CSRGraph(3, [(1, 1)])

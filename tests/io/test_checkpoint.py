@@ -65,8 +65,18 @@ class TestPeek:
         store = _store(tmp_path)
         store.save({"big": list(range(50))}, CONFIG,
                    meta={"steps": 9, "activations": 4})
-        assert store.peek() == {"steps": 9, "activations": 4}
         assert peek_checkpoint(store.path) == {"steps": 9, "activations": 4}
+
+    def test_peek_checkpoint_reads_only_verified_entries(self, tmp_path):
+        # Progress is reported from a verified entry only: a slot whose
+        # checksum fails reports none (status shows the recorded block).
+        store = _store(tmp_path)
+        store.save({"steps": 9}, CONFIG, meta={"steps": 9})
+        entry = json.loads(store.path.read_text())
+        entry["payload"] = {"steps": 99}
+        store.path.write_text(json.dumps(entry))
+        assert peek_checkpoint(store.path) is None
+        assert store.exists()
 
     def test_peek_checkpoint_missing_is_none(self, tmp_path):
         assert peek_checkpoint(tmp_path / "nope.ckpt") is None

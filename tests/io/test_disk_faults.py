@@ -9,12 +9,13 @@ sweepable litter.  The end-to-end heal is ``scripts/chaos_soak.py``;
 these are the per-store unit regressions.
 """
 
+import os
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import StoreIntegrityError
-from repro.io import JsonlStore, ResultCache, cache_key
+from repro.io import CheckpointStore, JsonlStore, ResultCache, cache_key
 from repro.parallel import faults
 from repro.parallel.faults import InjectedFault
 
@@ -125,3 +126,94 @@ class TestResultCacheDiskFaults:
         reopened = ResultCache(tmp_path / "rc")
         assert reopened.get(self.KEY) == {"gen": 1}
         assert reopened.stats()["swept_tmp"] >= 1
+
+
+class _CheckpointSlot:
+    CONFIG = {"v": 1, "objective": "sum", "n": 3}
+    PAYLOAD = {"steps": 2, "edges": [[0, 1], [1, 2]]}
+    BYTES = (
+        b'{"checksum":"7fa97f10d61d258a45fa669719cb89b5d165b9e69a4310d098ed'
+        b'9a697e373b2e","config":{"n":3,"objective":"sum","v":1},"meta":'
+        b'{"steps":2},"payload":{"edges":[[0,1],[1,2]],"steps":2},"v":1}'
+    )
+
+    def __init__(self, tmp_path):
+        self.path = tmp_path / "slot-00000.ckpt"
+
+    def open(self):
+        return CheckpointStore(self.path)
+
+    def write(self, store, payload):
+        return store.save(payload, self.CONFIG, meta={"steps": 2})
+
+    def read(self, store):
+        return store.load(self.CONFIG)
+
+
+class _CacheSlot:
+    KEY = cache_key("ab" * 8, "sum", "is_equilibrium")
+    PAYLOAD = {"is_equilibrium": True}
+    BYTES = (
+        b'{"checksum":"2cd8f7a848d2febc83cde26fecf7d4f459db05049d42f0a182e5'
+        b'8757d2127b7b","key":"2a8043c2a53c6ede7ca4df9429a3b1a1","meta":'
+        b'{"query":"is_equilibrium"},"payload":{"is_equilibrium":true},"v":1}'
+    )
+
+    def __init__(self, tmp_path):
+        self.root = tmp_path / "rc"
+
+    def open(self):
+        return ResultCache(self.root)
+
+    def write(self, store, payload):
+        return store.put(self.KEY, payload, {"query": "is_equilibrium"})
+
+    def read(self, store):
+        return store.get(self.KEY)
+
+
+@pytest.fixture(params=[_CheckpointSlot, _CacheSlot],
+                ids=["checkpoint", "cache"])
+def slot(request, tmp_path):
+    return request.param(tmp_path)
+
+
+class TestSharedEntryWriter:
+    """Checkpoints and cache entries share one writer: one byte format and
+    one answer to a failed sidecar write or a lost rename."""
+
+    def test_entry_bytes_are_pinned(self, slot):
+        path = slot.write(slot.open(), slot.PAYLOAD)
+        assert path.read_bytes() == slot.BYTES
+
+    def test_real_oserror_on_sidecar_keeps_previous_entry(
+        self, slot, monkeypatch
+    ):
+        store = slot.open()
+        path = slot.write(store, slot.PAYLOAD)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, os.strerror(28))
+
+        with monkeypatch.context() as patched:
+            patched.setattr("builtins.open", full_disk)
+            with pytest.raises(StoreIntegrityError, match="write failed"):
+                slot.write(store, {"gen": 2})
+        assert path.read_bytes() == slot.BYTES
+        assert list(path.parent.glob("*.tmp")) == []
+        assert slot.read(store) == slot.PAYLOAD
+
+    def test_torn_rename_keeps_old_entry_and_reopen_sweeps(
+        self, slot, monkeypatch
+    ):
+        store = slot.open()
+        path = slot.write(store, slot.PAYLOAD)
+        monkeypatch.setenv(faults.ENV_SPEC, f"torn-rename:path={path.name}")
+        with pytest.raises(InjectedFault):
+            slot.write(store, {"gen": 2})
+        assert path.read_bytes() == slot.BYTES
+        assert len(list(path.parent.glob("*.tmp"))) == 1
+        reopened = slot.open()
+        assert reopened.swept_tmp == 1
+        assert list(path.parent.glob("*.tmp")) == []
+        assert slot.read(reopened) == slot.PAYLOAD

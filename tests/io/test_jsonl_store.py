@@ -314,8 +314,8 @@ class TestFleetFailure:
 
 class TestStreamSummary:
     def test_summary_counts_results(self, stream):
-        store, path = stream
-        summary = store.summary()
+        _, path = stream
+        summary = summarize_stream(path)
         assert isinstance(summary, StreamSummary)
         assert summary.path == path
         assert summary.header == {"item_config": 1, "mode": "x", "count": 3}
@@ -325,31 +325,31 @@ class TestStreamSummary:
         assert summary.completed == 3
 
     def test_summary_classifies_quarantine_lines(self, stream):
-        store, path = stream
+        _, path = stream
         failure = FleetFailure(
             coords={"a": 4}, error="InjectedFault('x')", attempts=2
         )
         with path.open("a") as sink:
             sink.write(json.dumps(failure.encode()) + "\n")
-        summary = store.summary()
+        summary = summarize_stream(path)
         assert summary.results == 3
         assert summary.failures == [failure]
         assert summary.completed == 4
 
     def test_summary_reports_torn_tail(self, stream):
-        store, path = stream
+        _, path = stream
         path.write_text(path.read_text()[:-15])
-        summary = store.summary()
+        summary = summarize_stream(path)
         assert summary.torn_tail
         assert summary.results == 2
 
     def test_summary_raises_on_mid_file_tear(self, stream):
-        store, path = stream
+        _, path = stream
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:7]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt mid-file"):
-            store.summary()
+            summarize_stream(path)
 
     def test_headerless_stream_summarizes_with_none_header(self, stream):
         _, path = stream

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.io import ResultCache, cache_key, canonical_json
-from repro.io.result_cache import _payload_checksum
+from repro.io.fsutil import entry_checksum
 from repro.parallel import faults
 from repro.parallel.faults import InjectedFault
 
@@ -103,6 +103,14 @@ class TestCorruption:
         assert cache.get(other) is None
         assert cache.get(KEY) == PAYLOAD
 
+    def test_unreadable_entry_is_a_plain_miss(self, cache):
+        # A path that cannot be read (here a directory) is a miss, as an
+        # unreadable checkpoint is "no checkpoint": nothing to quarantine.
+        cache.entry_path(KEY).mkdir(parents=True)
+        assert cache.get(KEY) is None
+        stats = cache.stats()
+        assert stats["misses"] == 1 and stats["quarantined"] == 0
+
     def test_quarantined_entry_recomputable(self, cache):
         path = self._entry(cache)
         path.write_bytes(b"\x00garbage")
@@ -139,7 +147,7 @@ class TestCrashMidWrite:
         # the process dies before os.replace publishes it.
         final = cache.entry_path(KEY)
         final.parent.mkdir(exist_ok=True)
-        tmp = cache._tmp_path(final)
+        tmp = final.with_name(f"{final.name}.4242.0.tmp")
         tmp.write_bytes(b'{"half": ')
         assert cache.get(KEY) is None  # no partial entry visible
         fresh = ResultCache(cache.root)  # next startup sweeps the litter
@@ -186,7 +194,7 @@ class TestEntryFormat:
         cache.put(KEY, PAYLOAD, {"query": "is_equilibrium"})
         entry = json.loads(cache.entry_path(KEY).read_text())
         assert entry["v"] == 1 and entry["key"] == KEY
-        assert entry["checksum"] == _payload_checksum(PAYLOAD)
+        assert entry["checksum"] == entry_checksum(PAYLOAD)
         assert entry["meta"] == {"query": "is_equilibrium"}
 
     def test_sharded_layout(self, cache):

@@ -194,3 +194,33 @@ def test_only_the_experiment_layer_builds_jsonl_stores():
             ):
                 builders.add(path.relative_to(REPO_ROOT).as_posix())
     assert builders == {"src/repro/experiments/experiment.py"}
+
+
+# One checksummed entry (DESIGN.md §13): checkpoints and cache entries are
+# written by `fsutil.write_entry` and verified by `fsutil.read_entry`, so
+# the per-store checksum, sidecar namer, sweeper and reader stay gone, and
+# the store-write fault sites live only in the two writers that tear bytes.
+
+_RETIRED_ENTRY_NAMES = {
+    "_payload_checksum", "_tmp_path", "_sweep_stale_tmp", "_read_entry",
+}
+
+
+def test_retired_entry_helpers_are_not_defined():
+    assert _definitions_of(_RETIRED_ENTRY_NAMES) == []
+
+
+def test_only_the_shared_writers_take_write_faults():
+    sites = set()
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and "take" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in ("torn-write", "enospc")
+            ):
+                sites.add(path.relative_to(REPO_ROOT).as_posix())
+    assert sites == {"src/repro/io/fsutil.py", "src/repro/io/jsonl_store.py"}

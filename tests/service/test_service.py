@@ -225,6 +225,29 @@ class TestFaultsThroughEngine:
         assert third["cached"]
         assert third["result"] == first["result"]
 
+    def test_cache_enospc_still_answers_then_heals(
+        self, tmp_path, http, monkeypatch
+    ):
+        monkeypatch.setenv(faults.ENV_SPEC, f"enospc:path={tmp_path.name}")
+        client, server = http
+        graph = path_graph(6)
+        request = {"query": "find_swap_violation", "graph6": _g6(graph)}
+        status, first, _ = client.post("/audit", request)
+        assert status == 200 and first["ok"] and not first["cached"]
+        assert first["result"] == _json_safe(
+            _violation_payload(find_swap_violation(graph, "sum"))
+        )
+        _, stats, _ = client.get("/stats")
+        assert stats["cache_write_failures"] == 1
+        assert stats["cache"]["writes"] == 0
+        status, second, _ = client.post("/audit", request)  # recomputed
+        assert status == 200 and not second["cached"]
+        assert second["result"] == first["result"]
+        status, third, _ = client.post("/audit", request)  # and cached
+        assert status == 200 and third["cached"]
+        assert third["result"] == first["result"]
+        assert server.engine.cache_write_failures == 1
+
     def test_single_serial_blip_fails_typed_without_descent(self, engine):
         calls = []
 
@@ -552,9 +575,13 @@ class TestHTTP:
          "graph": {"n": 3, "edges": ["01", [1, 2]]}},
         {"query": "best_swap", "graph6": _g6(path_graph(5)), "vertex": 1.7},
         {"query": "k_swap_stable", "graph6": _g6(path_graph(5)), "k": 2.9},
+        # A boolean is no budget, though float(True) == 1.0.
+        {"query": "is_equilibrium", "graph6": _g6(path_graph(5)),
+         "timeout_s": True},
     ], ids=["graph6", "edge-list", "disconnected", "vertex", "float-endpoint",
             "string-endpoint", "float-endpoint-late", "bool-endpoint",
-            "float-n", "string-edge", "float-vertex", "float-k"])
+            "float-n", "string-edge", "float-vertex", "float-k",
+            "bool-timeout"])
     def test_client_errors_are_typed_400s(self, http, request_body):
         client, server = http
         status, body, _ = client.post("/audit", request_body)
