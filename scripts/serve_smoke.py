@@ -68,8 +68,14 @@ def _get(base, path):
 
 
 def main() -> int:
-    cache_dir = tempfile.mkdtemp(prefix="audit-smoke-cache-")
-    token_dir = tempfile.mkdtemp(prefix="audit-smoke-tokens-")
+    # Both directories go on every path out: success, a failed assertion,
+    # an interrupt, and SIGTERM (turned into SystemExit below).
+    with tempfile.TemporaryDirectory(prefix="audit-smoke-cache-") as cache, \
+            tempfile.TemporaryDirectory(prefix="audit-smoke-tokens-") as tokens:
+        return _smoke(cache, tokens)
+
+
+def _smoke(cache_dir: str, token_dir: str) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONUNBUFFERED"] = "1"
@@ -144,6 +150,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     start = time.perf_counter()
     code = main()
     print(f"[smoke] total {time.perf_counter() - start:.1f}s")

@@ -21,8 +21,18 @@ built from three steps, each written once:
    ``costs_lb[w'] = agg_u min(dv[u], 1 + base[w', u]) <= costs[w']``
 
    is a sound optimistic bound computed straight off the base matrix (no
-   per-edge copy; it is *exact* for unaffected ``w'``).  One function
-   computes it for every caller.
+   per-edge copy; it is *exact* for unaffected ``w'``).  Every block of a
+   scan but the first computes it for all of its rows at once, one sparse
+   product per distance level (:func:`_level_bound`): for non-negative
+   integers ``min(a, b) = Σ_{t≥0} [a > t]·[b > t]``, so with
+   ``S_t = [dv > t]`` (one row per planned endpoint row, masked to the
+   mover's interest set) and the level set ``G_t = [base >= t]``, the sum
+   bound of every row and target is ``Σ_t S_t·G_t`` over the ``T`` =
+   diameter + 1 levels, and the max bound counts the levels whose entry
+   is positive.
+   In the first block, where scans of non-equilibria stop, and where the
+   distances spread too widely for the levels to pay, the per-row form
+   (:func:`_bound`, the level form's oracle) computes the same floats.
 3. **Verify** — a mover whose bound never beats its threshold provably has
    no improving swap — the common case on and near equilibria, where the
    census spends its time.  Only when a candidate survives does the kernel
@@ -52,6 +62,7 @@ replacing n independent best responses.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -100,6 +111,10 @@ class BatchedRemovalPlan:
         layout of the best-response kernel: only the row of each edge's
         *first* endpoint (the kernel's edges are ``(v, w)`` with a fixed
         mover ``v``).
+    levels:
+        The :class:`LevelSets` of ``lifted`` that a scan shares across its
+        plans, for bounds by distance levels; without it (the default)
+        every bound is taken row by row.
     """
 
     def __init__(
@@ -109,6 +124,7 @@ class BatchedRemovalPlan:
         edges,
         *,
         sources: str = "both",
+        levels: "LevelSets | None" = None,
     ):
         if sources not in ("both", "mover"):
             raise GraphError(f"unknown plan sources {sources!r}")
@@ -123,18 +139,25 @@ class BatchedRemovalPlan:
         )
         #: (len(edges), per_edge, n): row k of edge i is endpoint k's row.
         self._rows = rows.reshape(len(self.edges), per_edge, graph.n)
+        self._movers = ends[:, :per_edge].ravel()
+        self._levels = levels
+        #: (model, bounds of every row) of the last level bound
+        self._block: "tuple[CostModel, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------
-    def endpoint_row(self, i: int, v: int) -> np.ndarray:
-        """The exact distance row of endpoint ``v`` in ``G − edges[i]``."""
+    def _slot(self, i: int, v: int) -> int:
         a, b = self.edges[i]
         if v == a:
-            return self._rows[i, 0]
+            return 0
         if v == b and self._rows.shape[1] == 2:
-            return self._rows[i, 1]
+            return 1
         raise GraphError(
             f"plan holds no row for vertex {v} of edge {self.edges[i]}"
         )
+
+    def endpoint_row(self, i: int, v: int) -> np.ndarray:
+        """The exact distance row of endpoint ``v`` in ``G − edges[i]``."""
+        return self._rows[i, self._slot(i, v)]
 
     # ------------------------------------------------------------------
     def bound_costs(
@@ -148,15 +171,39 @@ class BatchedRemovalPlan:
     ) -> np.ndarray:
         """Optimistic post-swap costs of mover ``v`` dropping ``v–w``.
 
-        :func:`_bound` of the mover's exact row in ``G − edges[i]``:
+        The bound of the mover's exact row in ``G − edges[i]``:
         ``bound_costs[w'] <= exact costs[w']`` for every target ``w'``, with
-        equality whenever ``w'`` is unaffected by the removal.
-        ``base_plus1`` (= base + 1) and the ``(n, n)`` scratch ``buf`` come
-        from the scan loop, so the bound allocates nothing matrix-sized per
-        edge.
+        equality whenever ``w'`` is unaffected by the removal.  With level
+        sets that accept (:class:`LevelSets`), the first call for a model
+        bounds every planned row at once by distance levels
+        (:func:`_level_bound`) and later calls read their row.  Otherwise
+        each call takes the per-row form :func:`_bound`, with
+        ``base_plus1`` (= base + 1) and the ``(n, n)`` scratch ``buf`` from
+        the scan loop, so it allocates nothing matrix-sized per edge.  Both
+        forms give the same floats.
         """
         model = resolve_cost_model(objective, self.graph.n)
-        return _bound(model, v, self.endpoint_row(i, v), base_plus1, buf)
+        slot = self._slot(i, v)
+        block = self._level_bounds(model)
+        if block is not None:
+            return block[self._rows.shape[1] * i + slot].copy()
+        return _bound(model, v, self._rows[i, slot], base_plus1, buf)
+
+    def _level_bounds(self, model: CostModel) -> "np.ndarray | None":
+        """Every planned row's bound under ``model``, or ``None``.
+
+        ``None`` without level sets, or when they refuse.  Computed once
+        per model, by :func:`_level_bound`.
+        """
+        if self._levels is None or self._levels.levels is None:
+            return None
+        if self._block is None or self._block[0] != model:
+            rows = self._rows.reshape(-1, self.graph.n)
+            self._block = (
+                model,
+                _level_bound(model, self._movers, rows, self._levels.levels),
+            )
+        return self._block[1]
 
     def exact_costs(
         self,
@@ -193,17 +240,125 @@ def _bound(
 ) -> np.ndarray:
     """``agg_u min(dv[u], 1 + base[w', u])`` for every target ``w'``.
 
-    The one optimistic bound of every scan.  ``dv`` is a lower bound of
-    mover ``v``'s row after the drop — its exact row in ``G − e``, or (the
-    best-response kernel's level 0) its base row.  Removal only increases
-    distances, so ``1 + base`` row-dominates the true removal matrix, and
-    every cost model's row aggregate is monotone under row dominance (the
-    contract in :mod:`repro.core.costmodel`).  ``costs[v]`` is ``inf``.
+    The one optimistic bound of every scan, in its per-row form.  ``dv``
+    is a lower bound of mover ``v``'s row after the drop — its exact row
+    in ``G − e``, or (the best-response kernel's level 0) its base row.
+    Removal only increases distances, so ``1 + base`` row-dominates the
+    true removal matrix, and every cost model's row aggregate is monotone
+    under row dominance (the contract in :mod:`repro.core.costmodel`).
+    ``costs[v]`` is ``inf``.
+
+    Audit plans compute the same floats for a whole block at once
+    (:func:`_level_bound`); this form is their oracle and their fallback
+    where the level sets refuse (a disconnected base, or distances spread
+    too widely).  The per-vertex best response keeps it: its level-0 and
+    level-1 gates bound one row at a time, where a block has nothing to
+    share.
     """
     np.minimum(dv[None, :], base_plus1, out=buf)
     costs = model.candidate_costs(v, buf)
     costs[v] = math.inf
     return costs
+
+
+#: The level form runs while its work per row, ``T·n`` for the level
+#: indicators plus the level sets' entries, is at most this many times
+#: the per-row form's ``n²``.  The sets then also hold at most ``2·n²``
+#: entries of 8 bytes, twice the lifted matrix's size.
+_LEVEL_BUDGET = 2
+
+
+class LevelSets:
+    """The distance levels of one lifted base matrix, as sparse 0/1 sets.
+
+    Level ``t`` (``0 <= t <= diameter``) is ``G_t = [base >= t]``.  Each
+    is held as whichever of ``G_t`` and its complement ``[base < t]`` has
+    fewer entries, as a float32 CSR array; the pair sums to ``n²``
+    entries, so ``flip`` marks a complement and :func:`_level_bound`
+    takes the product as a row count minus the complement's.  The base
+    matrix is symmetric, so each set equals its transpose.  Built on first
+    use and shared by the plans of one scan; ``levels`` is ``None`` when
+    the per-row form is to run instead.
+    """
+
+    def __init__(self, lifted: np.ndarray):
+        self.lifted = lifted
+
+    @functools.cached_property
+    def levels(self) -> "list[tuple[bool, object]] | None":
+        """``[(flip, set)]`` for every level ``t``, or ``None``.
+
+        ``None`` when the base matrix holds ``INT_INF`` (a disconnected
+        graph has no finite level count), or when the level form's work
+        per row, ``T·n`` plus the sets' entries, exceeds
+        ``_LEVEL_BUDGET · n²``.  The entries total about ``n²`` times the
+        distances' mean absolute deviation from their median: well under
+        ``n²`` at small diameters, and growing toward ``n³`` on paths and
+        cycles.
+        """
+        import scipy.sparse as sp
+
+        lifted = self.lifted
+        n = lifted.shape[0]
+        top = int(lifted.max()) if lifted.size else 0
+        if top >= INT_INF:
+            return None
+        # below[t] = entries with base < t, the complement of level t.
+        below = np.zeros(top + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lifted.ravel(), minlength=top)[:top],
+                  out=below[1:])
+        flips = below <= n * n - below
+        work = (top + 1) * n + np.minimum(below, n * n - below).sum()
+        if work > _LEVEL_BUDGET * n * n:
+            return None
+        levels = []
+        for t, flip in enumerate(flips):
+            member = lifted < t if flip else lifted >= t
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(member.sum(axis=1), out=indptr[1:])
+            cols = (np.flatnonzero(member) % n).astype(np.int32)
+            data = np.ones(cols.size, dtype=np.float32)
+            levels.append((bool(flip), sp.csr_array(
+                (data, cols, indptr), shape=(n, n)
+            )))
+        return levels
+
+
+def _level_bound(
+    model: CostModel,
+    movers: np.ndarray,
+    rows: np.ndarray,
+    levels: "list[tuple[bool, object]]",
+) -> np.ndarray:
+    """:func:`_bound` of every row of ``rows`` at once, level by level.
+
+    Row ``k`` is mover ``movers[k]``'s ``dv``.  For non-negative integers
+    ``min(a, b) = Σ_{t≥0} [a > t]·[b > t]``, and ``1 + base > t`` is
+    ``base >= t``, so with ``S_t = [rows > t]`` (zero outside each mover's
+    :meth:`~repro.core.costmodel.CostModel.interest_mask`) the bound
+    matrix is ``Σ_t S_t·G_t`` for a sum, and the number of levels ``t``
+    with ``(S_t·G_t) > 0`` for a max — one sparse product per level, taken
+    on the calling thread (no BLAS, so concurrent audits start no threads
+    to contend for cores).  An infinite ``dv`` entry is above every level,
+    so bridges need no special case.  Every product entry counts 0/1
+    terms, at most ``n``, so float32 holds it exactly while ``n < 2²⁴``;
+    the levels add up in float64.  Bit-identical to :func:`_bound` on a
+    base matrix without ``INT_INF``.
+    """
+    cols = np.array(rows.T, order="C")  # (n, K): column k is row k
+    interest = model.interest_mask(movers)
+    if interest is not None:
+        cols[~interest.T] = 0
+    acc = np.zeros(cols.shape)
+    for t, (flip, level) in enumerate(levels):
+        s = (cols > t).astype(np.float32)
+        p = level @ s
+        if flip:
+            p = s.sum(axis=0) - p
+        acc += p if model.kind == "sum" else p > 0
+    bounds = acc.T.copy()
+    bounds[np.arange(movers.size), movers] = math.inf
+    return bounds
 
 
 def _legal(costs: np.ndarray, mask, w: int) -> np.ndarray:
@@ -295,13 +450,19 @@ def _directed_edges(graph, lifted, edges, deadline):
 
     The oracle's scan order — ``(a, b)`` then ``(b, a)`` per canonical
     edge — over lazily built plans whose blocks double from
-    ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges.  ``deadline`` is checked
-    once per edge.
+    ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges.  The first block bounds
+    row by row: a scan that stops early stops there, before building the
+    level sets would pay.  Every later block shares one
+    :class:`LevelSets`, built when the second block takes its first
+    bound.  ``deadline`` is checked once per edge.
     """
     edges = list(edges)
+    levels = LevelSets(lifted)
     lo, size = 0, _FIRST_BLOCK
     while lo < len(edges):
-        plan = BatchedRemovalPlan(graph, lifted, edges[lo : lo + size])
+        plan = BatchedRemovalPlan(
+            graph, lifted, edges[lo : lo + size], levels=levels if lo else None
+        )
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
             yield plan, i, a, b

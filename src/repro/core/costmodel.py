@@ -136,6 +136,17 @@ class CostModel:
         """
         raise NotImplementedError
 
+    def interest_mask(self, vertices: np.ndarray) -> "np.ndarray | None":
+        """Which entries of each agent's row its cost aggregates.
+
+        A ``(len(vertices), n)`` boolean mask, or ``None`` when every
+        agent aggregates its whole row.  ``candidate_costs`` must be
+        the ``kind`` aggregate over these entries (with the connectivity
+        lift): the level-set bound of :mod:`repro.core.batched` relies on
+        it.
+        """
+        return None
+
     # ------------------------------------------------------------------
     def social_cost(self, lifted: np.ndarray) -> float:
         """The game's social cost: every agent's cost summed.
@@ -275,6 +286,9 @@ class InterestCost(CostModel):
                 f"cannot be used on an n={n} graph"
             )
         return self
+
+    def interest_mask(self, vertices: np.ndarray) -> np.ndarray:
+        return self.weights[vertices]
 
     def base_costs(self, lifted: np.ndarray) -> np.ndarray:
         masked = np.where(self.weights, lifted, 0)

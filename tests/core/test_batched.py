@@ -1,13 +1,15 @@
 """Batched audit kernel internals + fleet cross-validation.
 
 The removal plan must repair endpoint rows exactly in both layouts,
-bridges included, and bound every exact cost from below, and every parallel
+bridges included, and bound every exact cost from below; its level-set
+bound must equal the per-row bound entry for entry, and every parallel
 surface (audits in fleet workers, census fleet, exhaustive census) must be
 bit-identical across worker counts.  Agreement of the batched audits with
 the rebuild oracle lives in the differential harness, ``test_oracles.py``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +19,23 @@ from repro.core import (
     best_swap,
     census_experiment,
     find_deletion_criticality_violation,
+    find_swap_violation,
     is_equilibrium,
+    resolve_cost_model,
+    sum_equilibrium_gap,
 )
-from repro.core import equilibrium
-from repro.core.batched import BatchedRemovalPlan
-from repro.core.costs import lift_distances
+from repro.core import batched, equilibrium
+from repro.core.batched import BatchedRemovalPlan, LevelSets, certify_at_rest
+from repro.core.costs import INT_INF, lift_distances
 from repro.core.exhaustive import exhaustive_equilibrium_census
 from repro.core.swap_eval import (
     all_swap_costs_for_drop,
     removal_distance_matrix,
 )
 from repro.graphs import (
+    CSRGraph,
     cycle_graph,
+    diameter_or_inf,
     distance_matrix,
     path_graph,
     random_connected_gnm,
@@ -40,6 +47,7 @@ from repro.experiments import Experiment, run_fleet
 from repro.parallel import parallel_map
 
 from ..conftest import graph_battery
+from .test_oracles import EDGE_CASES
 
 BATTERY = graph_battery()
 
@@ -129,6 +137,109 @@ class TestBatchedRemovalPlan:
                 assert (bound <= exact).all()
                 patched = plan.exact_costs(i, v, w, "sum", bound=bound)
                 assert np.array_equal(patched, exact)
+
+
+#: Every cost model the level-set bound serves (DESIGN.md §6).
+SPECS = [
+    "sum", "max",
+    "interest-sum:k=3,seed=2", "interest-max:k=3,seed=2",
+    "budget-sum:cap=3", "budget-max:cap=3",
+]
+
+#: Above the level form's crossover: its distances spread so widely that
+#: scans of it bound row by row.
+LONG_PATH = path_graph(90)
+
+
+def _count_row_bounds(monkeypatch) -> list:
+    """Record every per-row bound evaluated from here on."""
+    calls: list = []
+    per_row = batched._bound
+
+    def counting(*args):
+        calls.append(args[1])
+        return per_row(*args)
+
+    monkeypatch.setattr(batched, "_bound", counting)
+    return calls
+
+
+def _lifted(g):
+    return lift_distances(distance_matrix(g))
+
+
+class TestLevelBound:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_level_bound_equals_per_row_bound(self, spec, monkeypatch):
+        # The level form forced on every input, the long path included,
+        # against the per-row form it replaces: same floats, every entry.
+        per_row = batched._bound
+        monkeypatch.setattr(batched, "_LEVEL_BUDGET", math.inf)
+        calls = _count_row_bounds(monkeypatch)
+        for g in [*BATTERY, *EDGE_CASES.values(), LONG_PATH]:
+            if g.m == 0:
+                continue
+            lifted = _lifted(g)
+            model = resolve_cost_model(spec, g.n)
+            plan = BatchedRemovalPlan(
+                g, lifted, list(g.iter_edges()), levels=LevelSets(lifted)
+            )
+            base_plus1 = lifted + 1
+            buf = np.empty((g.n, g.n), dtype=np.int64)
+            for i, (a, b) in enumerate(plan.edges):
+                for v, w in ((a, b), (b, a)):
+                    got = plan.bound_costs(i, v, w, model, base_plus1, buf)
+                    want = per_row(
+                        model, v, plan.endpoint_row(i, v), base_plus1, buf
+                    )
+                    assert np.array_equal(got, want), (
+                        spec, g.edges().tolist(), v, w
+                    )
+        assert calls == []  # every bound above came from the level form
+
+    def test_bridge_rows_sit_at_the_sentinel(self):
+        # The named bridge input does exercise INT_INF endpoint rows.
+        g = EDGE_CASES["K4-bridge-K4"]
+        plan = BatchedRemovalPlan(g, _lifted(g), [(3, 4)])
+        assert (plan.endpoint_row(0, 3)[4:] == INT_INF).all()
+        assert (plan.endpoint_row(0, 4)[:4] == INT_INF).all()
+
+    def test_full_scans_of_diameter_2_graphs_bound_by_levels(
+        self, monkeypatch
+    ):
+        # Only the first block (where scans of most non-equilibria stop)
+        # bounds row by row; every later block bounds by levels.
+        calls = _count_row_bounds(monkeypatch)
+        star = star_graph(40)
+        dense = random_connected_gnm(20, 90, seed=3)
+        assert diameter_or_inf(star) == diameter_or_inf(dense) == 2
+        # Both are at rest, so every scan walks every directed edge.
+        for g in (star, dense):
+            lifted = _lifted(g)
+            for scan in (
+                lambda: is_equilibrium(g, "sum"),
+                lambda: certify_at_rest(g, lifted, "sum"),
+                lambda: sum_equilibrium_gap(g) == 0.0,
+            ):
+                calls.clear()
+                assert scan()
+                assert len(calls) == 2 * batched._FIRST_BLOCK, len(calls)
+
+    def test_scans_above_the_crossover_bound_row_by_row(self, monkeypatch):
+        assert LevelSets(_lifted(LONG_PATH)).levels is None
+        calls = _count_row_bounds(monkeypatch)
+        assert sum_equilibrium_gap(LONG_PATH) == sum_equilibrium_gap(
+            LONG_PATH, mode="rebuild"
+        )
+        assert len(calls) == 2 * LONG_PATH.m  # every block, every row
+        for spec in SPECS:
+            assert find_swap_violation(LONG_PATH, spec) == find_swap_violation(
+                LONG_PATH, spec, mode="rebuild"
+            ), spec
+
+    def test_a_disconnected_base_has_no_levels(self):
+        g = CSRGraph(4, [(0, 1), (2, 3)])
+        assert LevelSets(_lifted(g)).levels is None
 
 
 class TestWorkerInvariance:

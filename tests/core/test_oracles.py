@@ -13,7 +13,10 @@ three kinds of input:
   toward n ≤ 3, bridges and disconnecting removals, plus possibly
   disconnected edge lists, on which both sides must raise alike;
 * the high-diameter inputs of ``tests/graphs/test_repair.py`` (diameter
-  up to 11, long chains of bridges), which the n ≤ 14 battery lacks.
+  up to 11, long chains of bridges), which the n ≤ 14 battery lacks, and
+  the named edge cases of :data:`EDGE_CASES` (n = 2, n = 3, and a bridge
+  whose severed endpoint rows sit at ``INT_INF``), so that every pair
+  meets them by name rather than by a Hypothesis draw.
 
 The dynamics pair is pinned move for move (and activation for activation)
 on the ``greedy`` schedule, where both engines activate every vertex by
@@ -55,8 +58,10 @@ from repro.core.moves import swapped_graph
 from repro.errors import ConfigurationError, ReproError
 from repro.graphs import (
     CSRGraph,
+    complete_graph,
     diameter_or_inf,
     distance_matrix,
+    path_graph,
     random_connected_gnm,
 )
 
@@ -64,6 +69,24 @@ from ..conftest import connected_graphs, edge_lists, graph_battery, trees
 from ..graphs.test_repair import HIGH_DIAMETER
 
 BATTERY = graph_battery()
+
+
+def _cliques_joined_by_a_bridge(k: int) -> CSRGraph:
+    """Two ``K_k`` joined by the bridge ``(k - 1, k)``."""
+    left = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    right = [(a + k, b + k) for a, b in left]
+    return CSRGraph(2 * k, left + right + [(k - 1, k)])
+
+
+#: Named edge cases, next to ``HIGH_DIAMETER``: the smallest games, and a
+#: bridge between two blocks — removing it leaves the far side of both
+#: endpoint rows at ``INT_INF``.
+EDGE_CASES = {
+    "K2": path_graph(2),
+    "P3": path_graph(3),
+    "K3": complete_graph(3),
+    "K4-bridge-K4": _cliques_joined_by_a_bridge(4),
+}
 
 #: Base games plus one interest and one budget variant (DESIGN.md §6).
 MODELS = ["sum", "max", "interest-sum:k=3,seed=2", "budget-sum:cap=3"]
@@ -219,6 +242,12 @@ def test_greedy_dynamics_agree_on_battery(idx):
 @pytest.mark.parametrize("name", list(PAIRS))
 def test_pair_agrees_on_high_diameter_graphs(name, graph):
     _assert_pair_agrees(name, HIGH_DIAMETER[graph])
+
+
+@pytest.mark.parametrize("graph", list(EDGE_CASES))
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_pair_agrees_on_named_edge_cases(name, graph):
+    _assert_pair_agrees(name, EDGE_CASES[graph])
 
 
 # ---------------------------------------------------------------------------
