@@ -36,9 +36,9 @@ built from three steps, each written once:
 3. **Verify** — a mover whose bound never beats its threshold provably has
    no improving swap — the common case on and near equilibria, where the
    census spends its time.  Only when a candidate survives does the kernel
-   repair the edge's affected rows (:func:`exact_costs_from_bound`, which
-   finds them by the one affected-source rule,
-   :func:`repro.graphs.removal_affected_sources`) and re-evaluate exactly.
+   build the edge's removal (:func:`exact_costs_from_bound`, through the
+   one removal builder, :func:`repro.graphs.repair.edge_removal`) and
+   re-evaluate exactly.
 
 Every scan outcome is bit-identical to the ``mode="rebuild"`` oracle —
 same costs, same argmin tie-breaking, same directed-edge order — because
@@ -70,10 +70,7 @@ import numpy as np
 from ..errors import GraphError
 from ..graphs import CSRGraph
 from ..parallel import check_deadline
-from ..graphs.repair import (
-    batched_removal_rows_multi,
-    removal_affected_sources,
-)
+from ..graphs.repair import batched_removal_rows_multi, edge_removal
 from .best_response import BestResponse
 from .costmodel import SUM_COST, CostModel, resolve_cost_model
 from .costs import INT_INF
@@ -396,21 +393,19 @@ def exact_costs_from_bound(
     ``bound`` is the *unmasked* optimistic cost array of
     :meth:`BatchedRemovalPlan.bound_costs` (``agg min(dv, 1 + base)``) and
     ``dv`` the mover's exact row in ``G − edge``.  The bound is already
-    exact for every add-target whose row the removal does not change
-    (``removal == base`` there), so only the affected rows
-    (:func:`~repro.graphs.removal_affected_sources`) are recomputed (one
-    union BFS, :func:`~repro.graphs.batched_removal_rows_multi`) and
-    re-aggregated — O(affected · n) instead of materializing the removal
-    matrix.  A bridge is recognized from ``dv`` itself (the severed side
-    sits at the infinite sentinel): near-side re-adds leave the graph
-    disconnected (cost ``inf``), far-side re-adds reconnect it over the
-    intact within-component base distances.  Bit-identical — same floats,
-    same downstream argmin tie-breaks — to
+    exact for every add-target whose row the removal does not change, so
+    only the rows the one removal builder
+    (:func:`~repro.graphs.repair.edge_removal`) returns are re-aggregated —
+    O(affected · n), no removal matrix.  Across a bridge, re-adds on
+    ``v``'s side leave the graph disconnected (cost ``inf``) and re-adds on
+    the far side reconnect it over the intact within-side base distances.
+    Bit-identical — same floats, same downstream argmin tie-breaks — to
     ``all_swap_costs_for_drop(graph, v, w, model, removal_matrix)``.
     """
+    removal = edge_removal(graph, lifted, edge)
     out = np.array(bound, copy=True)
-    far = dv >= INT_INF
-    if far.any():
+    if removal.far is not None:
+        far = removal.far != removal.far[v]  # the side v cannot reach
         near = ~far
         out[near] = math.inf
         far_idx = np.nonzero(far)[0]
@@ -419,14 +414,8 @@ def exact_costs_from_bound(
         cand[:, near] = dv[near][None, :]
         out[far_idx] = model.candidate_costs(v, cand)
     else:
-        rows = np.nonzero(removal_affected_sources(graph, lifted, edge))[0]
-        if rows.size:
-            k = rows.size
-            sub = batched_removal_rows_multi(
-                graph, np.full(k, edge[0]), np.full(k, edge[1]), rows
-            )
-            cand = np.minimum(dv[None, :], sub + 1)
-            out[rows] = model.candidate_costs(v, cand)
+        cand = np.minimum(dv[None, :], removal.rows + 1)
+        out[removal.sources] = model.candidate_costs(v, cand)
     out[v] = math.inf
     return out
 
@@ -565,15 +554,15 @@ def best_swap_scan(
     objective,
     lifted: np.ndarray,
     *,
-    prefer_deletions_on_tie: bool | None = None,
     base_plus1: np.ndarray | None = None,
     buf: np.ndarray | None = None,
     deadline: "float | None" = None,
 ) -> BestResponse:
     """Exact best response of ``v`` via the bound-then-verify kernel.
 
-    Bit-identical — swap, costs, tie-breaks, ``prefer_deletions_on_tie``
-    semantics — to the per-edge ``mode="oracle"`` loop in
+    Bit-identical — swap, costs, tie-breaks, the model's
+    ``prefer_deletions_on_tie`` semantics — to the per-edge
+    ``mode="oracle"`` loop in
     :func:`repro.core.best_response.best_swap`, reached in three levels:
 
     * **level 0** — one shared optimistic bound for every incident drop:
@@ -606,8 +595,7 @@ def best_swap_scan(
         raise GraphError(f"source {v} out of range for n={n}")
     check_deadline(deadline)
     model = resolve_cost_model(objective, n)
-    if prefer_deletions_on_tie is None:
-        prefer_deletions_on_tie = model.prefer_deletions_on_tie
+    prefer_deletions_on_tie = model.prefer_deletions_on_tie
     before = model.row_cost(v, lifted[v])
     neighbor_set = set(int(x) for x in graph.neighbors(v))
     neighbors = sorted(neighbor_set)
@@ -697,7 +685,6 @@ def certify_at_rest(
     lifted: np.ndarray,
     objective,
     *,
-    prefer_deletions_on_tie: bool | None = None,
     deadline: "float | None" = None,
 ) -> bool:
     """Whether **no** vertex has a best-response move — one batched scan.
@@ -712,8 +699,7 @@ def certify_at_rest(
     """
     n = graph.n
     model = resolve_cost_model(objective, n)
-    if prefer_deletions_on_tie is None:
-        prefer_deletions_on_tie = model.prefer_deletions_on_tie
+    prefer_deletions_on_tie = model.prefer_deletions_on_tie
     edges = list(graph.iter_edges())
     if not edges:
         return True

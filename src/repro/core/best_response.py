@@ -84,7 +84,6 @@ def best_swap(
     v: int,
     objective: "Objective | str | CostModel" = "sum",
     *,
-    prefer_deletions_on_tie: bool | None = None,
     mode: BestSwapMode = "batched",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
@@ -95,9 +94,9 @@ def best_swap(
 
     1. among all legal swaps (deletions included), find the minimum
        post-swap cost; if it beats the current cost, move there;
-    2. otherwise, when ``prefer_deletions_on_tie`` (default for the max
-       objective), take a deletion that leaves the cost unchanged — the
-       lexicographic ``(cost, degree)`` improvement that drives graphs
+    2. otherwise, when the model's ``prefer_deletions_on_tie`` is set (the
+       max objective's), take a deletion that leaves the cost unchanged —
+       the lexicographic ``(cost, degree)`` improvement that drives graphs
        toward deletion-criticality;
     3. otherwise, no move.
 
@@ -114,16 +113,12 @@ def best_swap(
     """
     check_deadline(deadline)
     model = resolve_cost_model(objective, graph.n)
-    if prefer_deletions_on_tie is None:
-        prefer_deletions_on_tie = model.prefer_deletions_on_tie
     if mode == "batched":
         # Deferred: repro.core.batched imports this module for BestResponse.
         from .batched import best_swap_scan
 
         return best_swap_scan(
-            graph, v, model, lifted_base(graph, base_dm),
-            prefer_deletions_on_tie=prefer_deletions_on_tie,
-            deadline=deadline,
+            graph, v, model, lifted_base(graph, base_dm), deadline=deadline
         )
     if mode != "oracle":
         raise ConfigurationError(f"unknown best_swap mode {mode!r}")
@@ -147,7 +142,7 @@ def best_swap(
             best_cost = cost
             best_move = Swap(v, w, top)
             best_is_deletion = top in neighbor_set and top != w
-        if prefer_deletions_on_tie and neutral_deletion is None:
+        if model.prefer_deletions_on_tie and neutral_deletion is None:
             # Pure-deletion cost of edge vw is v's aggregate in G - vw.
             del_cost = model.row_cost(v, removal_dm[v])
             if del_cost != math.inf and del_cost <= before:

@@ -105,8 +105,8 @@ class CostModel:
     #: whether the model's equilibrium notion includes deletion-criticality
     #: (true only for the paper's max version)
     requires_deletion_criticality: bool = False
-    #: default for ``best_swap(prefer_deletions_on_tie=...)`` — the paper's
-    #: max agents take cost-neutral deletions (lexicographic tie-break)
+    #: whether best responses take cost-neutral deletions — the paper's max
+    #: agents do (lexicographic tie-break)
     prefer_deletions_on_tie: bool = False
 
     # ------------------------------------------------------------------

@@ -9,9 +9,9 @@ rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
 * **applied swaps** — :meth:`apply_swap` replaces the engine's immutable
   graph with the next one (:func:`repro.core.moves.swapped_graph`) and
   keeps the matrix current across dynamics moves: the dropped edge's
-  affected rows (the one affected-source rule,
-  :func:`repro.graphs.removal_affected_sources`) are repaired in
-  place (:func:`repro.graphs.removal_matrix_repair`), the added edge goes
+  removal (the one removal builder, :func:`repro.graphs.repair.edge_removal`
+  — a bridge's sides read off the matrix, or the affected rows from one
+  union BFS) is written in place, the added edge goes
   through the exact single-insertion min-plus closure
   ``d'(x, y) = min(d(x, y), d(x, v) + 1 + d(v', y), d(x, v') + 1 + d(v, y))``
   (an inserted edge appears at most once on any shortest path), so a move
@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graphs import CSRGraph, distance_matrix
-from ..graphs.repair import removal_affected_sources, removal_matrix_repair
+from ..graphs.repair import edge_removal
 from .costs import lift_distances
 from .moves import Swap, swapped_graph
 
@@ -112,13 +112,11 @@ class DistanceEngine:
         graph = self._graph
         after = swapped_graph(graph, swap)
         v, w, add = swap.vertex, swap.drop, swap.add
-        changed = removal_affected_sources(graph, self._dm, (v, w))
-        # In-place repair: the engine owns its matrix, so the removal's
-        # affected rows are rewritten directly (out=dm) instead of copying
-        # all n×n entries per move; audit callers keep the copying default.
-        new_dm = removal_matrix_repair(
-            graph, self._dm, (v, w), affected=changed, out=self._dm
-        )
+        removal = edge_removal(graph, self._dm, (v, w))
+        # The engine owns its matrix, so the removal is written in place
+        # instead of into a copy of all n×n entries per move.
+        new_dm = removal.write(self._dm)
+        changed = removal.affected
         if not graph.has_edge(v, add):  # otherwise a pure deletion
             dv = new_dm[v]
             da = new_dm[add]
@@ -139,13 +137,7 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     # Best response
     # ------------------------------------------------------------------
-    def best_swap(
-        self,
-        v: int,
-        objective: Objective = "sum",
-        *,
-        prefer_deletions_on_tie: bool | None = None,
-    ):
+    def best_swap(self, v: int, objective: Objective = "sum"):
         """Exact best response of ``v``, computed against the cached matrix.
 
         The bound-then-verify per-vertex kernel
@@ -162,7 +154,6 @@ class DistanceEngine:
             v,
             objective,
             self._dm,
-            prefer_deletions_on_tie=prefer_deletions_on_tie,
             base_plus1=base_plus1,
             buf=buf,
         )

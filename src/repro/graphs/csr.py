@@ -54,8 +54,7 @@ class CSRGraph:
             raise GraphError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        self.n = n = int(n)
-
+        n = int(n)
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
             if edges.ndim != 2 or edges.shape[1] != 2:
                 raise InvalidEdgeError(
@@ -66,7 +65,6 @@ class CSRGraph:
             arr = np.array(
                 [(int(u), int(v)) for u, v in edges], dtype=np.int64
             ).reshape(-1, 2)
-        m = arr.shape[0]
         if arr.min(initial=0) < 0 or arr.max(initial=-1) >= n:
             bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
             raise InvalidEdgeError(f"edge {tuple(bad)} out of range for n={n}")
@@ -75,18 +73,24 @@ class CSRGraph:
             raise InvalidEdgeError(f"self-loop {tuple(bad)} not allowed")
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        keys = lo * np.int64(n) + hi
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        keys = np.sort(lo * np.int64(n) + hi)
         if (keys[1:] == keys[:-1]).any():
             raise InvalidEdgeError("duplicate edges not allowed")
-        arr = np.stack([lo[order], hi[order]], axis=1).astype(np.int32)
+        self._build(n, keys)
 
+    def _build(self, n: int, keys: np.ndarray) -> None:
+        """Fill the graph from sorted, distinct keys ``u * n + v`` (u < v).
+
+        The one CSR builder: :meth:`__init__` validates its input first,
+        and :meth:`with_edges` hands over keys it kept sorted itself.
+        """
+        self.n = n
+        arr = np.stack([keys // n, keys % n], axis=1).astype(np.int32)
         self._edge_array = arr
         self._edge_array.setflags(write=False)
 
         # Build CSR from the doubled (directed) edge list.
-        if m:
+        if arr.shape[0]:
             src = np.concatenate([arr[:, 0], arr[:, 1]])
             dst = np.concatenate([arr[:, 1], arr[:, 0]])
             order = np.argsort(src * np.int64(n) + dst, kind="stable")
@@ -161,9 +165,10 @@ class CSRGraph:
         """Return a new graph with ``remove`` dropped and ``add`` inserted.
 
         Listed edges are found by binary search over the sorted edge keys
-        ``u * n + v`` and the next graph is built from the edited key array:
-        a few O(m) array passes, no per-edge Python work.  Removals apply
-        before additions, in order.  Raises :class:`InvalidEdgeError` for a
+        ``u * n + v``, the added keys are inserted in order, and the next
+        graph is built from the edited key array without a second
+        validation: a few O(m) array passes, no per-edge Python work.
+        Removals apply before additions, in order.  Raises :class:`InvalidEdgeError` for a
         self-loop or out-of-range edge, a removed edge that is missing (or
         already removed), and an added edge that exists (after the
         removals, or earlier in ``add``).
@@ -185,11 +190,12 @@ class CSRGraph:
             if key in added or (key not in dropped and _holds(keys, key)):
                 raise InvalidEdgeError(f"cannot add existing edge {e}")
             added.append(key)
-        keys = np.concatenate([
-            np.delete(keys, np.searchsorted(keys, dropped)),
-            np.asarray(added, dtype=np.int64),
-        ])
-        return CSRGraph(n, np.stack([keys // n, keys % n], axis=1))
+        keys = np.delete(keys, np.searchsorted(keys, dropped))
+        added = np.sort(np.asarray(added, dtype=np.int64))
+        keys = np.insert(keys, np.searchsorted(keys, added), added)
+        graph = CSRGraph.__new__(CSRGraph)
+        graph._build(n, keys)
+        return graph
 
     def _canon(self, u: int, v: int) -> tuple[int, int]:
         u, v = int(u), int(v)

@@ -8,7 +8,7 @@ Two engines are provided and cross-validated by the test suite:
   :mod:`repro.graphs.bfs`, one source at a time (the reference path, also the
   only path that supports patches).
 
-``method="auto"`` picks scipy.  All distance matrices are int32 with
+``"scipy"`` is the default.  All distance matrices are int32 with
 :data:`~repro.graphs.bfs.UNREACHABLE` (= -1) for disconnected pairs, a
 convention chosen so a single ``>= 0`` mask recovers reachability.
 """
@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from ..errors import DisconnectedGraphError, GraphError
+from ..errors import ConfigurationError, DisconnectedGraphError
 from .bfs import UNREACHABLE, bfs_distances
 from .csr import CSRGraph
 
@@ -39,20 +39,21 @@ __all__ = [
     "ball_sizes",
 ]
 
-Method = Literal["auto", "scipy", "numpy"]
+ApspMode = Literal["scipy", "numpy"]
 
 
-def distance_matrix(graph: CSRGraph, method: Method = "auto") -> np.ndarray:
+def distance_matrix(graph: CSRGraph, method: ApspMode = "scipy") -> np.ndarray:
     """All-pairs shortest-path distances as an ``(n, n)`` int32 matrix.
 
-    Unreachable pairs hold :data:`UNREACHABLE`.  The diagonal is 0.
+    Unreachable pairs hold :data:`UNREACHABLE`.  The diagonal is 0.  An
+    unknown ``method`` raises :class:`~repro.errors.ConfigurationError`.
     """
+    if method not in ("scipy", "numpy"):
+        raise ConfigurationError(f"unknown distance method {method!r}")
     n = graph.n
     if n == 0:
         return np.empty((0, 0), dtype=np.int32)
-    if method not in ("auto", "scipy", "numpy"):
-        raise GraphError(f"unknown distance method {method!r}")
-    if method in ("auto", "scipy"):
+    if method == "scipy":
         from scipy.sparse import csgraph
 
         dm = csgraph.shortest_path(

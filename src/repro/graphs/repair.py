@@ -18,10 +18,14 @@ keeps it:
 * :func:`batched_removal_rows_multi` — the **one row kernel**: every
   repaired row is computed by a level-synchronous BFS over a union of
   ``(removed edge, source)`` jobs, one sparse product per level.
-* :func:`removal_matrix_repair` — the matrix-level wrapper: copy the base
-  matrix, then blank a bridge's cross blocks (:func:`bridge_side`: a bridge
-  changes every row, so only an edge that affects every source is probed,
-  by one half-BFS) or recompute only the affected rows with the row kernel.
+* :func:`edge_removal` — the **one removal builder**: the rows of
+  ``G − e`` that change, as an :class:`EdgeRemoval`.  An edge that changes
+  every row is a bridge of a connected graph, and its far side is read off
+  the base matrix (the vertices nearer to ``b`` than to ``a``) with no BFS;
+  any other edge's affected rows come from one union BFS.
+  :func:`removal_matrix_repair` (a copy of the base matrix with the removal
+  written in), the batched kernel's exact patch and the dynamics engine's
+  in-place update are its consumers.
 
 All inputs and outputs here use the *lifted* int64 convention (unreachable =
 :data:`INT_INF_DISTANCE`), matching :func:`repro.core.costs.lift_distances`,
@@ -31,16 +35,18 @@ the raw :data:`~repro.graphs.bfs.UNREACHABLE` sentinel.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..errors import GraphError
-from .bfs import UNREACHABLE, bfs_distances
 from .csr import CSRGraph
 
 __all__ = [
     "INT_INF_DISTANCE",
+    "EdgeRemoval",
     "batched_removal_rows_multi",
-    "bridge_side",
+    "edge_removal",
     "predecessor_counts",
     "removal_affected_sources",
     "removal_matrix_repair",
@@ -179,73 +185,69 @@ def batched_removal_rows_multi(
     return out
 
 
-def bridge_side(
-    graph: CSRGraph, edge: tuple[int, int], affected: np.ndarray
-) -> np.ndarray | None:
-    """The side of ``b`` in ``G − edge`` when ``edge = (a, b)`` is a bridge.
+class EdgeRemoval(NamedTuple):
+    """The rows of ``G − e`` that differ from the base matrix.
 
-    ``affected`` is the edge's :func:`removal_affected_sources` mask.  A
-    bridge of a connected graph changes all n rows, so an edge that leaves
-    any row unchanged is not probed; otherwise one half-BFS from ``b`` with
-    the edge masked settles it.  (A bridge inside one component of a
-    disconnected graph is never probed: its affected rows take the row
-    kernel, exact either way.)  Returns the boolean mask of ``b``'s
-    component in ``G − edge``, or ``None``.
+    Built by :func:`edge_removal`.  ``affected`` is the mask of changed
+    rows.  For a bridge of a connected graph (every row changed) ``far`` is
+    the mask of ``b``'s side and ``sources``/``rows`` are ``None``;
+    otherwise ``far`` is ``None``, ``sources`` are the affected rows and
+    ``rows`` their lifted distance rows in ``G − e``.
     """
-    a, b = edge
-    if not affected.all():
-        return None
-    half = bfs_distances(graph, b, exclude=(a, b))
-    if half[a] != UNREACHABLE:
-        return None
-    return half != UNREACHABLE
+
+    affected: np.ndarray
+    far: "np.ndarray | None"
+    sources: "np.ndarray | None"
+    rows: "np.ndarray | None"
+
+    def write(self, out: np.ndarray) -> np.ndarray:
+        """Turn ``out``, holding the base matrix, into ``G − e``'s; returns it.
+
+        A bridge blanks the two cross blocks between its sides (distances
+        within a side are unchanged: a simple path cannot cross a bridge
+        twice); any other edge overwrites its affected rows.
+        """
+        if self.far is not None:
+            out[np.ix_(self.far, ~self.far)] = INT_INF_DISTANCE
+            out[np.ix_(~self.far, self.far)] = INT_INF_DISTANCE
+        else:
+            out[self.sources] = self.rows
+        return out
+
+
+def edge_removal(
+    graph: CSRGraph, lifted: np.ndarray, edge: tuple[int, int]
+) -> EdgeRemoval:
+    """The one removal builder: the rows of ``graph − edge`` that change.
+
+    ``lifted`` is the lifted APSP matrix of ``graph``.  An edge ``(a, b)``
+    whose :func:`removal_affected_sources` mask marks every row is a bridge
+    of a connected graph (DESIGN.md §2 item 1 has the proof), and ``b``'s
+    side is read off the base matrix as ``lifted[b] < lifted[a]``, with no
+    BFS.  Otherwise the affected rows come from one union BFS
+    (:func:`batched_removal_rows_multi`) — a bridge inside one component of
+    a disconnected graph included.
+    """
+    affected = removal_affected_sources(graph, lifted, edge)
+    a, b = int(edge[0]), int(edge[1])
+    if affected.all():
+        return EdgeRemoval(affected, lifted[b] < lifted[a], None, None)
+    sources = np.flatnonzero(affected)
+    k = sources.size
+    rows = batched_removal_rows_multi(
+        graph, np.full(k, a), np.full(k, b), sources
+    )
+    return EdgeRemoval(affected, None, sources, rows)
 
 
 def removal_matrix_repair(
-    graph: CSRGraph,
-    dm: np.ndarray,
-    edge: tuple[int, int],
-    *,
-    affected: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    graph: CSRGraph, dm: np.ndarray, edge: tuple[int, int]
 ) -> np.ndarray:
     """Lifted APSP matrix of ``graph − edge`` derived from the base matrix.
 
-    Unaffected rows are copied from ``dm`` wholesale (one memcpy).  When
-    :func:`bridge_side` finds a bridge, within-component distances are
-    untouched (a simple path cannot cross a bridge twice), so the update is
-    two block assignments of the infinite sentinel — the dominant case for
-    tree dynamics.  Otherwise the affected rows are recomputed by the one
-    row kernel, :func:`batched_removal_rows_multi`, in a single union BFS.
-
-    Exactly equal to recomputing APSP on the rebuilt graph.  ``affected``
-    lets a caller that already computed :func:`removal_affected_sources`
-    pass it in.  ``out`` selects the destination: ``None`` (default)
-    allocates a fresh copy of ``dm``; passing ``dm`` itself repairs **in
-    place** (sound — the affected mask is taken before any write, and the
-    row kernel reads only the graph) — the dynamics engine's per-move path,
-    which owns its matrix and must not pay an n×n copy per applied swap.
+    A fresh copy of ``dm`` (one memcpy) with :func:`edge_removal` written
+    into it; ``dm`` is left untouched.  Exactly equal to recomputing APSP
+    on the rebuilt graph.
     """
-    a, b = _check_edge(graph, *edge)
-    if out is None:
-        out = np.array(dm, dtype=np.int64, copy=True)
-    elif out is not dm:
-        np.copyto(out, dm)
-    mask = (
-        removal_affected_sources(graph, dm, (a, b))
-        if affected is None
-        else affected
-    )
-    sources = np.nonzero(mask)[0]
-    if sources.size == 0:
-        return out
-    side = bridge_side(graph, (a, b), mask)
-    if side is not None:
-        out[np.ix_(side, ~side)] = INT_INF_DISTANCE
-        out[np.ix_(~side, side)] = INT_INF_DISTANCE
-        return out
-    k = sources.size
-    out[sources] = batched_removal_rows_multi(
-        graph, np.full(k, a), np.full(k, b), sources
-    )
-    return out
+    removal = edge_removal(graph, dm, edge)
+    return removal.write(np.array(dm, dtype=np.int64, copy=True))

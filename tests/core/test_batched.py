@@ -105,6 +105,17 @@ ENDPOINT_INPUTS = {
 }
 
 
+#: Both routes of the exact patch: bridges of a connected graph (far side
+#: read off the base matrix) and every other removal, a bridge inside one
+#: component of a disconnected graph included (the row kernel).
+PATCH_INPUTS = {
+    "gnm(12,20)": random_connected_gnm(12, 20, seed=5),
+    "tree(10)": random_tree(10, seed=2),
+    "K4-bridge-K4": EDGE_CASES["K4-bridge-K4"],
+    "K4-bridge-K4+K2": EDGE_CASES["K4-bridge-K4+K2"],
+}
+
+
 class TestBatchedRemovalPlan:
     @pytest.mark.parametrize("name", list(ENDPOINT_INPUTS))
     def test_endpoint_rows_exact(self, name):
@@ -122,8 +133,10 @@ class TestBatchedRemovalPlan:
             assert np.array_equal(plan.endpoint_row(i, b), oracle[b])
             assert np.array_equal(mover.endpoint_row(i, a), oracle[a])
 
-    def test_bound_never_exceeds_exact(self):
-        g = random_connected_gnm(12, 20, seed=5)
+    @pytest.mark.parametrize("spec", ["sum", "max", "interest-sum:k=3,seed=2"])
+    @pytest.mark.parametrize("name", list(PATCH_INPUTS))
+    def test_bound_never_exceeds_exact(self, name, spec):
+        g = PATCH_INPUTS[name]
         lifted = lift_distances(distance_matrix(g))
         edges = list(g.iter_edges())
         plan = BatchedRemovalPlan(g, lifted, edges)
@@ -132,10 +145,10 @@ class TestBatchedRemovalPlan:
         for i, (a, b) in enumerate(edges):
             oracle = removal_distance_matrix(g, (a, b), mode="rebuild")
             for v, w in ((a, b), (b, a)):
-                bound = plan.bound_costs(i, v, w, "sum", base_plus1, buf)
-                exact = all_swap_costs_for_drop(g, v, w, "sum", oracle)
+                bound = plan.bound_costs(i, v, w, spec, base_plus1, buf)
+                exact = all_swap_costs_for_drop(g, v, w, spec, oracle)
                 assert (bound <= exact).all()
-                patched = plan.exact_costs(i, v, w, "sum", bound=bound)
+                patched = plan.exact_costs(i, v, w, spec, bound=bound)
                 assert np.array_equal(patched, exact)
 
 
@@ -177,9 +190,9 @@ class TestLevelBound:
         monkeypatch.setattr(batched, "_LEVEL_BUDGET", math.inf)
         calls = _count_row_bounds(monkeypatch)
         for g in [*BATTERY, *EDGE_CASES.values(), LONG_PATH]:
-            if g.m == 0:
-                continue
             lifted = _lifted(g)
+            if g.m == 0 or (lifted >= INT_INF).any():
+                continue  # no edge, or a disconnected base: no levels
             model = resolve_cost_model(spec, g.n)
             plan = BatchedRemovalPlan(
                 g, lifted, list(g.iter_edges()), levels=LevelSets(lifted)

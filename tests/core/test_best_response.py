@@ -43,7 +43,7 @@ class TestBestSwap:
         from repro.core import swap_cost_after
 
         v = v % g.n
-        br = best_swap(g, v, "sum", prefer_deletions_on_tie=False)
+        br = best_swap(g, v, "sum")
         best_direct = math.inf
         for w in map(int, g.neighbors(v)):
             for w2 in range(g.n):

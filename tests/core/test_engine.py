@@ -7,6 +7,7 @@ and dynamics lives in the one differential harness, ``test_oracles.py``.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ import pytest
 from repro.core import equilibrium
 from repro.core import DistanceEngine, Swap, removal_distance_matrix
 from repro.core.costs import INT_INF, lift_distances
+from repro.core.moves import swapped_graph
 from repro.graphs import (
+    bfs_distances,
+    batched_removal_rows_multi,
     cycle_graph,
     distance_matrix,
     path_graph,
@@ -127,8 +131,40 @@ class TestIncrementalApply:
             engine.dm, lift_distances(distance_matrix(engine.graph))
         )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_move_runs_no_bfs(self, seed, monkeypatch):
+        # Every edge of a tree is a bridge: the removal builder reads its
+        # far side off the matrix, so applying the move runs no BFS at all.
+        g = random_tree(12, seed)
+        v, w = (int(x) for x in g.edges()[seed])
+        far = distance_matrix(g.with_edges(remove=[(v, w)]))[w] >= 0
+        if far.sum() < 2:  # w is a leaf: move from its side instead
+            v, w, far = w, v, ~far
+        far[w] = False
+        swap = Swap(v, w, int(np.flatnonzero(far)[0]))  # reconnects the tree
+        expected = lift_distances(distance_matrix(swapped_graph(g, swap)))
+        engine = DistanceEngine(g)
+        with monkeypatch.context() as patch:
+            _forbid(patch, bfs_distances, batched_removal_rows_multi)
+            changed = engine.apply_swap(swap)
+        assert changed.all()
+        assert np.array_equal(engine.dm, expected)
+
     def test_rejects_non_graph(self):
         from repro.errors import GraphError
 
         with pytest.raises(GraphError):
             DistanceEngine([(0, 1)])
+
+
+def _forbid(patch, *functions):
+    """Make every binding of ``functions`` in the library raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BFS ran")
+
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                patch.setattr(module, name, refuse)

@@ -14,9 +14,10 @@ three kinds of input:
   disconnected edge lists, on which both sides must raise alike;
 * the high-diameter inputs of ``tests/graphs/test_repair.py`` (diameter
   up to 11, long chains of bridges), which the n ≤ 14 battery lacks, and
-  the named edge cases of :data:`EDGE_CASES` (n = 2, n = 3, and a bridge
-  whose severed endpoint rows sit at ``INT_INF``), so that every pair
-  meets them by name rather than by a Hypothesis draw.
+  the named edge cases of :data:`EDGE_CASES` (n = 2, n = 3, a bridge
+  whose severed endpoint rows sit at ``INT_INF``, and that bridge in a
+  disconnected graph), so that every pair meets them by name rather than
+  by a Hypothesis draw.
 
 The dynamics pair is pinned move for move (and activation for activation)
 on the ``greedy`` schedule, where both engines activate every vertex by
@@ -66,7 +67,7 @@ from repro.graphs import (
 )
 
 from ..conftest import connected_graphs, edge_lists, graph_battery, trees
-from ..graphs.test_repair import HIGH_DIAMETER
+from ..graphs.test_repair import AFFECTED_INPUTS, HIGH_DIAMETER
 
 BATTERY = graph_battery()
 
@@ -78,14 +79,17 @@ def _cliques_joined_by_a_bridge(k: int) -> CSRGraph:
     return CSRGraph(2 * k, left + right + [(k - 1, k)])
 
 
-#: Named edge cases, next to ``HIGH_DIAMETER``: the smallest games, and a
+#: Named edge cases, next to ``HIGH_DIAMETER``: the smallest games, a
 #: bridge between two blocks — removing it leaves the far side of both
-#: endpoint rows at ``INT_INF``.
+#: endpoint rows at ``INT_INF`` — and the same bridge beside a disjoint K2,
+#: where the bridge changes every row of its own component but not the K2's,
+#: so the removal takes the row kernel instead of a far side.
 EDGE_CASES = {
     "K2": path_graph(2),
     "P3": path_graph(3),
     "K3": complete_graph(3),
     "K4-bridge-K4": _cliques_joined_by_a_bridge(4),
+    "K4-bridge-K4+K2": AFFECTED_INPUTS["K4-bridge-K4+K2"],
 }
 
 #: Base games plus one interest and one budget variant (DESIGN.md §6).
@@ -188,6 +192,9 @@ PAIRS = {
         f"best_swap[{spec}]": ("batched", "oracle", _best_responses(spec))
         for spec in MODELS
     },
+    "distance_matrix": (
+        "scipy", "numpy", lambda g, mode: distance_matrix(g, mode).tolist()
+    ),
     "removal_distance_matrix": ("repair", "rebuild", _removal_matrices),
     "swap_cost_after": ("patched", "copy", _swap_costs),
     **{

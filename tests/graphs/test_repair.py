@@ -7,9 +7,11 @@ deterministic battery (trees / sparse / dense, so bridges and disconnecting
 removals occur by construction), on Hypothesis-driven graphs, on the
 hand-picked degenerate cases and on high-diameter cycles, spiders and
 paths the n ≤ 14 battery lacks, along with the exactness of the
-affected-source mask (and of the predecessor-count rows it reads) and of
-the one row kernel, the union BFS, at its default and at narrow
-frontier block widths.
+affected-source mask (and of the predecessor-count rows it reads), the
+bridge lemma the one removal builder rests on (every row is affected
+exactly when the graph is connected and ``G − e`` is not, and then the far
+side is read off the base matrix), and the one row kernel, the union BFS,
+at its default and at narrow frontier block widths.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.core.costs import lift_distances
 from repro.errors import GraphError
 from repro.graphs import (
     CSRGraph,
+    INT_INF_DISTANCE,
     batched_removal_rows_multi,
     cycle_graph,
     distance_matrix,
@@ -30,6 +33,7 @@ from repro.graphs import (
     removal_matrix_repair,
     star_graph,
 )
+from repro.graphs.repair import edge_removal
 
 from ..conftest import connected_graphs, edge_lists, graph_battery
 
@@ -50,15 +54,44 @@ HIGH_DIAMETER = {
     "P12": path_graph(12),
 }
 
-#: Every fourth battery graph plus the high-diameter inputs.
+_K4 = [(x, y) for x in range(4) for y in range(x + 1, 4)]
+
+#: Every fourth battery graph, the high-diameter inputs, and a bridge
+#: inside one component of a disconnected graph (K4 - bridge - K4 beside a
+#: K2): removing it changes every row of its component but not the K2's.
 AFFECTED_INPUTS = {
     **{str(idx): BATTERY[idx] for idx in range(0, len(BATTERY), 4)},
     **HIGH_DIAMETER,
+    "K4-bridge-K4+K2": CSRGraph(
+        10, _K4 + [(x + 4, y + 4) for x, y in _K4] + [(3, 4), (8, 9)]
+    ),
 }
 
 
 def _oracle(g: CSRGraph, edge) -> np.ndarray:
     return lift_distances(distance_matrix(g.with_edges(remove=[edge])))
+
+
+def _check_bridge_lemma(g: CSRGraph) -> None:
+    """Every row is affected iff ``g`` is connected and ``g − e`` is not;
+    then the builder's far side is ``b``'s component in ``g − e``, and
+    otherwise it returns the affected rows of ``g − e``."""
+    base = lift_distances(distance_matrix(g))
+    connected = bool((base < INT_INF_DISTANCE).all())
+    for a, b in g.iter_edges():
+        after = _oracle(g, (a, b))
+        mask = removal_affected_sources(g, base, (a, b))
+        splits = bool((after >= INT_INF_DISTANCE).any())
+        assert mask.all() == (connected and splits), (g.edges().tolist(), a, b)
+        removal = edge_removal(g, base, (a, b))
+        assert np.array_equal(removal.affected, mask)
+        if mask.all():
+            assert np.array_equal(removal.far, after[b] < INT_INF_DISTANCE)
+            assert removal.sources is None and removal.rows is None
+        else:
+            assert removal.far is None
+            assert np.array_equal(removal.sources, np.flatnonzero(mask))
+            assert np.array_equal(removal.rows, after[mask])
 
 
 class TestBatteryCrossValidation:
@@ -82,6 +115,10 @@ class TestBatteryCrossValidation:
             mask = removal_affected_sources(g, base, edge)
             truth = (_oracle(g, edge) != base).any(axis=1)
             assert np.array_equal(mask, truth), (g.edges().tolist(), edge)
+
+    @pytest.mark.parametrize("name", list(AFFECTED_INPUTS))
+    def test_every_row_affected_iff_the_edge_is_a_bridge(self, name):
+        _check_bridge_lemma(AFFECTED_INPUTS[name])
 
     @pytest.mark.parametrize("name", list(AFFECTED_INPUTS))
     def test_predecessor_count_rows_match_full_table(self, name):
@@ -117,6 +154,11 @@ class TestHypothesisFuzz:
             assert np.array_equal(
                 removal_matrix_repair(g, base, edge), _oracle(g, edge)
             )
+
+    @given(edge_lists(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_bridge_lemma_on_possibly_disconnected_graphs(self, ne):
+        _check_bridge_lemma(CSRGraph(*ne))
 
 
 class TestStructuredCases:

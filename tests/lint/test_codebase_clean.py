@@ -84,6 +84,7 @@ def test_every_mode_set_has_at_most_two_members():
         declared.update(members)
     # The collector must see the real declarations, or the bound is vacuous.
     assert {
+        "distances.py:ApspMode",
         "equilibrium.py:AuditMode",
         "best_response.py:BestSwapMode",
         "dynamics.py:EngineMode",
@@ -166,6 +167,54 @@ _RETIRED_PLAN_NAMES = {"removal_affected_matrix", "is_bridge", "pred_counts"}
 
 def test_retired_plan_names_are_not_defined():
     assert _definitions_of(_RETIRED_PLAN_NAMES) == []
+
+
+# One removal builder (DESIGN.md §2): an edge that changes every row is a
+# bridge, and its far side is read off the base matrix, so the half-BFS
+# bridge probe stays gone; `edge_removal` alone decides how `G − e` is
+# built, and only it and the audit plans run the union BFS.
+
+_RETIRED_REMOVAL_NAMES = {"bridge_side"}
+
+
+def test_retired_removal_names_are_not_defined():
+    assert _definitions_of(_RETIRED_REMOVAL_NAMES) == []
+
+
+def _callers_of(name: str) -> "set[str]":
+    """``file:Scope.function`` of every call in src/ to ``name``."""
+    callers = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name], path)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                callers.add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope, path)
+
+    for path, tree in _src_trees():
+        visit(tree, [], path)
+    return callers
+
+
+def test_only_the_builder_calls_the_affected_source_rule():
+    assert _callers_of("removal_affected_sources") == {
+        "repair.py:edge_removal"
+    }
+
+
+def test_only_the_builder_and_the_plans_run_the_union_bfs():
+    assert _callers_of("batched_removal_rows_multi") == {
+        "repair.py:edge_removal",
+        "batched.py:BatchedRemovalPlan.__init__",
+    }
 
 
 # One graph type (DESIGN.md §1): a move derives the next immutable
