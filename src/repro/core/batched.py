@@ -1,8 +1,10 @@
 """Cross-edge batched audit kernel — plan once, bound first, repair rarely.
 
-The fast path of every equilibrium audit (``mode="batched"``, the default;
-``mode="rebuild"`` — a fresh APSP per edge — is its oracle).  Every scan is
-built from three steps, each written once:
+The fast engine of the one audit walk (``mode="batched"``, the default, in
+:mod:`repro.core.equilibrium`; ``mode="rebuild"`` — a fresh APSP per edge —
+is its oracle).  For each directed edge the walk needs the mover's exact
+row after the drop and, on request, its exact post-swap costs; the kernel
+supplies both in three steps, each written once:
 
 1. **Plan** — a mover's own post-removal row is the only repaired row most
    of the audit needs.  A :class:`BatchedRemovalPlan` computes the endpoint
@@ -11,18 +13,19 @@ built from three steps, each written once:
    whose per-level cost is one sparse product — Python overhead
    O(diameter) per block, not O(m · diameter).  A bridge rides the BFS
    like any other edge: the severed side of its endpoint rows simply stays
-   at the infinite sentinel.  Scans walk their directed edges through one
-   iterator whose blocks are built lazily and double from ``_FIRST_BLOCK``
-   up to ``_SCAN_BLOCK`` edges, so an audit that stops at an early
-   violation plans a handful of edges, while a full audit batches widely.
+   at the infinite sentinel.  The walk takes its directed edges from one
+   iterator (:func:`_directed_edges`) whose blocks are built lazily and
+   double from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges, so an audit
+   that stops at an early violation plans a handful of edges, while a full
+   audit batches widely.
 2. **Bound** — deleting an edge can only *increase* distances, so every
    other row of the removal matrix dominates its base row, and
 
    ``costs_lb[w'] = agg_u min(dv[u], 1 + base[w', u]) <= costs[w']``
 
    is a sound optimistic bound computed straight off the base matrix (no
-   per-edge copy; it is *exact* for unaffected ``w'``).  Every block of a
-   scan but the first computes it for all of its rows at once, one sparse
+   per-edge copy; it is *exact* for unaffected ``w'``).  Every block of an
+   audit but the first computes it for all of its rows at once, one sparse
    product per distance level (:func:`_level_bound`): for non-negative
    integers ``min(a, b) = Σ_{t≥0} [a > t]·[b > t]``, so with
    ``S_t = [dv > t]`` (one row per planned endpoint row, masked to the
@@ -30,7 +33,7 @@ built from three steps, each written once:
    bound of every row and target is ``Σ_t S_t·G_t`` over the ``T`` =
    diameter + 1 levels, and the max bound counts the levels whose entry
    is positive.
-   In the first block, where scans of non-equilibria stop, and where the
+   In the first block, where audits of non-equilibria stop, and where the
    distances spread too widely for the levels to pay, the per-row form
    (:func:`_bound`, the level form's oracle) computes the same floats.
 3. **Verify** — a mover whose bound never beats its threshold provably has
@@ -38,9 +41,9 @@ built from three steps, each written once:
    census spends its time.  Only when a candidate survives does the kernel
    build the edge's removal (:func:`exact_costs_from_bound`, through the
    one removal builder, :func:`repro.graphs.repair.edge_removal`) and
-   re-evaluate exactly.
+   re-evaluate exactly (:func:`_verify`).
 
-Every scan outcome is bit-identical to the ``mode="rebuild"`` oracle —
+Every audit outcome is bit-identical to the ``mode="rebuild"`` oracle —
 same costs, same argmin tie-breaking, same directed-edge order — because
 the bound only ever *skips* movers whose exact evaluation could not have
 produced a violation, and survivors are re-evaluated exactly.
@@ -55,9 +58,10 @@ single BFS — the common state of most agents for most of a dynamics run.
 Only when level-0 fails does the kernel plan the agent's incident edges
 (one union BFS for the mover-side removal rows), gate each drop with its
 own bound (level 1), and verify the few drops whose bound beats the
-incumbent (level 2).  :func:`certify_at_rest` is the audit-scan analog used
-by the dynamics verification sweep: one cross-edge bound-then-verify pass
-replacing n independent best responses.
+incumbent (level 2).  The dynamics verification sweep needs no kernel of
+its own: "no vertex has a best-response move" is
+:func:`~repro.core.equilibrium.is_equilibrium`, one walk over the edges
+instead of n independent best responses.
 """
 
 from __future__ import annotations
@@ -72,18 +76,13 @@ from ..graphs import CSRGraph
 from ..parallel import check_deadline
 from ..graphs.repair import batched_removal_rows_multi, edge_removal
 from .best_response import BestResponse
-from .costmodel import SUM_COST, CostModel, resolve_cost_model
+from .costmodel import CostModel, resolve_cost_model
 from .costs import INT_INF
-from .equilibrium import Violation
 from .moves import Swap
 
 __all__ = [
     "BatchedRemovalPlan",
     "best_swap_scan",
-    "certify_at_rest",
-    "scan_swap_violations",
-    "scan_gap",
-    "scan_deletion_violations",
 ]
 
 
@@ -421,7 +420,7 @@ def exact_costs_from_bound(
 
 
 # ---------------------------------------------------------------------------
-# Scans over every edge of an audit
+# Plans over every edge of an audit (the audit walk's batched engine)
 # ---------------------------------------------------------------------------
 
 #: Edges planned per full-size lazily-built block.  Full equilibrium audits
@@ -458,90 +457,6 @@ def _directed_edges(graph, lifted, edges, deadline):
             yield plan, i, b, a
         lo += size
         size = min(2 * size, _SCAN_BLOCK)
-
-
-def scan_swap_violations(
-    graph: CSRGraph,
-    lifted: np.ndarray,
-    base: np.ndarray,
-    edges,
-    objective,
-    *,
-    deadline: "float | None" = None,
-) -> "Violation | None":
-    """First swap violation among ``edges``, or ``None``.
-
-    The batched analog of the oracle's per-edge scan: same directed order
-    (``(a, b)`` then ``(b, a)`` per canonical edge), same tie-breaking —
-    movers are dismissed only when the sound bound proves no improving
-    swap exists, and survivors are re-evaluated exactly.  ``objective`` is
-    a cost model (or spec string); the same move-set mask is applied to
-    the bound and the exact costs, so budget-constrained scans stay sound.
-    """
-    n = graph.n
-    model = resolve_cost_model(objective, n)
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
-    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
-        bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
-        mask = model.target_mask(graph, v, w)
-        costs = _verify(plan, i, v, w, model, bound, mask, base[v])
-        if costs is None:
-            continue
-        best = int(np.argmin(costs))
-        if costs[best] < base[v]:
-            return Violation(
-                model.violation_kind, v, w, best,
-                float(base[v]), float(costs[best]),
-            )
-    return None
-
-
-def scan_gap(
-    graph: CSRGraph,
-    lifted: np.ndarray,
-    base_sum: np.ndarray,
-    edges,
-    *,
-    deadline: "float | None" = None,
-) -> float:
-    """Largest sum-swap improvement within ``edges`` (batched kernel).
-
-    Sound despite the bound: a mover is skipped only when its *optimistic*
-    best is no better than its current cost, in which case it contributes
-    nothing to the gap; survivors use exact costs.
-    """
-    n = graph.n
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
-    gap = 0.0
-    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
-        bound = plan.bound_costs(i, v, w, SUM_COST, base_plus1, buf)
-        costs = _verify(plan, i, v, w, SUM_COST, bound, None, base_sum[v])
-        if costs is not None:
-            gap = max(gap, float(base_sum[v]) - float(np.min(costs)))
-    return gap
-
-
-def scan_deletion_violations(
-    graph: CSRGraph,
-    lifted: np.ndarray,
-    base_ecc: np.ndarray,
-    edges,
-    *,
-    deadline: "float | None" = None,
-) -> "Violation | None":
-    """First deletion-criticality violation among ``edges`` (batched).
-
-    Needs only the two endpoint rows per edge — no dense matrix at all —
-    so this audit drops from O(m·n²) to O(m·n) plus the shared plan.
-    """
-    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
-        ecc_v = int(plan.endpoint_row(i, v).max())
-        after = math.inf if ecc_v >= INT_INF else float(ecc_v)
-        if not after > float(base_ecc[v]):
-            return Violation("deletion", v, w, None, float(base_ecc[v]), after)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -678,47 +593,3 @@ def best_swap_scan(
     if neutral_deletion is not None:
         return BestResponse(neutral_deletion, before, before, True)
     return BestResponse(None, before, before, False)
-
-
-def certify_at_rest(
-    graph: CSRGraph,
-    lifted: np.ndarray,
-    objective,
-    *,
-    deadline: "float | None" = None,
-) -> bool:
-    """Whether **no** vertex has a best-response move — one batched scan.
-
-    ``True`` exactly when ``best_swap(graph, v, objective)`` returns
-    ``swap=None`` for every vertex: no agent has a strictly improving swap
-    among its legal moves and (for ``prefer_deletions_on_tie`` models) no
-    agent of degree ≥ 2 holds a cost-neutral deletion.  This is the
-    dynamics verification sweep collapsed into the cross-edge audit kernel:
-    one scan, bounds dismissing the overwhelmingly-quiet edge population —
-    instead of n independent best responses.
-    """
-    n = graph.n
-    model = resolve_cost_model(objective, n)
-    prefer_deletions_on_tie = model.prefer_deletions_on_tie
-    edges = list(graph.iter_edges())
-    if not edges:
-        return True
-    base = model.base_costs(lifted)
-    degrees = np.diff(graph.indptr)
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
-    for plan, i, v, w in _directed_edges(graph, lifted, edges, deadline):
-        if prefer_deletions_on_tie and degrees[v] >= 2:
-            # best_swap takes a cost-neutral deletion whenever the drop
-            # leaves the mover's cost unchanged and a replacement
-            # add-target exists (degree >= 2): the lexicographic tie-break
-            # that drives max dynamics toward deletion-criticality.
-            del_cost = model.row_cost(v, plan.endpoint_row(i, v))
-            if del_cost != math.inf and del_cost <= base[v]:
-                return False
-        bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
-        mask = model.target_mask(graph, v, w)
-        costs = _verify(plan, i, v, w, model, bound, mask, base[v])
-        if costs is not None and float(np.min(costs)) < base[v]:
-            return False
-    return True

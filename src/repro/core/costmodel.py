@@ -30,6 +30,13 @@ A cost model answers three questions, always from **lifted** distance rows
    when dropping ``v–w`` (``None`` = all; this is where budget constraints
    live).
 
+One flag, ``prefer_deletions_on_tie``, marks the paper's lexicographic
+(cost, degree) max objective.  Best responses read it to take cost-neutral
+deletions, and :func:`~repro.core.equilibrium.is_equilibrium` reads it to
+demand deletion-criticality: a drop that leaves the mover's cost unchanged
+is both the deletion such an agent takes and the edge that breaks
+criticality, so one flag serves both.
+
 **Monotonicity contract** (load-bearing for the batched audit kernel): if
 ``row1 <= row2`` entrywise then ``row_cost(v, row1) <= row_cost(v, row2)``,
 and likewise per-row for ``candidate_costs``.  Edge removal only increases
@@ -102,11 +109,9 @@ class CostModel:
     spec: str = "sum"
     #: the ``Violation.kind`` tag audits emit for this model
     violation_kind: str = "sum-swap"
-    #: whether the model's equilibrium notion includes deletion-criticality
-    #: (true only for the paper's max version)
-    requires_deletion_criticality: bool = False
-    #: whether best responses take cost-neutral deletions — the paper's max
-    #: agents do (lexicographic tie-break)
+    #: the paper's lexicographic (cost, degree) objective of its max agents
+    #: (true only for :class:`MaxCost`): best responses take cost-neutral
+    #: deletions, and the equilibrium notion includes deletion-criticality
     prefer_deletions_on_tie: bool = False
 
     # ------------------------------------------------------------------
@@ -250,7 +255,6 @@ class MaxCost(_PlainRows):
     kind = "max"
     spec = "max"
     violation_kind = "max-swap"
-    requires_deletion_criticality = True
     prefer_deletions_on_tie = True
 
 
@@ -263,7 +267,6 @@ class InterestCost(CostModel):
     or not — costs ``inf``; see the module docstring).
     """
 
-    requires_deletion_criticality = False
     prefer_deletions_on_tie = False
 
     def __init__(self, kind: str, weights: np.ndarray, *, spec: str):
@@ -332,7 +335,6 @@ class BudgetCost(_PlainRows):
     equilibrium is "no improving move among the budget-legal ones".
     """
 
-    requires_deletion_criticality = False
     prefer_deletions_on_tie = False
 
     def __init__(self, kind: str, cap: int):

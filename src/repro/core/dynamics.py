@@ -22,8 +22,9 @@ Design notes
     responses run the bound-then-verify per-vertex kernel on it (DESIGN.md
     §8), so most activations are certified move-free with zero BFS work;
     ``apply`` reports the rows a move changed; ``certify`` is one
-    cross-edge audit scan (:func:`~repro.core.batched.certify_at_rest`)
-    for best responders;
+    equilibrium audit on the maintained matrix
+    (:func:`~repro.core.equilibrium.is_equilibrium` — at rest exactly when
+    no vertex has a best-response move) for best responders;
   - ``"oracle"`` — the seed path, kept for cross-validation: fresh
     ``best_swap(mode="oracle")`` responses on the current graph, a fresh
     APSP per trace point, no changed rows and no certificate.
@@ -93,6 +94,7 @@ from .best_response import BestResponse, best_swap, first_improving_swap
 from .costmodel import CostModel, parse_cost_spec, resolve_cost_model
 from .costs import INT_INF, lift_distances
 from .engine import DistanceEngine
+from .equilibrium import is_equilibrium
 from .moves import Swap, swapped_graph
 
 __all__ = ["DynamicsResult", "SwapDynamics"]
@@ -254,10 +256,8 @@ class _BatchedEngine(_Engine):
         return self._engine.apply_swap(swap)
 
     def certify(self) -> bool:
-        from .batched import certify_at_rest
-
-        return self.responder == "best" and certify_at_rest(
-            self.graph, self.dm, self.model
+        return self.responder == "best" and is_equilibrium(
+            self.graph, self.model, base_dm=self.dm
         )
 
 

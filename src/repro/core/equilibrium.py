@@ -23,21 +23,30 @@ and :func:`is_equilibrium` take any model or spec string — the paper's
 historical :func:`find_sum_violation` / :func:`is_max_equilibrium` surface
 stays bit-identical as thin wrappers.
 
-Every audit has one fast path and one oracle.  The default
-``mode="batched"`` shares one base APSP and plans the edges in lazily built
-blocks — vectorized affected-source detection, one union level-synchronous
-BFS for the endpoint repairs, and a bound-then-verify scan that reads the
-base matrix in place instead of copying it per edge (DESIGN.md §2.6 /
-:mod:`repro.core.batched`).  ``mode="rebuild"`` is the seed behaviour (a
-fresh APSP per edge), kept as the cross-validation oracle; both answer
-bit-identically, tie-breaks included.
+The paper's procedure is written once, as one walk over the directed
+edges in the oracle's order (``(a, b)`` then ``(b, a)`` per canonical
+edge), and :func:`find_swap_violation`, :func:`sum_equilibrium_gap`,
+:func:`find_deletion_criticality_violation` and :func:`is_equilibrium` each
+read it once.  For each drop ``v–w`` the walk gives ``v``'s exact distance
+row in ``G − vw`` and, on request, ``v``'s legal exact post-swap costs — or
+``None`` when a bound proves that no legal target beats a threshold.  Two
+engines feed it and differ only in how they compute those two things: the
+default ``mode="batched"`` shares one base APSP, takes the rows from plans
+of lazily built blocks of edges (one union level-synchronous BFS each) and
+the costs from a bound-then-verify step that reads the base matrix in
+place (DESIGN.md §2.6 / :mod:`repro.core.batched`); ``mode="rebuild"`` is
+the seed behaviour (a fresh APSP per edge), kept as the cross-validation
+oracle.  Both answer bit-identically, tie-breaks included.  A max audit
+checks swaps and deletion-criticality in the same pass, so it plans each
+edge once.
 
-Each audit is one serial scan: parallelism lives at the fleet grain, where
+Each audit is one serial walk: parallelism lives at the fleet grain, where
 whole dynamics runs are independent tasks (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,7 +57,8 @@ import numpy as np
 from ..errors import ConfigurationError, DisconnectedGraphError
 from ..graphs import CSRGraph, distance_matrix, is_connected
 from ..parallel import check_deadline
-from .costmodel import CostModel, resolve_cost_model
+from .batched import _directed_edges, _verify
+from .costmodel import MAX_COST, SUM_COST, CostModel, resolve_cost_model
 from .costs import INT_INF, lift_distances, lifted_base
 from .moves import Swap
 from .swap_eval import all_swap_costs_for_drop, removal_distance_matrix
@@ -141,15 +151,54 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def _iter_drop_contexts(graph: CSRGraph):
-    """Yield ``(v, w, removal_dm)`` for every directed edge — the oracle scan.
+def _audit_walk(graph, lifted, model, mode, deadline):
+    """Yield ``(v, w, dv, costs)`` for every directed edge — the one audit loop.
 
-    Each removal matrix is a fresh APSP of the rebuilt graph ``G − vw``.
+    The oracle's order: ``(a, b)`` then ``(b, a)`` per canonical edge.
+    ``dv`` is ``v``'s exact distance row in ``G − vw``; ``costs(threshold)``
+    returns ``v``'s legal exact post-swap costs under ``model`` (illegal
+    targets and the identity re-add ``w`` at ``inf``), or ``None`` when a
+    bound proves that no legal target beats ``threshold``.  ``mode`` picks
+    the engine: ``"batched"`` takes the rows from the kernel's plans and the
+    costs from its bound and verify steps (:mod:`repro.core.batched`);
+    ``"rebuild"`` takes both from a fresh APSP of ``G − vw``, shares no
+    per-edge computation with the kernel and never returns ``None``.
+    ``deadline`` is checked once per edge.
     """
+    if mode == "batched":
+        base_plus1 = lifted + 1
+        buf = np.empty((graph.n, graph.n), dtype=np.int64)
+
+        def costs(plan, i, v, w, threshold):
+            bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
+            mask = model.target_mask(graph, v, w)
+            return _verify(plan, i, v, w, model, bound, mask, threshold)
+
+        for plan, i, v, w in _directed_edges(
+            graph, lifted, graph.iter_edges(), deadline
+        ):
+            yield (
+                v, w, plan.endpoint_row(i, v),
+                functools.partial(costs, plan, i, v, w),
+            )
+        return
+
+    def rebuilt_costs(removal_dm, v, w, threshold):
+        costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
+        mask = model.target_mask(graph, v, w)
+        if mask is not None:
+            costs[~mask] = math.inf  # move-set constraint (budget cap)
+        costs[w] = math.inf  # identity move is not a violation
+        return costs
+
     for a, b in graph.iter_edges():
+        check_deadline(deadline)
         removal_dm = removal_distance_matrix(graph, (a, b), mode="rebuild")
-        yield a, b, removal_dm
-        yield b, a, removal_dm
+        for v, w in ((a, b), (b, a)):
+            yield (
+                v, w, removal_dm[v],
+                functools.partial(rebuilt_costs, removal_dm, v, w),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +224,7 @@ def find_swap_violation(
     (see :func:`_prepare`) so callers that already hold it — dynamics
     endpoints, census probes — skip the audit's APSP.  ``deadline``
     (absolute ``time.monotonic()`` instant) bounds the whole audit: the
-    scan checks it between drop contexts and raises
+    walk checks it once per edge and raises
     :class:`~repro.errors.DeadlineExceeded` once it passes.
     """
     _check_mode(mode)
@@ -185,26 +234,15 @@ def find_swap_violation(
         return None
     lifted = _prepare(graph, base_dm)
     base = model.base_costs(lifted)
-    if mode == "batched":
-        from .batched import scan_swap_violations
-
-        check_deadline(deadline)
-        return scan_swap_violations(
-            graph, lifted, base, list(graph.iter_edges()), model,
-            deadline=deadline,
-        )
-    for v, w, removal_dm in _iter_drop_contexts(graph):
-        check_deadline(deadline)
-        costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
-        mask = model.target_mask(graph, v, w)
-        if mask is not None:
-            costs[~mask] = math.inf  # move-set constraint (budget cap)
-        costs[w] = math.inf  # identity move is not a violation
-        best = int(np.argmin(costs))
-        if costs[best] < base[v]:
+    for v, w, _, costs in _audit_walk(graph, lifted, model, mode, deadline):
+        legal = costs(base[v])
+        if legal is None:
+            continue
+        best = int(np.argmin(legal))
+        if legal[best] < base[v]:
             return Violation(
                 model.violation_kind, v, w, best,
-                float(base[v]), float(costs[best]),
+                float(base[v]), float(legal[best]),
             )
     return None
 
@@ -219,28 +257,34 @@ def is_equilibrium(
 ) -> bool:
     """Whether ``graph`` is at rest under the model's equilibrium notion.
 
-    Swap stability under the model's cost and move set; for the paper's max
-    version (``requires_deletion_criticality``) the audit additionally
-    demands deletion-criticality, matching :func:`is_max_equilibrium`
-    exactly.  Variant max models (interest / budget) are swap-stability
-    only — their literatures define no criticality condition.  ``base_dm``
-    skips the audit's APSP when the caller already holds the matrix.
+    ``True`` exactly when no agent has a best-response move —
+    ``best_swap(graph, v, objective).swap`` is ``None`` for every ``v``.
+    That is swap stability under the model's cost and move set; for the
+    paper's max version (``prefer_deletions_on_tie``, the lexicographic
+    (cost, degree) objective) also deletion-criticality, since a drop that
+    leaves its mover's local diameter unchanged is exactly the cost-neutral
+    deletion a max agent takes.  One pass over the walk checks both
+    conditions, so a max audit plans each edge once, and the verdict
+    matches :func:`is_max_equilibrium`.  Variant max models (interest /
+    budget) are swap-stability only — their literatures define no
+    criticality condition.  ``base_dm`` skips the audit's APSP when the
+    caller already holds the matrix: the dynamics engine certifies a graph
+    at rest with this call on its own matrix.
     """
+    _check_mode(mode)
     model = resolve_cost_model(objective, graph.n)
-    if (
-        find_swap_violation(
-            graph, model, mode=mode, base_dm=base_dm, deadline=deadline
-        )
-        is not None
-    ):
-        return False
-    if model.requires_deletion_criticality:
-        return (
-            find_deletion_criticality_violation(
-                graph, mode=mode, base_dm=base_dm, deadline=deadline
-            )
-            is None
-        )
+    if graph.n <= 2:
+        _require_connected(graph)
+        return True
+    lifted = _prepare(graph, base_dm)
+    base = model.base_costs(lifted)
+    critical = model.prefer_deletions_on_tie
+    for v, _, dv, costs in _audit_walk(graph, lifted, model, mode, deadline):
+        if critical and not model.row_cost(v, dv) > base[v]:
+            return False  # a cost-neutral deletion
+        legal = costs(base[v])
+        if legal is not None and float(np.min(legal)) < base[v]:
+            return False
     return True
 
 
@@ -264,7 +308,9 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "batched") -> floa
     """The largest improvement any single swap offers (0.0 at equilibrium).
 
     A quantitative "distance from equilibrium" used by dynamics diagnostics;
-    ``inf`` never occurs because disconnecting swaps cost ``inf``.
+    ``inf`` never occurs because disconnecting swaps cost ``inf``.  Sound
+    despite the batched bound: a drop is skipped only when no target beats
+    its mover's current cost, and then it adds nothing to the gap.
     """
     _check_mode(mode)
     if graph.n <= 2:
@@ -272,17 +318,11 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "batched") -> floa
         return 0.0
     lifted = _prepare(graph)
     base_sum = lifted.sum(axis=1)
-    if mode == "batched":
-        from .batched import scan_gap
-
-        return scan_gap(graph, lifted, base_sum, list(graph.iter_edges()))
     gap = 0.0
-    for v, w, removal_dm in _iter_drop_contexts(graph):
-        costs = all_swap_costs_for_drop(graph, v, w, "sum", removal_dm)
-        costs[w] = math.inf
-        best = float(np.min(costs))
-        if best < base_sum[v]:
-            gap = max(gap, float(base_sum[v]) - best)
+    for v, _, _, costs in _audit_walk(graph, lifted, SUM_COST, mode, None):
+        legal = costs(base_sum[v])
+        if legal is not None:
+            gap = max(gap, float(base_sum[v]) - float(np.min(legal)))
     return gap
 
 
@@ -307,30 +347,16 @@ def find_deletion_criticality_violation(
     """First edge whose deletion does **not** strictly raise an endpoint's ecc.
 
     Deletion-criticality is part of the paper's max-equilibrium definition
-    and of the lower-bound constructions.
+    and of the lower-bound constructions.  It reads only the walk's
+    endpoint rows, never its costs.
     """
     _check_mode(mode)
     lifted = _prepare(graph, base_dm)
     base_ecc = lifted.max(axis=1)
-    if mode == "batched":
-        from .batched import scan_deletion_violations
-
-        check_deadline(deadline)
-        return scan_deletion_violations(
-            graph, lifted, base_ecc, list(graph.iter_edges()),
-            deadline=deadline,
-        )
-    for a, b in graph.iter_edges():
-        check_deadline(deadline)
-        removal_dm = removal_distance_matrix(graph, (a, b), mode="rebuild")
-        ecc_after = removal_dm.max(axis=1)
-        for v in (a, b):
-            after = math.inf if ecc_after[v] >= INT_INF else float(ecc_after[v])
-            if not after > float(base_ecc[v]):
-                other = b if v == a else a
-                return Violation(
-                    "deletion", v, other, None, float(base_ecc[v]), after
-                )
+    for v, w, dv, _ in _audit_walk(graph, lifted, MAX_COST, mode, deadline):
+        after = MAX_COST.row_cost(v, dv)
+        if not after > float(base_ecc[v]):
+            return Violation("deletion", v, w, None, float(base_ecc[v]), after)
     return None
 
 
@@ -341,9 +367,7 @@ def is_deletion_critical(graph: CSRGraph, *, mode: AuditMode = "batched") -> boo
 
 def is_max_equilibrium(graph: CSRGraph, *, mode: AuditMode = "batched") -> bool:
     """The paper's max equilibrium: swap-stable (max) **and** deletion-critical."""
-    if find_max_swap_violation(graph, mode=mode) is not None:
-        return False
-    return find_deletion_criticality_violation(graph, mode=mode) is None
+    return is_equilibrium(graph, "max", mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    SwapDynamics,
     best_swap,
     census_experiment,
     find_deletion_criticality_violation,
@@ -25,7 +26,7 @@ from repro.core import (
     sum_equilibrium_gap,
 )
 from repro.core import batched, equilibrium
-from repro.core.batched import BatchedRemovalPlan, LevelSets, certify_at_rest
+from repro.core.batched import BatchedRemovalPlan, LevelSets
 from repro.core.costs import INT_INF, lift_distances
 from repro.core.exhaustive import exhaustive_equilibrium_census
 from repro.core.swap_eval import (
@@ -231,7 +232,7 @@ class TestLevelBound:
             lifted = _lifted(g)
             for scan in (
                 lambda: is_equilibrium(g, "sum"),
-                lambda: certify_at_rest(g, lifted, "sum"),
+                lambda: is_equilibrium(g, "sum", base_dm=lifted),
                 lambda: sum_equilibrium_gap(g) == 0.0,
             ):
                 calls.clear()
@@ -253,6 +254,33 @@ class TestLevelBound:
     def test_a_disconnected_base_has_no_levels(self):
         g = CSRGraph(4, [(0, 1), (2, 3)])
         assert LevelSets(_lifted(g)).levels is None
+
+
+def _max_endpoint():
+    result = SwapDynamics(objective="max", seed=5).run(
+        random_connected_gnm(24, 40, seed=5)
+    )
+    assert result.converged
+    return result.graph
+
+
+class TestOneWalk:
+    """A max audit checks swaps and deletion-criticality in one walk."""
+
+    @pytest.mark.parametrize("make", [lambda: star_graph(30), _max_endpoint],
+                             ids=["star", "max-endpoint"])
+    def test_full_max_audit_plans_each_edge_once(self, make, monkeypatch):
+        g = make()
+        rows = []
+        union_bfs = batched.batched_removal_rows_multi
+
+        def counting(graph, jobs_a, jobs_b, sources):
+            rows.append(len(sources))
+            return union_bfs(graph, jobs_a, jobs_b, sources)
+
+        monkeypatch.setattr(batched, "batched_removal_rows_multi", counting)
+        assert is_equilibrium(g, "max")
+        assert sum(rows) == 2 * g.m, (rows, g.m)
 
 
 class TestWorkerInvariance:

@@ -1,8 +1,8 @@
 """Batched best-response kernel: bounds, engine scratch, and hot-path costs.
 
-:func:`certify_at_rest` must certify a graph move-free exactly when every
-vertex's best response is a no-op, and the engine's cached kernel scratch
-must follow applied swaps.  The satellites ride along: an already-lifted
+:func:`~repro.core.equilibrium.is_equilibrium` — the dynamics' convergence
+certificate — must hold exactly when every vertex's best response is a
+no-op, and the engine's cached kernel scratch must follow applied swaps.  The satellites ride along: an already-lifted
 ``base_dm`` must not be copied per activation, and ``first_improving_swap``
 must skip the legality mask for unconstrained models without touching the
 rng stream.  Exact agreement of ``best_swap(mode="batched")`` with the
@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import DistanceEngine, SwapDynamics, best_swap, ensure_lifted
-from repro.core import first_improving_swap
-from repro.core.batched import best_swap_scan, certify_at_rest
+from repro.core import first_improving_swap, is_equilibrium
 from repro.core.costmodel import SumCost, resolve_cost_model
 from repro.core.costs import lift_distances
 from repro.graphs import (
@@ -33,6 +32,10 @@ from ..conftest import graph_battery
 BATTERY = graph_battery()
 
 MODELS = ["sum", "max", "interest-sum:k=3,seed=2", "budget-sum:cap=3"]
+
+#: Every model kind: ``MODELS`` plus the two max variants, which take no
+#: cost-neutral deletions and so demand no deletion-criticality.
+ALL_KINDS = [*MODELS, "interest-max:k=3,seed=2", "budget-max:cap=3"]
 
 
 def _responses_equal(a, b) -> bool:
@@ -62,34 +65,56 @@ class TestEngineKernel:
                 break
 
 
-class TestCertifyAtRest:
-    @pytest.mark.parametrize("idx", range(0, len(BATTERY), 7))
-    @pytest.mark.parametrize("spec", MODELS)
-    def test_matches_per_vertex_quiescence(self, idx, spec):
-        g = BATTERY[idx]
-        if g.n < 2:
-            return
-        dm = lift_distances(distance_matrix(g))
-        quiet = all(
-            best_swap(g, v, spec, base_dm=dm).swap is None for v in range(g.n)
-        )
-        assert certify_at_rest(g, dm, spec) == quiet, (idx, spec)
+#: Named inputs beside the battery: a star, at rest under every model, and
+#: the diamond (a 4-cycle with one chord), swap-stable under every model
+#: while each degree-2 vertex can drop an edge at no cost to its local
+#: diameter — the deletion max agents take, and no other model's.
+REST_INPUTS = {
+    "star_graph(12)": star_graph(12),
+    "diamond": CSRGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+}
 
-    def test_star_is_at_rest_for_sum(self):
-        g = star_graph(12)
-        dm = lift_distances(distance_matrix(g))
-        assert certify_at_rest(g, dm, "sum")
+#: Every twelfth battery graph, run to rest: the battery holds few
+#: equilibria, so the endpoints give every model at-rest inputs.
+ENDPOINT_STARTS = range(1, len(BATTERY), 12)
 
-    def test_neutral_deletion_breaks_max_rest(self):
-        # A chorded cycle: the chord is a cost-neutral deletion for its
-        # endpoints under max, which best_swap takes — not at rest.
-        g = CSRGraph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
-        dm = lift_distances(distance_matrix(g))
-        assert not certify_at_rest(g, dm, "max")
-        assert certify_at_rest(g, dm, "sum") == all(
-            best_swap(g, v, "sum", base_dm=dm).swap is None
-            for v in range(g.n)
+
+def _at_rest_endpoints(spec):
+    for idx in ENDPOINT_STARTS:
+        result = SwapDynamics(objective=spec, seed=idx, max_steps=500).run(
+            BATTERY[idx]
         )
+        if result.converged:
+            yield f"endpoint of {idx}", result.graph
+
+
+class TestIsEquilibriumIsRest:
+    """The dynamics' certificate is the audit: at rest exactly when no
+    vertex has a best-response move, criticality included under max."""
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_matches_per_vertex_quiescence(self, spec):
+        inputs = [
+            *((f"battery {idx}", g) for idx, g in enumerate(BATTERY)),
+            *REST_INPUTS.items(),
+            *_at_rest_endpoints(spec),
+        ]
+        verdicts = set()
+        for name, g in inputs:
+            dm = lift_distances(distance_matrix(g))
+            quiet = all(
+                best_swap(g, v, spec, base_dm=dm).swap is None
+                for v in range(g.n)
+            )
+            assert is_equilibrium(g, spec, base_dm=dm) == quiet, (name, spec)
+            verdicts.add(quiet)
+        assert verdicts == {True, False}, spec
+
+    def test_only_the_paper_max_demands_deletion_criticality(self):
+        g = REST_INPUTS["diamond"]
+        assert [is_equilibrium(g, spec) for spec in ALL_KINDS] == [
+            True, False, True, True, True, True,
+        ]
 
 
 class TestLiftedInputNotCopied:

@@ -112,6 +112,10 @@ def _swap_violation(spec):
     return lambda g, mode: find_swap_violation(g, spec, mode=mode)
 
 
+def _equilibrium(spec):
+    return lambda g, mode: is_equilibrium(g, spec, mode=mode)
+
+
 def _best_responses(spec):
     def answer(g, mode):
         responses = [
@@ -178,9 +182,10 @@ PAIRS = {
         f"find_swap_violation[{spec}]": ("batched", "rebuild", _swap_violation(spec))
         for spec in MODELS
     },
-    "is_equilibrium[max]": (
-        "batched", "rebuild", lambda g, mode: is_equilibrium(g, "max", mode=mode)
-    ),
+    **{
+        f"is_equilibrium[{spec}]": ("batched", "rebuild", _equilibrium(spec))
+        for spec in MODELS
+    },
     "sum_equilibrium_gap": (
         "batched", "rebuild", lambda g, mode: sum_equilibrium_gap(g, mode=mode)
     ),

@@ -217,6 +217,36 @@ def test_only_the_builder_and_the_plans_run_the_union_bfs():
     }
 
 
+# One audit walk (DESIGN.md §2): the paper's "try every possible edge swap
+# and deletion" is one loop over the directed edges, fed by a batched and a
+# rebuild engine.  The per-audit batched scans, the rebuild oracle's drop
+# loop, the dynamics' own at-rest scan and the second flag for the max
+# objective stay gone; the four audits read the walk, and the dynamics
+# certify a graph at rest with the audit itself.
+
+_RETIRED_AUDIT_NAMES = {
+    "certify_at_rest", "scan_swap_violations", "scan_gap",
+    "scan_deletion_violations", "_iter_drop_contexts",
+    "requires_deletion_criticality",
+}
+
+
+def test_retired_audit_loops_are_not_defined():
+    assert _definitions_of(_RETIRED_AUDIT_NAMES) == []
+
+
+def test_the_four_audits_are_the_walks_only_callers():
+    assert _callers_of("_audit_walk") == {
+        "equilibrium.py:find_swap_violation",
+        "equilibrium.py:sum_equilibrium_gap",
+        "equilibrium.py:find_deletion_criticality_violation",
+        "equilibrium.py:is_equilibrium",
+    }
+    assert "dynamics.py:_BatchedEngine.certify" in _callers_of(
+        "is_equilibrium"
+    )
+
+
 # One graph type (DESIGN.md §1): a move derives the next immutable
 # `CSRGraph`, so the mutable adjacency graph, its mutators and snapshots,
 # and the dead deletion marker on `Swap` stay gone.  (`apply_swap` is still
