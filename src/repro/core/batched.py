@@ -38,15 +38,20 @@ supplies both in three steps, each written once:
    (:func:`_bound`, the level form's oracle) computes the same floats.
 3. **Verify** — a mover whose bound never beats its threshold provably has
    no improving swap — the common case on and near equilibria, where the
-   census spends its time.  Only when a candidate survives does the kernel
-   build the edge's removal (:func:`exact_costs_from_bound`, through the
-   one removal builder, :func:`repro.graphs.repair.edge_removal`) and
-   re-evaluate exactly (:func:`_verify`).
+   census spends its time.  Only when a candidate survives (a legal target
+   whose bound is below the threshold) does the kernel build the edge's
+   removal (:func:`exact_costs_from_bound`, through the one removal
+   builder, :func:`repro.graphs.repair.edge_removal`) and re-evaluate
+   exactly (:func:`_verify`) — the candidates only: the builder's union
+   BFS runs the rows of ``affected & candidates``, and every other target
+   keeps its bound, which is at least the threshold and so can neither
+   beat nor tie a candidate below it.
 
 Every audit outcome is bit-identical to the ``mode="rebuild"`` oracle —
-same costs, same argmin tie-breaking, same directed-edge order — because
-the bound only ever *skips* movers whose exact evaluation could not have
-produced a violation, and survivors are re-evaluated exactly.
+same violations, gaps and argmin tie-breaking, same directed-edge order —
+because the bound only ever *skips* movers and targets whose exact
+evaluation could not have produced or tied a violation, and the
+candidates are re-evaluated exactly.
 
 The same steps also power the **per-vertex best-response kernel**
 (:func:`best_swap_scan` — ``best_swap(mode="batched")`` and the dynamics
@@ -209,12 +214,13 @@ class BatchedRemovalPlan:
         objective,
         *,
         bound: np.ndarray,
+        candidates: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Exact post-swap costs of mover ``v`` dropping ``edges[i]``.
 
         ``bound`` is the *unmasked* array a prior :meth:`bound_costs` call
         for the same ``(i, v, w)`` returned; :func:`exact_costs_from_bound`
-        patches it exactly.
+        patches it exactly — at the ``candidates`` targets only, when given.
         """
         return exact_costs_from_bound(
             self.graph,
@@ -224,6 +230,7 @@ class BatchedRemovalPlan:
             self.endpoint_row(i, v),
             resolve_cost_model(objective, self.graph.n),
             bound,
+            candidates,
         )
 
 
@@ -366,16 +373,25 @@ def _legal(costs: np.ndarray, mask, w: int) -> np.ndarray:
 
 
 def _verify(plan, i, v, w, model, bound, mask, threshold):
-    """Exact legal costs of ``v`` dropping ``plan.edges[i]`` — or ``None``.
+    """Legal costs of ``v`` dropping ``plan.edges[i]``, exact where they win.
 
     ``None`` when the unmasked ``bound`` proves that no legal target beats
     ``threshold``: the exact costs dominate the bound entrywise.  Otherwise
     the bound is patched exactly (:meth:`BatchedRemovalPlan.exact_costs`)
-    and returned with ``mask``'s illegal targets and ``w`` at ``inf``.
+    at the candidates, the legal targets whose bound is below
+    ``threshold``, and returned with ``mask``'s illegal targets and ``w``
+    at ``inf``.  Every other target keeps its bound, which is at least
+    ``threshold``: its exact cost is too, so it can neither beat nor tie
+    a candidate below the threshold.
     """
-    if float(np.min(_legal(bound.copy(), mask, w))) >= threshold:
+    legal = _legal(bound.copy(), mask, w)
+    candidates = legal < threshold
+    if not candidates.any():
         return None
-    return _legal(plan.exact_costs(i, v, w, model, bound=bound), mask, w)
+    costs = plan.exact_costs(
+        i, v, w, model, bound=bound, candidates=candidates
+    )
+    return _legal(costs, mask, w)
 
 
 def exact_costs_from_bound(
@@ -386,6 +402,7 @@ def exact_costs_from_bound(
     dv: np.ndarray,
     model: CostModel,
     bound: np.ndarray,
+    candidates: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Exact post-swap costs of ``v`` dropping ``edge``, patched from a bound.
 
@@ -395,19 +412,25 @@ def exact_costs_from_bound(
     exact for every add-target whose row the removal does not change, so
     only the rows the one removal builder
     (:func:`~repro.graphs.repair.edge_removal`) returns are re-aggregated —
-    O(affected · n), no removal matrix.  Across a bridge, re-adds on
-    ``v``'s side leave the graph disconnected (cost ``inf``) and re-adds on
-    the far side reconnect it over the intact within-side base distances.
-    Bit-identical — same floats, same downstream argmin tie-breaks — to
-    ``all_swap_costs_for_drop(graph, v, w, model, removal_matrix)``.
+    O(affected · n), no removal matrix.  ``candidates``, a boolean target
+    mask, narrows that to ``affected & candidates``: the builder's union
+    BFS runs those rows only, and every other target keeps its bound.
+    Across a bridge, re-adds on ``v``'s side leave the graph disconnected
+    (cost ``inf``) and re-adds on the far side (its candidates only, when
+    given) reconnect it over the intact within-side base distances.
+    Without ``candidates`` the whole patch is bit-identical — same floats,
+    same downstream argmin tie-breaks — to
+    ``all_swap_costs_for_drop(graph, v, w, model, removal_matrix)``; with
+    them, so is every candidate's entry.
     """
-    removal = edge_removal(graph, lifted, edge)
+    removal = edge_removal(graph, lifted, edge, rows=candidates)
     out = np.array(bound, copy=True)
     if removal.far is not None:
         far = removal.far != removal.far[v]  # the side v cannot reach
         near = ~far
         out[near] = math.inf
-        far_idx = np.nonzero(far)[0]
+        targets = far if candidates is None else far & candidates
+        far_idx = np.flatnonzero(targets)
         cand = np.empty((far_idx.size, graph.n), dtype=np.int64)
         cand[:, far] = lifted[np.ix_(far_idx, far)] + 1
         cand[:, near] = dv[near][None, :]
@@ -496,8 +519,11 @@ def best_swap_scan(
       strictly beats the current cost, and only *updates* its incumbent on
       a strict improvement.
     * **level 2** — surviving drops take the audits' verify step: the
-      removal's affected rows are repaired (:func:`exact_costs_from_bound`)
-      and re-evaluated exactly.
+      removal's affected rows whose targets' bounds beat ``min(incumbent,
+      current cost)`` are repaired (:func:`exact_costs_from_bound`) and
+      re-evaluated exactly.  A target left at its bound can become the
+      incumbent only at a value of at least the current cost, which is
+      never returned.
 
     ``lifted`` is the lifted base matrix of ``graph``; ``base_plus1``
     (= ``lifted + 1``) and the ``(n, n)`` int64 scratch ``buf`` are optional

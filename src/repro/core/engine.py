@@ -60,7 +60,7 @@ class DistanceEngine:
 
     def __init__(self, graph: CSRGraph):
         self._base_plus1: np.ndarray | None = None  # lazy dm + 1 scratch
-        self._scratch: np.ndarray | None = None  # (n, n) kernel workspace
+        self._scratch: np.ndarray | None = None  # (n, n) workspace
         if not isinstance(graph, CSRGraph):
             raise GraphError(
                 f"DistanceEngine needs a CSRGraph, got {type(graph).__name__}"
@@ -88,12 +88,13 @@ class DistanceEngine:
     def _kernel_scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(dm + 1, (n, n) workspace)`` for the batched kernel.
 
-        ``dm + 1`` is invalidated by :meth:`apply_swap`; the workspace is
-        overwritten by every kernel call and persists across swaps.
+        Built on first use.  :meth:`apply_swap` computes its insertion
+        closure in both arrays and then rewrites ``dm + 1`` in place; the
+        workspace is overwritten by every kernel call and persists across
+        swaps.
         """
         if self._base_plus1 is None:
             self._base_plus1 = self._dm + 1
-        if self._scratch is None:
             self._scratch = np.empty((self.n, self.n), dtype=np.int64)
         return self._base_plus1, self._scratch
 
@@ -117,21 +118,26 @@ class DistanceEngine:
         # instead of into a copy of all n×n entries per move.
         new_dm = removal.write(self._dm)
         changed = removal.affected
+        base_plus1, closure = self._kernel_scratch()
         if not graph.has_edge(v, add):  # otherwise a pure deletion
             dv = new_dm[v]
             da = new_dm[add]
-            # min(dv[x] + da[y], da[x] + dv[y]) + 1: one outer sum and its
-            # transpose instead of two full broadcast products.
-            closure = np.add.outer(dv, da)
-            closure = np.minimum(closure, closure.T)
+            # min(dv[x] + da[y], da[x] + dv[y]) + 1: two outer sums combined
+            # in place, with no read of a transposed n×n view.  They go to
+            # the kernel's scratch (dm + 1 is rewritten below), because two
+            # fresh n×n arrays per move cost more than the sums.
+            np.add.outer(dv, da, out=closure)
+            np.minimum(
+                closure, np.add.outer(da, dv, out=base_plus1), out=closure
+            )
             closure += 1
             improved = (closure < new_dm).any(axis=1)
             changed |= improved
             # The min against new_dm (whose entries are <= INT_INF) also
             # discards any closure sums that overflowed past the sentinel.
             np.minimum(new_dm, closure, out=new_dm)
+        np.add(new_dm, 1, out=base_plus1)  # derived scratch follows
         self._graph = after
-        self._base_plus1 = None  # derived scratch follows the matrix
         return changed
 
     # ------------------------------------------------------------------

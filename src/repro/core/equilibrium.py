@@ -28,8 +28,9 @@ edges in the oracle's order (``(a, b)`` then ``(b, a)`` per canonical
 edge), and :func:`find_swap_violation`, :func:`sum_equilibrium_gap`,
 :func:`find_deletion_criticality_violation` and :func:`is_equilibrium` each
 read it once.  For each drop ``v–w`` the walk gives ``v``'s exact distance
-row in ``G − vw`` and, on request, ``v``'s legal exact post-swap costs — or
-``None`` when a bound proves that no legal target beats a threshold.  Two
+row in ``G − vw`` and, on request, ``v``'s legal post-swap costs — exact
+wherever they are below a threshold and at least the threshold elsewhere,
+or ``None`` when a bound proves that no legal target beats it.  Two
 engines feed it and differ only in how they compute those two things: the
 default ``mode="batched"`` shares one base APSP, takes the rows from plans
 of lazily built blocks of edges (one union level-synchronous BFS each) and
@@ -156,14 +157,19 @@ def _audit_walk(graph, lifted, model, mode, deadline):
 
     The oracle's order: ``(a, b)`` then ``(b, a)`` per canonical edge.
     ``dv`` is ``v``'s exact distance row in ``G − vw``; ``costs(threshold)``
-    returns ``v``'s legal exact post-swap costs under ``model`` (illegal
-    targets and the identity re-add ``w`` at ``inf``), or ``None`` when a
-    bound proves that no legal target beats ``threshold``.  ``mode`` picks
-    the engine: ``"batched"`` takes the rows from the kernel's plans and the
-    costs from its bound and verify steps (:mod:`repro.core.batched`);
-    ``"rebuild"`` takes both from a fresh APSP of ``G − vw``, shares no
-    per-edge computation with the kernel and never returns ``None``.
-    ``deadline`` is checked once per edge.
+    returns ``v``'s legal post-swap costs under ``model`` (illegal targets
+    and the identity re-add ``w`` at ``inf``), exact wherever they are
+    below ``threshold`` and at least ``threshold`` elsewhere, or ``None``
+    when a bound proves that no legal target beats ``threshold``.  That is
+    all the audits read: with their mover's base cost as the threshold, an
+    entry at or above it can neither beat nor tie a smaller one, and adds
+    nothing to a gap.  ``mode`` picks the engine: ``"batched"`` takes the
+    rows from the kernel's plans and the costs from its bound and verify
+    steps (:mod:`repro.core.batched`), which repair only the targets below
+    the threshold; ``"rebuild"`` takes both from a fresh APSP of
+    ``G − vw``, shares no per-edge computation with the kernel, returns
+    all-exact costs and never returns ``None``.  ``deadline`` is checked
+    once per edge.
     """
     if mode == "batched":
         base_plus1 = lifted + 1
@@ -309,8 +315,9 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "batched") -> floa
 
     A quantitative "distance from equilibrium" used by dynamics diagnostics;
     ``inf`` never occurs because disconnecting swaps cost ``inf``.  Sound
-    despite the batched bound: a drop is skipped only when no target beats
-    its mover's current cost, and then it adds nothing to the gap.
+    despite the batched bound: a drop is skipped, or a target left at its
+    bound, only when it cannot beat its mover's current cost, and then it
+    adds nothing to the gap.
     """
     _check_mode(mode)
     if graph.n <= 2:

@@ -111,8 +111,8 @@ def predecessor_counts(
     return pc
 
 
-#: Column cap for one batched-BFS frontier block (bounds peak memory at
-#: roughly ``3 · n · _BLOCK_ENTRIES_TARGET / n`` int32/bool entries).
+#: Entry cap for one batched-BFS block of ``(n, k)`` arrays: the int64
+#: level block, the int32 frontier and product, and two bool masks.
 _BLOCK_ENTRIES_TARGET = 1 << 24
 
 
@@ -133,11 +133,15 @@ def batched_removal_rows_multi(
     ``(n, k)`` frontier block, after which the flow that crossed each job's
     removed edge is cancelled column-wise (``reached[b_j, j] −=
     frontier[a_j, j]`` and symmetrically).  Python overhead for a whole
-    audit is therefore O(max diameter), not O(edges · diameter).
+    audit is therefore O(max diameter), not O(edges · diameter).  The
+    levels are written into an ``(n, k)`` block in the frontier's own
+    vertex-major layout, every per-level array is updated in place through
+    flat views, and the block is copied into the output once.
 
     Returns a ``(len(sources), n)`` lifted int64 matrix; vertices cut off
     from a job's source hold :data:`INT_INF_DISTANCE`.  ``block_columns``
-    caps the frontier width per sweep (``None`` → a ~64 MB working set).
+    caps the frontier width per sweep (``None`` → about 2²⁴ entries per
+    block).
     """
     n = graph.n
     ea = np.asarray(edges_a, dtype=np.int64).ravel()
@@ -148,7 +152,7 @@ def batched_removal_rows_multi(
             f"job arrays must align: {ea.size}, {eb.size}, {src.size}"
         )
     total = src.size
-    out = np.full((total, n), INT_INF_DISTANCE, dtype=np.int64)
+    out = np.empty((total, n), dtype=np.int64)
     if total == 0:
         return out
     adj = graph.to_scipy()
@@ -157,31 +161,40 @@ def batched_removal_rows_multi(
     for lo in range(0, total, block_columns):
         hi = min(total, lo + block_columns)
         k = hi - lo
-        a, b, s = ea[lo:hi], eb[lo:hi], src[lo:hi]
-        dist = out[lo:hi]
         cols = np.arange(k)
-        dist[cols, s] = 0
+        # Flat offsets of (s_j, j), (a_j, j) and (b_j, j) in an (n, k)
+        # block; the pairs are distinct per column, so the fancy-indexed
+        # writes and subtractions below are exact.
+        at_s = src[lo:hi] * k + cols
+        at_a = ea[lo:hi] * k + cols
+        at_b = eb[lo:hi] * k + cols
+        dist = np.full((n, k), INT_INF_DISTANCE, dtype=np.int64)
+        levels = dist.reshape(-1)
+        levels[at_s] = 0
         # int32 frontier: the product counts frontier neighbours, which
         # reaches vertex degree — int8 would wrap at hubs of degree >= 128.
         frontier = np.zeros((n, k), dtype=np.int32)
-        frontier[s, cols] = 1
-        unvisited = np.ones((n, k), dtype=bool)
-        unvisited[s, cols] = False
+        front = frontier.reshape(-1)
+        front[at_s] = 1
+        unvisited = np.ones(n * k, dtype=bool)
+        unvisited[at_s] = False
+        newly = np.empty(n * k, dtype=bool)
         level = 0
         while True:
-            reached = adj.dot(frontier)
+            reached = adj.dot(frontier).ravel()
             # Cancel the contribution that flowed through each job's
-            # removed edge; (b_j, j) pairs are distinct per column, so the
-            # fancy-indexed subtraction is exact.
-            reached[b, cols] -= frontier[a, cols]
-            reached[a, cols] -= frontier[b, cols]
-            newly = (reached > 0) & unvisited
+            # removed edge.
+            reached[at_b] -= front[at_a]
+            reached[at_a] -= front[at_b]
+            np.greater(reached, 0, out=newly)
+            newly &= unvisited
             if not newly.any():
                 break
             level += 1
-            dist.T[newly] = level
-            unvisited[newly] = False
-            frontier = newly.astype(np.int32)
+            np.putmask(levels, newly, level)
+            unvisited ^= newly  # newly is a subset of unvisited
+            np.copyto(front, newly)
+        out[lo:hi] = dist.T
     return out
 
 
@@ -191,8 +204,10 @@ class EdgeRemoval(NamedTuple):
     Built by :func:`edge_removal`.  ``affected`` is the mask of changed
     rows.  For a bridge of a connected graph (every row changed) ``far`` is
     the mask of ``b``'s side and ``sources``/``rows`` are ``None``;
-    otherwise ``far`` is ``None``, ``sources`` are the affected rows and
-    ``rows`` their lifted distance rows in ``G − e``.
+    otherwise ``far`` is ``None``, ``sources`` are the affected rows (those
+    of them the builder was asked for) and ``rows`` their lifted distance
+    rows in ``G − e``.  A removal whose ``sources`` miss an affected row
+    holds only part of ``G − e``, so it cannot be written.
     """
 
     affected: np.ndarray
@@ -205,18 +220,29 @@ class EdgeRemoval(NamedTuple):
 
         A bridge blanks the two cross blocks between its sides (distances
         within a side are unchanged: a simple path cannot cross a bridge
-        twice); any other edge overwrites its affected rows.
+        twice); any other edge overwrites its affected rows.  A removal
+        built for some of its affected rows only raises
+        :class:`~repro.errors.GraphError`.
         """
         if self.far is not None:
             out[np.ix_(self.far, ~self.far)] = INT_INF_DISTANCE
             out[np.ix_(~self.far, self.far)] = INT_INF_DISTANCE
-        else:
-            out[self.sources] = self.rows
+            return out
+        if self.sources.size < np.count_nonzero(self.affected):
+            raise GraphError(
+                "a removal built for some of its affected rows only "
+                "cannot be written"
+            )
+        out[self.sources] = self.rows
         return out
 
 
 def edge_removal(
-    graph: CSRGraph, lifted: np.ndarray, edge: tuple[int, int]
+    graph: CSRGraph,
+    lifted: np.ndarray,
+    edge: tuple[int, int],
+    *,
+    rows: "np.ndarray | None" = None,
 ) -> EdgeRemoval:
     """The one removal builder: the rows of ``graph − edge`` that change.
 
@@ -226,18 +252,22 @@ def edge_removal(
     side is read off the base matrix as ``lifted[b] < lifted[a]``, with no
     BFS.  Otherwise the affected rows come from one union BFS
     (:func:`batched_removal_rows_multi`) — a bridge inside one component of
-    a disconnected graph included.
+    a disconnected graph included.  ``rows``, a boolean mask, restricts that
+    BFS to the affected rows it marks: the batched kernel's exact patch
+    asks only for the targets that can still win.  Such a removal cannot
+    be written (:meth:`EdgeRemoval.write`) unless it covers every affected
+    row; a bridge's removal always can.
     """
     affected = removal_affected_sources(graph, lifted, edge)
     a, b = int(edge[0]), int(edge[1])
     if affected.all():
         return EdgeRemoval(affected, lifted[b] < lifted[a], None, None)
-    sources = np.flatnonzero(affected)
+    sources = np.flatnonzero(affected if rows is None else affected & rows)
     k = sources.size
-    rows = batched_removal_rows_multi(
+    dist = batched_removal_rows_multi(
         graph, np.full(k, a), np.full(k, b), sources
     )
-    return EdgeRemoval(affected, None, sources, rows)
+    return EdgeRemoval(affected, None, sources, dist)
 
 
 def removal_matrix_repair(

@@ -2,7 +2,10 @@
 
 The removal plan must repair endpoint rows exactly in both layouts,
 bridges included, and bound every exact cost from below; its level-set
-bound must equal the per-row bound entry for entry, and every parallel
+bound must equal the per-row bound entry for entry; the walk's
+``costs(threshold)`` must be exact wherever the exact cost is below the
+threshold and at least the threshold elsewhere, with the patch's union BFS
+running only the affected candidate rows; and every parallel
 surface (audits in fleet workers, census fleet, exhaustive census) must be
 bit-identical across worker counts.  Agreement of the batched audits with
 the rebuild oracle lives in the differential harness, ``test_oracles.py``.
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     SwapDynamics,
@@ -27,6 +31,7 @@ from repro.core import (
 )
 from repro.core import batched, equilibrium
 from repro.core.batched import BatchedRemovalPlan, LevelSets
+from repro.core.costmodel import SUM_COST
 from repro.core.costs import INT_INF, lift_distances
 from repro.core.exhaustive import exhaustive_equilibrium_census
 from repro.core.swap_eval import (
@@ -41,6 +46,8 @@ from repro.graphs import (
     path_graph,
     random_connected_gnm,
     random_tree,
+    removal_affected_sources,
+    repair,
     star_graph,
 )
 from repro.errors import GraphError
@@ -48,7 +55,7 @@ from repro.experiments import Experiment, run_fleet
 from repro.parallel import parallel_map
 
 from ..conftest import graph_battery
-from .test_oracles import EDGE_CASES
+from .test_oracles import EDGE_CASES, ORACLE_INPUTS
 
 BATTERY = graph_battery()
 
@@ -254,6 +261,102 @@ class TestLevelBound:
     def test_a_disconnected_base_has_no_levels(self):
         g = CSRGraph(4, [(0, 1), (2, 3)])
         assert LevelSets(_lifted(g)).levels is None
+
+
+def _assert_costs_contract(g, spec):
+    """The batched walk's ``costs(threshold)`` against exact legal costs.
+
+    For every directed edge and each threshold in {inf, the mover's base
+    cost, the exact legal minimum, that minimum + 1}: exact wherever the
+    exact cost is below the threshold and at least the threshold
+    elsewhere, ``None`` only when no exact cost is below it, and at inf
+    the full patch bit for bit.
+    """
+    model = resolve_cost_model(spec, g.n)
+    lifted = _lifted(g)
+    base = model.base_costs(lifted)
+    base_plus1 = lifted + 1
+    buf = np.empty((g.n, g.n), dtype=np.int64)
+    walks = zip(
+        equilibrium._audit_walk(g, lifted, model, "batched", None),
+        equilibrium._audit_walk(g, lifted, model, "rebuild", None),
+    )
+    for (v, w, dv, costs), (_, _, _, rebuilt) in walks:
+        exact = rebuilt(math.inf)
+        bound = batched._bound(model, v, dv, base_plus1, buf)
+        full = batched._legal(
+            batched.exact_costs_from_bound(
+                g, lifted, v, (v, w), dv, model, bound
+            ),
+            model.target_mask(g, v, w),
+            w,
+        )
+        low = float(np.min(exact))
+        for threshold in (math.inf, float(base[v]), low, low + 1):
+            got = costs(threshold)
+            below = exact < threshold
+            where = (spec, g.edges().tolist(), v, w, threshold)
+            if got is None:
+                assert not below.any(), where
+                continue
+            assert np.array_equal(got[below], exact[below]), where
+            assert (got[~below] >= threshold).all(), where
+            if threshold == math.inf:
+                assert np.array_equal(got, full), where
+
+
+class TestCostsContract:
+    """``costs(threshold)``: legal costs, exact wherever they are below the
+    threshold and at least the threshold elsewhere."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_battery_and_edge_cases(self, spec):
+        for g in [*BATTERY, *EDGE_CASES.values()]:
+            _assert_costs_contract(g, spec)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(g=ORACLE_INPUTS)
+    @settings(max_examples=25, deadline=None)
+    def test_generated_graphs(self, spec, g):
+        _assert_costs_contract(g, spec)
+
+    def test_patch_bfs_runs_only_the_candidate_rows(self, monkeypatch):
+        # A non-bridge drop whose affected rows include targets that
+        # cannot beat the mover's cost: the patch's union BFS receives
+        # exactly the affected candidates.
+        g = random_connected_gnm(24, 36, seed=7)
+        lifted = _lifted(g)
+        base = SUM_COST.base_costs(lifted)
+        base_plus1 = lifted + 1
+        buf = np.empty((g.n, g.n), dtype=np.int64)
+        received = []
+        union_bfs = repair.batched_removal_rows_multi
+
+        def recording(graph, jobs_a, jobs_b, sources, **kwargs):
+            received.append(np.array(sources))
+            return union_bfs(graph, jobs_a, jobs_b, sources, **kwargs)
+
+        monkeypatch.setattr(repair, "batched_removal_rows_multi", recording)
+        for v, w, dv, costs in equilibrium._audit_walk(
+            g, lifted, SUM_COST, "batched", None
+        ):
+            affected = removal_affected_sources(g, lifted, (v, w))
+            bound = batched._bound(SUM_COST, v, dv, base_plus1, buf)
+            bound[w] = math.inf
+            candidates = bound < base[v]
+            if affected.all() or not (affected & ~candidates).any():
+                continue  # a bridge, or no affected non-candidate
+            if not candidates.any():
+                continue  # the bound alone settles the drop
+            received.clear()
+            assert costs(base[v]) is not None
+            assert len(received) == 1
+            assert np.array_equal(
+                received[0], np.flatnonzero(affected & candidates)
+            )
+            break
+        else:
+            pytest.fail("no non-bridge drop with an affected non-candidate")
 
 
 def _max_endpoint():

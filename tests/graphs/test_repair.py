@@ -10,8 +10,9 @@ paths the n ≤ 14 battery lacks, along with the exactness of the
 affected-source mask (and of the predecessor-count rows it reads), the
 bridge lemma the one removal builder rests on (every row is affected
 exactly when the graph is connected and ``G − e`` is not, and then the far
-side is read off the base matrix), and the one row kernel, the union BFS,
-at its default and at narrow frontier block widths.
+side is read off the base matrix), the refusal to write a removal built
+for only some of its affected rows, and the one row kernel, the union BFS,
+at its default and at narrow and uneven frontier block widths.
 """
 
 import numpy as np
@@ -228,6 +229,30 @@ class TestStructuredCases:
         with pytest.raises(GraphError):
             removal_matrix_repair(g, base, (0, 3))
 
+    def test_restricted_removal_refuses_write(self):
+        # A removal built for some of its affected rows holds only part of
+        # G − e; its rows are still exact, but it cannot be written.
+        g = cycle_graph(12)
+        base = lift_distances(distance_matrix(g))
+        edge = (0, 11)
+        full = edge_removal(g, base, edge)
+        wanted = np.zeros(g.n, dtype=bool)
+        wanted[np.flatnonzero(full.affected)[::2]] = True
+        part = edge_removal(g, base, edge, rows=wanted)
+        assert np.array_equal(part.sources, np.flatnonzero(wanted))
+        assert np.array_equal(part.rows, _oracle(g, edge)[wanted])
+        with pytest.raises(GraphError):
+            part.write(base.copy())
+        # A mask covering every affected row, and any bridge, still write.
+        covering = edge_removal(g, base, edge, rows=full.affected)
+        assert np.array_equal(covering.write(base.copy()), _oracle(g, edge))
+        tree = path_graph(6)
+        tree_base = lift_distances(distance_matrix(tree))
+        bridge = edge_removal(tree, tree_base, (2, 3), rows=wanted[:6])
+        assert np.array_equal(
+            bridge.write(tree_base.copy()), _oracle(tree, (2, 3))
+        )
+
 
 class TestHighDiameter:
     @pytest.mark.parametrize("name", list(HIGH_DIAMETER))
@@ -241,7 +266,7 @@ class TestHighDiameter:
             assert not np.shares_memory(fast, base)
         assert np.array_equal(base, untouched)
 
-    @pytest.mark.parametrize("block_columns", [1, 3])
+    @pytest.mark.parametrize("block_columns", [None, 1, 2, 3])
     @pytest.mark.parametrize("name", list(HIGH_DIAMETER))
     def test_union_bfs_blocks_match_oracle(self, name, block_columns):
         # Jobs remove different edges: both endpoints of every edge plus
