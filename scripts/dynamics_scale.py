@@ -12,7 +12,8 @@ below.  A kernel change that is meant to be bit-identical must leave all
 three runs where they are.
 
 It prints one JSON line: the wall and CPU seconds of each run, and the
-host (CPU model, usable cores, Python, numpy and scipy versions).  There
+host as perfbench records it (``perfbench/hostinfo.py``: CPU model, usable
+cores, Python, numpy and scipy versions among others).  There
 is no speed bar, because load on a shared host moves single runs by 30%;
 compare timings only between interleaved runs on one host.
 
@@ -23,17 +24,18 @@ Exit 0 when every pin holds, 1 with a report of the runs that moved.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import sys
 import time
-
-import numpy as np
-import scipy
+from pathlib import Path
 
 from repro.core import SwapDynamics, seed_graph
 from repro.io import graph_fingerprint
 from repro.rng import derive_seed
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from hostinfo import host_fingerprint  # noqa: E402
 
 N = 512
 SEED = 3
@@ -45,32 +47,6 @@ PINS = {
     "sparse": (516, 1544, "5a7ee500530e8083"),
     "dense": (516, 1541, "06c0ec5c07e536c0"),
 }
-
-
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _host() -> dict:
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count()
-    )
-    return {
-        "cpu_model": _cpu_model(),
-        "nproc": cores,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
 
 
 def main() -> int:
@@ -92,7 +68,8 @@ def main() -> int:
                 f"{family}: converged={result.converged}, "
                 f"(steps, activations, fingerprint) = {got}, pinned {pin}"
             )
-    print(json.dumps({"n": N, "runs": runs, "host": _host()}))
+    host = host_fingerprint(ROOT, ROOT)
+    print(json.dumps({"n": N, "runs": runs, "host": host}))
     for line in moved:
         print(f"moved: {line}", file=sys.stderr)
     return 1 if moved else 0

@@ -214,13 +214,13 @@ class BatchedRemovalPlan:
         objective,
         *,
         bound: np.ndarray,
-        candidates: "np.ndarray | None" = None,
+        candidates: np.ndarray,
     ) -> np.ndarray:
         """Exact post-swap costs of mover ``v`` dropping ``edges[i]``.
 
         ``bound`` is the *unmasked* array a prior :meth:`bound_costs` call
         for the same ``(i, v, w)`` returned; :func:`exact_costs_from_bound`
-        patches it exactly — at the ``candidates`` targets only, when given.
+        patches it exactly at the ``candidates`` targets.
         """
         return exact_costs_from_bound(
             self.graph,
@@ -402,7 +402,7 @@ def exact_costs_from_bound(
     dv: np.ndarray,
     model: CostModel,
     bound: np.ndarray,
-    candidates: "np.ndarray | None" = None,
+    candidates: np.ndarray,
 ) -> np.ndarray:
     """Exact post-swap costs of ``v`` dropping ``edge``, patched from a bound.
 
@@ -416,12 +416,11 @@ def exact_costs_from_bound(
     mask, narrows that to ``affected & candidates``: the builder's union
     BFS runs those rows only, and every other target keeps its bound.
     Across a bridge, re-adds on ``v``'s side leave the graph disconnected
-    (cost ``inf``) and re-adds on the far side (its candidates only, when
-    given) reconnect it over the intact within-side base distances.
-    Without ``candidates`` the whole patch is bit-identical — same floats,
-    same downstream argmin tie-breaks — to
-    ``all_swap_costs_for_drop(graph, v, w, model, removal_matrix)``; with
-    them, so is every candidate's entry.
+    (cost ``inf``) and the far side's candidates reconnect it over the
+    intact within-side base distances.  Every candidate's entry is
+    bit-identical — same floats, same downstream argmin tie-breaks — to
+    ``all_swap_costs_for_drop(graph, v, w, model, removal_matrix)``; an
+    all-true mask patches every target.
     """
     removal = edge_removal(graph, lifted, edge, rows=candidates)
     out = np.array(bound, copy=True)
@@ -429,8 +428,7 @@ def exact_costs_from_bound(
         far = removal.far != removal.far[v]  # the side v cannot reach
         near = ~far
         out[near] = math.inf
-        targets = far if candidates is None else far & candidates
-        far_idx = np.flatnonzero(targets)
+        far_idx = np.flatnonzero(far & candidates)
         cand = np.empty((far_idx.size, graph.n), dtype=np.int64)
         cand[:, far] = lifted[np.ix_(far_idx, far)] + 1
         cand[:, near] = dv[near][None, :]

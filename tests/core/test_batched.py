@@ -150,13 +150,16 @@ class TestBatchedRemovalPlan:
         plan = BatchedRemovalPlan(g, lifted, edges)
         base_plus1 = lifted + 1
         buf = np.empty((g.n, g.n), dtype=np.int64)
+        everywhere = np.ones(g.n, dtype=bool)
         for i, (a, b) in enumerate(edges):
             oracle = removal_distance_matrix(g, (a, b), mode="rebuild")
             for v, w in ((a, b), (b, a)):
                 bound = plan.bound_costs(i, v, w, spec, base_plus1, buf)
                 exact = all_swap_costs_for_drop(g, v, w, spec, oracle)
                 assert (bound <= exact).all()
-                patched = plan.exact_costs(i, v, w, spec, bound=bound)
+                patched = plan.exact_costs(
+                    i, v, w, spec, bound=bound, candidates=everywhere
+                )
                 assert np.array_equal(patched, exact)
 
 
@@ -277,6 +280,7 @@ def _assert_costs_contract(g, spec):
     base = model.base_costs(lifted)
     base_plus1 = lifted + 1
     buf = np.empty((g.n, g.n), dtype=np.int64)
+    everywhere = np.ones(g.n, dtype=bool)
     walks = zip(
         equilibrium._audit_walk(g, lifted, model, "batched", None),
         equilibrium._audit_walk(g, lifted, model, "rebuild", None),
@@ -286,7 +290,7 @@ def _assert_costs_contract(g, spec):
         bound = batched._bound(model, v, dv, base_plus1, buf)
         full = batched._legal(
             batched.exact_costs_from_bound(
-                g, lifted, v, (v, w), dv, model, bound
+                g, lifted, v, (v, w), dv, model, bound, everywhere
             ),
             model.target_mask(g, v, w),
             w,
