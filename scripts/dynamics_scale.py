@@ -9,16 +9,20 @@ round-robin, best response) from ``seed_graph(family, 512, 3)`` for the
 tree, sparse and dense families, and checks each run's step count,
 activation count and final ``graph_fingerprint`` against the constants
 below.  A kernel change that is meant to be bit-identical must leave all
-three runs where they are.
+three runs where they are.  Each endpoint is then re-audited from a fresh
+APSP (``is_equilibrium(graph, "sum")`` with no ``base_dm``), which checks
+the engine's incrementally maintained matrix at census scale: the
+dynamics' own certificate reads that matrix.
 
-It prints one JSON line: the wall and CPU seconds of each run, and the
-host as perfbench records it (``perfbench/hostinfo.py``: CPU model, usable
+It prints one JSON line: the wall and CPU seconds of each run, the wall
+seconds of each re-audit, and the host as perfbench records it (``perfbench/hostinfo.py``: CPU model, usable
 cores, Python, numpy and scipy versions among others).  There
 is no speed bar, because load on a shared host moves single runs by 30%;
 compare timings only between interleaved runs on one host.
 
 Usage: PYTHONPATH=src python scripts/dynamics_scale.py
-Exit 0 when every pin holds, 1 with a report of the runs that moved.
+Exit 0 when every pin holds and every endpoint passes its audit, 1 with a
+report of the runs that moved or failed it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core import SwapDynamics, seed_graph
+from repro.core import SwapDynamics, is_equilibrium, seed_graph
 from repro.io import graph_fingerprint
 from repro.rng import derive_seed
 
@@ -62,12 +66,20 @@ def main() -> int:
         got = (
             result.steps, result.activations, graph_fingerprint(result.graph)
         )
-        runs[family] = {"wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
+        audit = time.perf_counter()
+        at_rest = is_equilibrium(result.graph, "sum")
+        audit = time.perf_counter() - audit
+        runs[family] = {
+            "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
+            "audit_wall_s": round(audit, 3),
+        }
         if not result.converged or got != pin:
             moved.append(
                 f"{family}: converged={result.converged}, "
                 f"(steps, activations, fingerprint) = {got}, pinned {pin}"
             )
+        if at_rest is not True:
+            moved.append(f"{family}: the endpoint fails a fresh sum audit")
     host = host_fingerprint(ROOT, ROOT)
     print(json.dumps({"n": N, "runs": runs, "host": host}))
     for line in moved:

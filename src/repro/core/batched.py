@@ -4,7 +4,8 @@ The fast engine of the one audit walk (``mode="batched"``, the default, in
 :mod:`repro.core.equilibrium`; ``mode="rebuild"`` — a fresh APSP per edge —
 is its oracle).  For each directed edge the walk needs the mover's exact
 row after the drop and, on request, its exact post-swap costs; the kernel
-supplies both in three steps, each written once:
+supplies both, a block of edges at a time, in three steps, each written
+once:
 
 1. **Plan** — a mover's own post-removal row is the only repaired row most
    of the audit needs.  A :class:`BatchedRemovalPlan` computes the endpoint
@@ -13,10 +14,10 @@ supplies both in three steps, each written once:
    whose per-level cost is one sparse product — Python overhead
    O(diameter) per block, not O(m · diameter).  A bridge rides the BFS
    like any other edge: the severed side of its endpoint rows simply stays
-   at the infinite sentinel.  The walk takes its directed edges from one
-   iterator (:func:`_directed_edges`) whose blocks are built lazily and
-   double from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges, so an audit
-   that stops at an early violation plans a handful of edges, while a full
+   at the infinite sentinel.  The walk takes its blocks from one iterator
+   of plans (:func:`_audit_plans`), built lazily over blocks that double
+   from ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges, so an audit that
+   stops at an early violation plans a handful of edges, while a full
    audit batches widely.
 2. **Bound** — deleting an edge can only *increase* distances, so every
    other row of the removal matrix dominates its base row, and
@@ -38,14 +39,18 @@ supplies both in three steps, each written once:
    (:func:`_bound`, the level form's oracle) computes the same floats.
 3. **Verify** — a mover whose bound never beats its threshold provably has
    no improving swap — the common case on and near equilibria, where the
-   census spends its time.  Only when a candidate survives (a legal target
-   whose bound is below the threshold) does the kernel build the edge's
-   removal (:func:`exact_costs_from_bound`, through the one removal
-   builder, :func:`repro.graphs.repair.edge_removal`) and re-evaluate
-   exactly (:func:`_verify`) — the candidates only: the builder's union
-   BFS runs the rows of ``affected & candidates``, and every other target
-   keeps its bound, which is at least the threshold and so can neither
-   beat nor tie a candidate below it.
+   census spends its time.  Where the level form ran, one masked row
+   minimum over the block's bounds finds the rows that can still beat
+   their movers' thresholds (:meth:`BatchedRemovalPlan.survivors`), and
+   the walk evaluates only those; elsewhere it evaluates every row.  Only
+   when an evaluated row has a candidate (a legal target whose bound is
+   below the threshold) does the kernel build the edge's removal
+   (:func:`exact_costs_from_bound`, through the one removal builder,
+   :func:`repro.graphs.repair.edge_removal`) and re-evaluate exactly
+   (:func:`_verify`) — the candidates only: the builder's union BFS runs
+   the rows of ``affected & candidates``, and every other target keeps its
+   bound, which is at least the threshold and so can neither beat nor tie
+   a candidate below it.
 
 Every audit outcome is bit-identical to the ``mode="rebuild"`` oracle —
 same violations, gaps and argmin tie-breaking, same directed-edge order —
@@ -135,12 +140,16 @@ class BatchedRemovalPlan:
         ends = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         per_edge = 2 if sources == "both" else 1
         jobs = np.repeat(ends, per_edge, axis=0)
-        rows = batched_removal_rows_multi(
-            graph, jobs[:, 0], jobs[:, 1], ends[:, :per_edge].ravel()
+        #: The planned rows in directed-edge order: row ``k`` is mover
+        #: ``movers[k]``'s exact distance row in ``G − movers[k]drops[k]``
+        #: (edge ``i``'s rows are ``k = per_edge·i + slot``).
+        self.movers = ends[:, :per_edge].ravel()
+        self.drops = ends[:, ::-1][:, :per_edge].ravel()
+        self.rows = batched_removal_rows_multi(
+            graph, jobs[:, 0], jobs[:, 1], self.movers
         )
-        #: (len(edges), per_edge, n): row k of edge i is endpoint k's row.
-        self._rows = rows.reshape(len(self.edges), per_edge, graph.n)
-        self._movers = ends[:, :per_edge].ravel()
+        #: (len(edges), per_edge, n): slot s of edge i is endpoint s's row.
+        self._rows = self.rows.reshape(len(self.edges), per_edge, graph.n)
         self._levels = levels
         #: (model, bounds of every row) of the last level bound
         self._block: "tuple[CostModel, np.ndarray] | None" = None
@@ -199,12 +208,38 @@ class BatchedRemovalPlan:
         if self._levels is None or self._levels.levels is None:
             return None
         if self._block is None or self._block[0] != model:
-            rows = self._rows.reshape(-1, self.graph.n)
             self._block = (
                 model,
-                _level_bound(model, self._movers, rows, self._levels.levels),
+                _level_bound(
+                    model, self.movers, self.rows, self._levels.levels
+                ),
             )
         return self._block[1]
+
+    def survivors(
+        self, objective, threshold: np.ndarray
+    ) -> "np.ndarray | None":
+        """The rows whose level bound may beat their mover's threshold.
+
+        Row ``k`` survives when ``min_{t ≠ drops[k]} bound[k, t] <
+        threshold[movers[k]]`` — one masked row minimum over the plan's
+        level bounds, with each row's identity re-add at ``inf``.  The
+        exact costs dominate the bound entrywise and a target mask only
+        removes targets, so a row that does not survive has no legal target
+        below its threshold (:func:`_verify` returns ``None`` for it).
+        Survivors come in ascending order; ``None`` when the plan bounds
+        row by row (:meth:`_level_bounds`), where every row is evaluated.
+        """
+        model = resolve_cost_model(objective, self.graph.n)
+        bounds = self._level_bounds(model)
+        if bounds is None:
+            return None
+        k = np.arange(self.movers.size)
+        held = bounds[k, self.drops]
+        bounds[k, self.drops] = math.inf
+        minima = bounds.min(axis=1)
+        bounds[k, self.drops] = held
+        return np.flatnonzero(minima < threshold[self.movers])
 
     def exact_costs(
         self,
@@ -454,28 +489,25 @@ _SCAN_BLOCK = 128
 _FIRST_BLOCK = 8
 
 
-def _directed_edges(graph, lifted, edges, deadline):
-    """Yield ``(plan, i, v, w)`` for each directed edge of ``edges``.
+def _audit_plans(graph, lifted, edges, deadline):
+    """Yield the plans of ``edges``' blocks, in the oracle's scan order.
 
-    The oracle's scan order — ``(a, b)`` then ``(b, a)`` per canonical
-    edge — over lazily built plans whose blocks double from
-    ``_FIRST_BLOCK`` up to ``_SCAN_BLOCK`` edges.  The first block bounds
-    row by row: a scan that stops early stops there, before building the
-    level sets would pay.  Every later block shares one
+    Plans are built lazily over blocks that double from ``_FIRST_BLOCK``
+    up to ``_SCAN_BLOCK`` edges; each holds its rows in directed-edge
+    order, ``(a, b)`` then ``(b, a)`` per canonical edge.  The first block
+    bounds row by row: a scan that stops early stops there, before
+    building the level sets would pay.  Every later block shares one
     :class:`LevelSets`, built when the second block takes its first
-    bound.  ``deadline`` is checked once per edge.
+    bound.  ``deadline`` is checked once per block, before it is planned.
     """
     edges = list(edges)
     levels = LevelSets(lifted)
     lo, size = 0, _FIRST_BLOCK
     while lo < len(edges):
-        plan = BatchedRemovalPlan(
+        check_deadline(deadline)
+        yield BatchedRemovalPlan(
             graph, lifted, edges[lo : lo + size], levels=levels if lo else None
         )
-        for i, (a, b) in enumerate(plan.edges):
-            check_deadline(deadline)
-            yield plan, i, a, b
-            yield plan, i, b, a
         lo += size
         size = min(2 * size, _SCAN_BLOCK)
 

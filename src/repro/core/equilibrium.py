@@ -27,19 +27,23 @@ The paper's procedure is written once, as one walk over the directed
 edges in the oracle's order (``(a, b)`` then ``(b, a)`` per canonical
 edge), and :func:`find_swap_violation`, :func:`sum_equilibrium_gap`,
 :func:`find_deletion_criticality_violation` and :func:`is_equilibrium` each
-read it once.  For each drop ``v–w`` the walk gives ``v``'s exact distance
-row in ``G − vw`` and, on request, ``v``'s legal post-swap costs — exact
-wherever they are below a threshold and at least the threshold elsewhere,
-or ``None`` when a bound proves that no legal target beats it.  Two
-engines feed it and differ only in how they compute those two things: the
-default ``mode="batched"`` shares one base APSP, takes the rows from plans
-of lazily built blocks of edges (one union level-synchronous BFS each) and
-the costs from a bound-then-verify step that reads the base matrix in
-place (DESIGN.md §2.6 / :mod:`repro.core.batched`); ``mode="rebuild"`` is
-the seed behaviour (a fresh APSP per edge), kept as the cross-validation
-oracle.  Both answer bit-identically, tie-breaks included.  A max audit
-checks swaps and deletion-criticality in the same pass, so it plans each
-edge once.
+read it once.  The walk goes block by block.  For each drop ``v–w`` of a
+block it gives ``v``'s exact distance row in ``G − vw`` and, on request,
+``v``'s legal post-swap costs — exact wherever they are below a threshold
+and at least the threshold elsewhere, or ``None`` when a bound proves that
+no legal target beats it — and for a per-vertex threshold it names the
+drops worth evaluating.  Two engines feed it and differ only in how they
+compute those things: the default ``mode="batched"`` shares one base
+APSP, takes the rows from plans of lazily built blocks of edges (one union
+level-synchronous BFS each), dismisses a block's movers at rest with one
+masked row minimum of its level bound, and takes the costs of the rest
+from a bound-then-verify step that reads the base matrix in place
+(DESIGN.md §2.6 / :mod:`repro.core.batched`); ``mode="rebuild"`` is the
+seed behaviour (a fresh APSP per edge, every drop evaluated), kept as the
+cross-validation oracle.  Both answer bit-identically, tie-breaks
+included.  A max audit checks swaps and deletion-criticality in the same
+pass, so it plans each edge once, and checks criticality with one
+row-cost pass per block.
 
 Each audit is one serial walk: parallelism lives at the fleet grain, where
 whole dynamics runs are independent tasks (DESIGN.md §5).
@@ -51,14 +55,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, DisconnectedGraphError
 from ..graphs import CSRGraph, distance_matrix, is_connected
 from ..parallel import check_deadline
-from .batched import _directed_edges, _verify
+from .batched import _audit_plans, _verify
 from .costmodel import MAX_COST, SUM_COST, CostModel, resolve_cost_model
 from .costs import INT_INF, lift_distances, lifted_base
 from .moves import Swap
@@ -152,44 +156,75 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def _audit_walk(graph, lifted, model, mode, deadline):
-    """Yield ``(v, w, dv, costs)`` for every directed edge — the one audit loop.
+class _Block(NamedTuple):
+    """One block of the audit walk's directed edges (see :func:`_audit_walk`).
 
-    The oracle's order: ``(a, b)`` then ``(b, a)`` per canonical edge.
-    ``dv`` is ``v``'s exact distance row in ``G − vw``; ``costs(threshold)``
-    returns ``v``'s legal post-swap costs under ``model`` (illegal targets
-    and the identity re-add ``w`` at ``inf``), exact wherever they are
-    below ``threshold`` and at least ``threshold`` elsewhere, or ``None``
-    when a bound proves that no legal target beats ``threshold``.  That is
-    all the audits read: with their mover's base cost as the threshold, an
-    entry at or above it can neither beat nor tie a smaller one, and adds
-    nothing to a gap.  ``mode`` picks the engine: ``"batched"`` takes the
-    rows from the kernel's plans and the costs from its bound and verify
-    steps (:mod:`repro.core.batched`), which repair only the targets below
-    the threshold; ``"rebuild"`` takes both from a fresh APSP of
-    ``G − vw``, shares no per-edge computation with the kernel, returns
-    all-exact costs and never returns ``None``.  ``deadline`` is checked
-    once per edge.
+    Row ``k`` is the directed edge ``movers[k] → drops[k]``: ``rows[k]``
+    is the mover's exact distance row in ``G − movers[k]drops[k]``, and
+    ``costs(k, threshold)`` its legal post-swap costs (illegal targets and
+    the identity re-add at ``inf``), exact wherever they are below
+    ``threshold`` and at least ``threshold`` elsewhere, or ``None`` when a
+    bound proves that no legal target beats ``threshold``.
+    ``evaluate(threshold)``, for a per-vertex threshold array, gives in
+    ascending order every ``k`` whose costs may have a legal target below
+    ``threshold[movers[k]]``; ``costs`` of any other row would be ``None``.
+    """
+
+    movers: np.ndarray
+    drops: np.ndarray
+    rows: np.ndarray
+    evaluate: Callable[[np.ndarray], Iterable[int]]
+    costs: Callable[[int, float], "np.ndarray | None"]
+
+
+def _audit_walk(graph, lifted, model, mode, deadline):
+    """Yield the directed edges block by block — the one audit loop.
+
+    Blocks hold their directed edges in the oracle's order, ``(a, b)``
+    then ``(b, a)`` per canonical edge, and follow one another in it.
+    The audits evaluate a block's rows at their movers' base costs: a row
+    left out, like a cost at or above its threshold, can neither beat nor
+    tie a cost below it, and adds nothing to a gap.  ``mode`` picks the
+    engine.  ``"batched"`` takes each block's rows from one plan of the
+    kernel (:mod:`repro.core.batched`).  Where the plan's level bound ran,
+    it evaluates only the plan's survivors, found with one masked row
+    minimum over the whole block; elsewhere (a scan's first block, and
+    level sets that refuse) it evaluates every row, one at a time.  Its
+    costs come from the bound and verify steps, which repair only the
+    targets below the threshold.  ``"rebuild"`` yields one canonical edge
+    per block, takes rows and costs from a fresh APSP of ``G − ab``,
+    shares no per-edge computation with the kernel, evaluates every row,
+    and returns all-exact costs, never ``None``.  ``deadline`` is checked
+    once per block and once per evaluated row.
     """
     if mode == "batched":
         base_plus1 = lifted + 1
         buf = np.empty((graph.n, graph.n), dtype=np.int64)
 
-        def costs(plan, i, v, w, threshold):
+        def evaluate(plan, threshold):
+            survivors = plan.survivors(model, threshold)
+            if survivors is None:  # the plan bounds row by row
+                survivors = range(plan.movers.size)
+            for k in survivors:
+                check_deadline(deadline)
+                yield int(k)
+
+        def costs(plan, k, threshold):
+            i, v, w = k // 2, int(plan.movers[k]), int(plan.drops[k])
             bound = plan.bound_costs(i, v, w, model, base_plus1, buf)
             mask = model.target_mask(graph, v, w)
             return _verify(plan, i, v, w, model, bound, mask, threshold)
 
-        for plan, i, v, w in _directed_edges(
-            graph, lifted, graph.iter_edges(), deadline
-        ):
-            yield (
-                v, w, plan.endpoint_row(i, v),
-                functools.partial(costs, plan, i, v, w),
+        for plan in _audit_plans(graph, lifted, graph.iter_edges(), deadline):
+            yield _Block(
+                plan.movers, plan.drops, plan.rows,
+                functools.partial(evaluate, plan),
+                functools.partial(costs, plan),
             )
         return
 
-    def rebuilt_costs(removal_dm, v, w, threshold):
+    def rebuilt_costs(removal_dm, ends, k, threshold):
+        v, w = ends[k], ends[1 - k]
         costs = all_swap_costs_for_drop(graph, v, w, model, removal_dm)
         mask = model.target_mask(graph, v, w)
         if mask is not None:
@@ -200,11 +235,29 @@ def _audit_walk(graph, lifted, model, mode, deadline):
     for a, b in graph.iter_edges():
         check_deadline(deadline)
         removal_dm = removal_distance_matrix(graph, (a, b), mode="rebuild")
-        for v, w in ((a, b), (b, a)):
-            yield (
-                v, w, removal_dm[v],
-                functools.partial(rebuilt_costs, removal_dm, v, w),
-            )
+        yield _Block(
+            np.array([a, b]), np.array([b, a]), removal_dm[[a, b]],
+            lambda threshold: range(2),
+            functools.partial(rebuilt_costs, removal_dm, (a, b)),
+        )
+
+
+def _row_costs(model, movers, rows):
+    """``model.row_cost(movers[k], rows[k])`` of every row, in one pass.
+
+    The ``kind`` aggregate over each mover's interest entries with the
+    connectivity lift, as the cost-model contract defines it
+    (:meth:`~repro.core.costmodel.CostModel.interest_mask`).
+    """
+    interest = model.interest_mask(movers)
+    picked = rows if interest is None else np.where(interest, rows, 0)
+    raw = (
+        picked.sum(axis=1) if model.kind == "sum"
+        else picked.max(axis=1, initial=0)
+    )
+    costs = raw.astype(np.float64)
+    costs[(rows >= INT_INF).any(axis=1)] = math.inf
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +283,7 @@ def find_swap_violation(
     (see :func:`_prepare`) so callers that already hold it — dynamics
     endpoints, census probes — skip the audit's APSP.  ``deadline``
     (absolute ``time.monotonic()`` instant) bounds the whole audit: the
-    walk checks it once per edge and raises
+    walk checks it once per block and once per evaluated edge, and raises
     :class:`~repro.errors.DeadlineExceeded` once it passes.
     """
     _check_mode(mode)
@@ -240,16 +293,18 @@ def find_swap_violation(
         return None
     lifted = _prepare(graph, base_dm)
     base = model.base_costs(lifted)
-    for v, w, _, costs in _audit_walk(graph, lifted, model, mode, deadline):
-        legal = costs(base[v])
-        if legal is None:
-            continue
-        best = int(np.argmin(legal))
-        if legal[best] < base[v]:
-            return Violation(
-                model.violation_kind, v, w, best,
-                float(base[v]), float(legal[best]),
-            )
+    for block in _audit_walk(graph, lifted, model, mode, deadline):
+        for k in block.evaluate(base):
+            v = int(block.movers[k])
+            legal = block.costs(k, base[v])
+            if legal is None:
+                continue
+            best = int(np.argmin(legal))
+            if legal[best] < base[v]:
+                return Violation(
+                    model.violation_kind, v, int(block.drops[k]), best,
+                    float(base[v]), float(legal[best]),
+                )
     return None
 
 
@@ -285,12 +340,16 @@ def is_equilibrium(
     lifted = _prepare(graph, base_dm)
     base = model.base_costs(lifted)
     critical = model.prefer_deletions_on_tie
-    for v, _, dv, costs in _audit_walk(graph, lifted, model, mode, deadline):
-        if critical and not model.row_cost(v, dv) > base[v]:
+    for block in _audit_walk(graph, lifted, model, mode, deadline):
+        if critical and not (
+            _row_costs(model, block.movers, block.rows) > base[block.movers]
+        ).all():
             return False  # a cost-neutral deletion
-        legal = costs(base[v])
-        if legal is not None and float(np.min(legal)) < base[v]:
-            return False
+        for k in block.evaluate(base):
+            v = block.movers[k]
+            legal = block.costs(k, base[v])
+            if legal is not None and float(np.min(legal)) < base[v]:
+                return False
     return True
 
 
@@ -326,10 +385,12 @@ def sum_equilibrium_gap(graph: CSRGraph, *, mode: AuditMode = "batched") -> floa
     lifted = _prepare(graph)
     base_sum = lifted.sum(axis=1)
     gap = 0.0
-    for v, _, _, costs in _audit_walk(graph, lifted, SUM_COST, mode, None):
-        legal = costs(base_sum[v])
-        if legal is not None:
-            gap = max(gap, float(base_sum[v]) - float(np.min(legal)))
+    for block in _audit_walk(graph, lifted, SUM_COST, mode, None):
+        for k in block.evaluate(base_sum):
+            v = block.movers[k]
+            legal = block.costs(k, base_sum[v])
+            if legal is not None:
+                gap = max(gap, float(base_sum[v]) - float(np.min(legal)))
     return gap
 
 
@@ -355,15 +416,21 @@ def find_deletion_criticality_violation(
 
     Deletion-criticality is part of the paper's max-equilibrium definition
     and of the lower-bound constructions.  It reads only the walk's
-    endpoint rows, never its costs.
+    endpoint rows, one row-cost pass per block, never its costs.
     """
     _check_mode(mode)
     lifted = _prepare(graph, base_dm)
     base_ecc = lifted.max(axis=1)
-    for v, w, dv, _ in _audit_walk(graph, lifted, MAX_COST, mode, deadline):
-        after = MAX_COST.row_cost(v, dv)
-        if not after > float(base_ecc[v]):
-            return Violation("deletion", v, w, None, float(base_ecc[v]), after)
+    for block in _audit_walk(graph, lifted, MAX_COST, mode, deadline):
+        after = _row_costs(MAX_COST, block.movers, block.rows)
+        failing = np.flatnonzero(~(after > base_ecc[block.movers]))
+        if failing.size:
+            k = failing[0]
+            v = int(block.movers[k])
+            return Violation(
+                "deletion", v, int(block.drops[k]), None,
+                float(base_ecc[v]), float(after[k]),
+            )
     return None
 
 

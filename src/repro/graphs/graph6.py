@@ -14,6 +14,8 @@ column-major in 6-bit chunks offset by 63, per the specification.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import GraphError
 from .csr import CSRGraph
 
@@ -93,20 +95,21 @@ def from_graph6(text: str) -> CSRGraph:
         raise GraphError(
             f"graph6 body for n={n} needs {expected_chars} chars, got {len(body)}"
         )
-    bits: list[int] = []
-    for ch in body:
-        v = ord(ch) - 63
-        if not 0 <= v < 64:
-            raise GraphError(f"invalid graph6 byte {ch!r}")
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append((v >> shift) & 1)
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    # Padding bits beyond nbits must be zero per the spec; tolerate quietly
-    # (several producers emit junk padding) but never read them as edges.
-    return CSRGraph(n, edges)
+    values = None
+    if body.isascii():
+        # uint8 arithmetic: a character below '?' wraps above 63 as well.
+        values = np.frombuffer(body.encode("ascii"), dtype=np.uint8) - 63
+    if values is None or (values > 63).any():
+        ch = next(ch for ch in body if not 0 <= ord(ch) - 63 < 64)
+        raise GraphError(f"invalid graph6 byte {ch!r}")
+    # Six bits per character, most significant first.  Padding bits beyond
+    # nbits must be zero per the spec; tolerate quietly (several producers
+    # emit junk padding) but never read them as edges.
+    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()
+    p = np.flatnonzero(bits[:nbits])
+    # Bit p is (i, j) with p = j(j-1)/2 + i, 0 <= i < j: the closed form
+    # j = floor((1 + sqrt(1 + 8p)) / 2), corrected in integers.
+    j = ((1 + np.sqrt(1 + 8 * p)) // 2).astype(np.int64)
+    j -= j * (j - 1) // 2 > p
+    j += (j + 1) * j // 2 <= p
+    return CSRGraph(n, np.stack([p - j * (j - 1) // 2, j], axis=1))

@@ -30,15 +30,13 @@ def graph_fingerprint(graph) -> str:
     aggregate over a trajectory dataset and what lets the audit service
     cache answers per labelled instance.
 
-    ``graph`` is anything with ``.n`` and ``.iter_edges()`` (a
-    :class:`~repro.graphs.CSRGraph`); the digest is the first 16 hex chars
+    ``graph`` is anything with ``.n`` and ``.edges()`` (a
+    :class:`~repro.graphs.CSRGraph`, whose edge array is canonical:
+    ``a < b`` per row, rows sorted); the digest is the first 16 hex chars
     of SHA-256 over ``"n|a1,b1;a2,b2;..."`` with edges normalized to
     ``(min, max)`` and sorted.  **Frozen format** — see the module
     docstring.
     """
-    edges = sorted(
-        (min(int(a), int(b)), max(int(a), int(b)))
-        for a, b in graph.iter_edges()
-    )
+    edges = graph.edges().tolist()
     payload = f"{graph.n}|" + ";".join(f"{a},{b}" for a, b in edges)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]

@@ -362,13 +362,13 @@ class AuditEngine:
         cacheable answer carries) and the answer is cached,
         :class:`NotModified` is raised instead of re-serving the body.
         """
+        start = time.monotonic()
         if not isinstance(request, dict):
             raise ClientError("request body must be a JSON object")
         kind, params = self._parse_query(request)
         graph = self._parse_graph(request)
         model_spec = self._model_spec_for(kind, request)
         deadline = self._deadline_from(request)
-        start = time.monotonic()
         fingerprint = graph_fingerprint(graph)
         key = cache_key(fingerprint, model_spec, kind, params)
 
@@ -412,6 +412,7 @@ class AuditEngine:
 
     def handle_batch(self, request: dict) -> dict:
         """Many queries on ONE graph; the base APSP is computed once."""
+        start = time.monotonic()
         if not isinstance(request, dict):
             raise ClientError("request body must be a JSON object")
         items = request.get("queries")
@@ -419,7 +420,6 @@ class AuditEngine:
             raise ClientError('"queries" must be a non-empty list')
         graph = self._parse_graph(request)
         deadline = self._deadline_from(request)
-        start = time.monotonic()
         fingerprint = graph_fingerprint(graph)
         parsed = []
         for item in items:

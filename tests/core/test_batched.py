@@ -5,15 +5,19 @@ bridges included, and bound every exact cost from below; its level-set
 bound must equal the per-row bound entry for entry; the walk's
 ``costs(threshold)`` must be exact wherever the exact cost is below the
 threshold and at least the threshold elsewhere, with the patch's union BFS
-running only the affected candidate rows; and every parallel
+running only the affected candidate rows; a row the walk does not evaluate
+must have no exact legal cost below its threshold, so a full audit of a
+diameter-2 equilibrium verifies only its first block; and every parallel
 surface (audits in fleet workers, census fleet, exhaustive census) must be
 bit-identical across worker counts.  Agreement of the batched audits with
 the rebuild oracle lives in the differential harness, ``test_oracles.py``.
 """
 
+import functools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -266,6 +270,16 @@ class TestLevelBound:
         assert LevelSets(_lifted(g)).levels is None
 
 
+def _directed(walk):
+    """The walk's blocks as ``(v, w, dv, costs(threshold))`` per edge."""
+    for block in walk:
+        for k, (v, w) in enumerate(zip(block.movers, block.drops)):
+            yield (
+                int(v), int(w), block.rows[k],
+                functools.partial(block.costs, k),
+            )
+
+
 def _assert_costs_contract(g, spec):
     """The batched walk's ``costs(threshold)`` against exact legal costs.
 
@@ -282,8 +296,8 @@ def _assert_costs_contract(g, spec):
     buf = np.empty((g.n, g.n), dtype=np.int64)
     everywhere = np.ones(g.n, dtype=bool)
     walks = zip(
-        equilibrium._audit_walk(g, lifted, model, "batched", None),
-        equilibrium._audit_walk(g, lifted, model, "rebuild", None),
+        _directed(equilibrium._audit_walk(g, lifted, model, "batched", None)),
+        _directed(equilibrium._audit_walk(g, lifted, model, "rebuild", None)),
     )
     for (v, w, dv, costs), (_, _, _, rebuilt) in walks:
         exact = rebuilt(math.inf)
@@ -341,9 +355,9 @@ class TestCostsContract:
             return union_bfs(graph, jobs_a, jobs_b, sources, **kwargs)
 
         monkeypatch.setattr(repair, "batched_removal_rows_multi", recording)
-        for v, w, dv, costs in equilibrium._audit_walk(
+        for v, w, dv, costs in _directed(equilibrium._audit_walk(
             g, lifted, SUM_COST, "batched", None
-        ):
+        )):
             affected = removal_affected_sources(g, lifted, (v, w))
             bound = batched._bound(SUM_COST, v, dv, base_plus1, buf)
             bound[w] = math.inf
@@ -361,6 +375,109 @@ class TestCostsContract:
             break
         else:
             pytest.fail("no non-bridge drop with an affected non-candidate")
+
+
+def _levels_everywhere():
+    """Level bounds on every block but a one-edge first block."""
+    return mock.patch.multiple(
+        batched, _FIRST_BLOCK=1, _LEVEL_BUDGET=math.inf
+    )
+
+
+def _assert_survivors_sound(g, spec) -> int:
+    """Rows the batched walk does not evaluate cannot beat their threshold.
+
+    At the audits' threshold, the mover's base cost, every directed edge
+    whose row the walk leaves out has an exact legal minimum (the rebuild
+    engine's, all-exact) at or above it.  Returns how many it left out.
+    """
+    model = resolve_cost_model(spec, g.n)
+    lifted = _lifted(g)
+    base = model.base_costs(lifted)
+    exact = {
+        (v, w): costs(math.inf)
+        for v, w, _, costs in _directed(
+            equilibrium._audit_walk(g, lifted, model, "rebuild", None)
+        )
+    }
+    skipped = 0
+    for block in equilibrium._audit_walk(g, lifted, model, "batched", None):
+        evaluated = list(block.evaluate(base))
+        assert evaluated == sorted(set(evaluated))
+        for k, (v, w) in enumerate(zip(block.movers, block.drops)):
+            if k in evaluated:
+                continue
+            skipped += 1
+            assert np.min(exact[v, w]) >= base[v], (
+                spec, g.edges().tolist(), v, w
+            )
+    return skipped
+
+
+class TestBlockWalk:
+    """The batched walk evaluates, per block, only the rows that may win."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_survivors_are_sound_on_battery_and_edge_cases(self, spec):
+        with _levels_everywhere():
+            skipped = sum(
+                _assert_survivors_sound(g, spec)
+                for g in [*BATTERY, *EDGE_CASES.values()]
+            )
+        assert skipped > 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(g=ORACLE_INPUTS)
+    @settings(max_examples=25, deadline=None)
+    def test_survivors_are_sound_on_generated_graphs(self, spec, g):
+        with _levels_everywhere():
+            _assert_survivors_sound(g, spec)
+
+    def test_full_scans_of_a_star_verify_only_the_first_block(
+        self, monkeypatch
+    ):
+        # A diameter-2 equilibrium in three blocks: the level bound
+        # dismisses every row of the later two, so only the first block's
+        # directed edges, bounded row by row, take the per-edge verify step.
+        star = star_graph(40)
+        lifted = _lifted(star)
+        assert diameter_or_inf(star) == 2
+        assert len(list(equilibrium._audit_walk(
+            star, lifted, SUM_COST, "batched", None
+        ))) == 3
+        first = list(star.iter_edges())[: batched._FIRST_BLOCK]
+        verified = []
+        verify = equilibrium._verify
+
+        def recording(plan, i, v, w, *args):
+            verified.append((v, w))
+            return verify(plan, i, v, w, *args)
+
+        monkeypatch.setattr(equilibrium, "_verify", recording)
+        for scan in (
+            lambda: is_equilibrium(star, "sum"),
+            lambda: find_swap_violation(star, "sum") is None,
+            lambda: sum_equilibrium_gap(star) == 0.0,
+        ):
+            verified.clear()
+            assert scan()
+            assert verified == [
+                edge for a, b in first for edge in ((a, b), (b, a))
+            ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_block_row_costs_equal_the_per_row_cost(self, spec):
+        for g in [*BATTERY, *EDGE_CASES.values()]:
+            model = resolve_cost_model(spec, g.n)
+            for block in equilibrium._audit_walk(
+                g, _lifted(g), model, "batched", None
+            ):
+                got = equilibrium._row_costs(model, block.movers, block.rows)
+                want = [
+                    model.row_cost(v, row)
+                    for v, row in zip(block.movers, block.rows)
+                ]
+                assert got.tolist() == want, (spec, g.edges().tolist())
 
 
 def _max_endpoint():

@@ -8,7 +8,11 @@ silently re-keys, which is a format break, not a cleanup.  Bump the
 consumers' format versions instead of updating these constants casually.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     CSRGraph,
@@ -20,6 +24,8 @@ from repro.graphs import (
     star_graph,
 )
 from repro.io.hashing import graph_fingerprint
+
+from ..conftest import edge_lists
 
 #: (constructor, pinned digest) — computed once at introduction (ISSUE 7)
 #: and frozen since.
@@ -51,6 +57,28 @@ def test_edge_order_and_orientation_invariant():
     a = CSRGraph(4, [(0, 1), (1, 2), (2, 3)])
     b = CSRGraph(4, [(3, 2), (2, 1), (1, 0)])
     assert graph_fingerprint(a) == graph_fingerprint(b)
+
+
+def _per_edge_fingerprint(graph) -> str:
+    """The digest as first written: per-edge ``(min, max)`` tuples, sorted."""
+    edges = sorted(
+        (min(int(a), int(b)), max(int(a), int(b)))
+        for a, b in graph.iter_edges()
+    )
+    payload = f"{graph.n}|" + ";".join(f"{a},{b}" for a, b in edges)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+@given(edge_lists(max_n=40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_canonical_edge_array_hashes_the_same_bytes(nl, rnd):
+    # Built from shuffled, reoriented edges: the canonical edge array
+    # must give the per-edge formula's digest.
+    n, edges = nl
+    edges = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in edges]
+    rnd.shuffle(edges)
+    graph = CSRGraph(n, edges)
+    assert graph_fingerprint(graph) == _per_edge_fingerprint(graph)
 
 
 def test_trajcensus_reexport_is_the_same_function():

@@ -37,6 +37,7 @@ from repro.service import (
     NotModified,
     build_server,
 )
+from repro.service import handlers
 from repro.service.handlers import _json_safe, _violation_payload
 
 
@@ -96,6 +97,24 @@ class TestEngineBasics:
         )
         assert a["model"] == b["model"]
         assert b["cached"]  # same canonical spec, same content address
+
+    def test_elapsed_ms_includes_the_graph_parse(self, engine, monkeypatch):
+        # The clock starts when the request is read, so a slow decode is
+        # booked to the handler, not to the transport around it.
+        decode = handlers.from_graph6
+
+        def slow(text):
+            time.sleep(0.02)
+            return decode(text)
+
+        monkeypatch.setattr(handlers, "from_graph6", slow)
+        g6 = _g6(star_graph(5))
+        audit = engine.handle_audit({"query": "is_equilibrium", "graph6": g6})
+        batch = engine.handle_batch(
+            {"graph6": g6, "queries": [{"query": "is_equilibrium"}]}
+        )
+        assert audit["elapsed_ms"] >= 20
+        assert batch["elapsed_ms"] >= 20
 
     def test_batch_shares_fingerprint_and_caches(self, engine):
         g6 = _g6(star_graph(7))
