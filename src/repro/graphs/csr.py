@@ -210,10 +210,11 @@ class CSRGraph:
     def to_scipy(self):
         """Return the adjacency as a :class:`scipy.sparse.csr_array` of 1s.
 
-        Cached: the graph is immutable, and repeated sparse products
-        against the same adjacency (batched BFS blocks, one per audited
-        edge or activation) must not pay the csr_array construction each
-        time.  Treat the result as read-only.
+        It serves APSP only (:func:`~repro.graphs.distance_matrix`, through
+        scipy's csgraph): the union BFS runs scipy's compiled product on
+        :attr:`indptr`/:attr:`indices` directly and builds no matrix.
+        Cached, since the graph is immutable; treat the result as
+        read-only.
         """
         if self._scipy is None:
             import scipy.sparse as sp

@@ -17,7 +17,9 @@ keeps it:
   two endpoints) — is exactly the affected set.
 * :func:`batched_removal_rows_multi` — the **one row kernel**: every
   repaired row is computed by a level-synchronous BFS over a union of
-  ``(removed edge, source)`` jobs, one sparse product per level.
+  ``(removed edge, source)`` jobs, one compiled CSR product per level on
+  the graph's own arrays, stopping once every job has reached every
+  vertex or a level reaches nothing new.
 * :func:`edge_removal` — the **one removal builder**: the rows of
   ``G − e`` that change, as an :class:`EdgeRemoval`.  An edge that changes
   every row is a bridge of a connected graph, and its far side is read off
@@ -128,12 +130,22 @@ def batched_removal_rows_multi(
 
     Job ``j`` computes the distance row of ``sources[j]`` in
     ``G − {edges_a[j], edges_b[j]}`` — jobs may remove *different* edges.
+    Each ``(edges_a[j], edges_b[j])`` must be an edge of ``graph``: the
+    kernel cancels flow across it without checking, so a non-edge job
+    undercounts (its source loses a path it should keep).  Every job vertex
+    must lie in ``0 .. n-1``, or :class:`~repro.errors.GraphError` is
+    raised.
+
     The sweep is level-synchronous over all jobs simultaneously: each BFS
-    level is a single sparse product of the **full** adjacency against an
-    ``(n, k)`` frontier block, after which the flow that crossed each job's
-    removed edge is cancelled column-wise (``reached[b_j, j] −=
-    frontier[a_j, j]`` and symmetrically).  Python overhead for a whole
-    audit is therefore O(max diameter), not O(edges · diameter).  The
+    level is one compiled CSR product (scipy's ``csr_matvecs``) of the
+    **full** adjacency, read straight from the graph's int32
+    ``indptr``/``indices``, against an ``(n, k)`` int32 frontier block,
+    after which the flow that crossed each job's removed edge is cancelled
+    column-wise (``reached[b_j, j] −= frontier[a_j, j]`` and
+    symmetrically).  Python overhead for a whole audit is therefore
+    O(max diameter), not O(edges · diameter).  A block stops once every
+    vertex of every column is reached, or once a level reaches nothing new
+    (a column cut off by its removed edge, or another component).  The
     levels are written into an ``(n, k)`` block in the frontier's own
     vertex-major layout, every per-level array is updated in place through
     flat views, and the block is copied into the output once.
@@ -143,6 +155,10 @@ def batched_removal_rows_multi(
     caps the frontier width per sweep (``None`` → about 2²⁴ entries per
     block).
     """
+    # Imported here, not at module level: ``import repro`` must not load
+    # scipy.sparse (it adds about 0.09 s to every cold start).
+    from scipy.sparse._sparsetools import csr_matvecs
+
     n = graph.n
     ea = np.asarray(edges_a, dtype=np.int64).ravel()
     eb = np.asarray(edges_b, dtype=np.int64).ravel()
@@ -155,7 +171,16 @@ def batched_removal_rows_multi(
     out = np.empty((total, n), dtype=np.int64)
     if total == 0:
         return out
-    adj = graph.to_scipy()
+    jobs = np.concatenate([ea, eb, src])
+    if jobs.min() < 0 or jobs.max() >= n:
+        bad = int(jobs[(jobs < 0) | (jobs >= n)][0])
+        raise GraphError(f"job vertex {bad} out of range for n={n}")
+    indptr, indices = graph.indptr, graph.indices
+    # int32 throughout (data, frontier, product): the compiled product
+    # copies any operand of another dtype on every call, and the product
+    # counts frontier neighbours, up to the vertex degree — int8 would wrap
+    # at hubs of degree >= 128.
+    ones = np.ones(indices.size, dtype=np.int32)
     if block_columns is None:
         block_columns = max(1, _BLOCK_ENTRIES_TARGET // max(n, 1))
     for lo in range(0, total, block_columns):
@@ -171,25 +196,27 @@ def batched_removal_rows_multi(
         dist = np.full((n, k), INT_INF_DISTANCE, dtype=np.int64)
         levels = dist.reshape(-1)
         levels[at_s] = 0
-        # int32 frontier: the product counts frontier neighbours, which
-        # reaches vertex degree — int8 would wrap at hubs of degree >= 128.
-        frontier = np.zeros((n, k), dtype=np.int32)
-        front = frontier.reshape(-1)
+        front = np.zeros(n * k, dtype=np.int32)
         front[at_s] = 1
+        reached = np.empty(n * k, dtype=np.int32)
         unvisited = np.ones(n * k, dtype=bool)
         unvisited[at_s] = False
         newly = np.empty(n * k, dtype=bool)
+        left = n * k - k  # (vertex, job) pairs not reached yet
         level = 0
-        while True:
-            reached = adj.dot(frontier).ravel()
+        while left:
+            reached.fill(0)  # the product adds into its output
+            csr_matvecs(n, n, k, indptr, indices, ones, front, reached)
             # Cancel the contribution that flowed through each job's
             # removed edge.
             reached[at_b] -= front[at_a]
             reached[at_a] -= front[at_b]
             np.greater(reached, 0, out=newly)
             newly &= unvisited
-            if not newly.any():
+            added = np.count_nonzero(newly)
+            if not added:
                 break
+            left -= added
             level += 1
             np.putmask(levels, newly, level)
             unvisited ^= newly  # newly is a subset of unvisited

@@ -12,14 +12,20 @@ bridge lemma the one removal builder rests on (every row is affected
 exactly when the graph is connected and ``G − e`` is not, and then the far
 side is read off the base matrix), the refusal to write a removal built
 for only some of its affected rows, and the one row kernel, the union BFS,
-at its default and at narrow and uneven frontier block widths.
+at its default and at narrow and uneven frontier block widths: its compiled
+product against scipy's public one, its two exits, the count of products it
+runs and of scipy matrices a dynamics run builds, and its typed refusal of
+out-of-range jobs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse._sparsetools as sparsetools
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.constructions.spider import SpiderShape, spider_graph
+from repro.core import SwapDynamics, seed_graph
 from repro.core.costs import lift_distances
 from repro.errors import GraphError
 from repro.graphs import (
@@ -267,11 +273,14 @@ class TestHighDiameter:
         assert np.array_equal(base, untouched)
 
     @pytest.mark.parametrize("block_columns", [None, 1, 2, 3])
-    @pytest.mark.parametrize("name", list(HIGH_DIAMETER))
+    @pytest.mark.parametrize("name", list(AFFECTED_INPUTS))
     def test_union_bfs_blocks_match_oracle(self, name, block_columns):
         # Jobs remove different edges: both endpoints of every edge plus
-        # the vertex half-way round from its first endpoint.
-        g = HIGH_DIAMETER[name]
+        # the vertex half-way round from its first endpoint.  Blocks mix
+        # columns the removal cuts off (bridges, the K2 of the disconnected
+        # input) with columns that reach every vertex, so both exits of the
+        # level loop run.
+        g = AFFECTED_INPUTS[name]
         edges = g.edges()
         a = np.repeat(edges[:, 0], 3)
         b = np.repeat(edges[:, 1], 3)
@@ -285,3 +294,90 @@ class TestHighDiameter:
         for j, s in enumerate(sources):
             edge = (int(a[j]), int(b[j]))
             assert np.array_equal(rows[j], oracle[edge][s]), (edge, s)
+
+
+def _compiled_product(g: CSRGraph, block: np.ndarray, out: np.ndarray):
+    """The union BFS's level product: ``out += A @ block``, all int32."""
+    ones = np.ones(g.indices.size, dtype=np.int32)
+    sparsetools.csr_matvecs(
+        g.n, g.n, block.shape[1], g.indptr, g.indices, ones, block.ravel(),
+        out.reshape(-1),
+    )
+
+
+class TestUnionBfsKernel:
+    """The compiled product the level loop calls, and the loop's exits."""
+
+    @given(
+        edge_lists(max_n=12),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example((1, []), 3, 0)
+    @example((2, [(0, 1)]), 2, 1)
+    @example((3, [(0, 2)]), 4, 2)  # vertex 1 isolated
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_product_is_the_public_product(self, ne, k, seed):
+        g = CSRGraph(*ne)
+        block = np.random.default_rng(seed).integers(
+            0, 2, size=(g.n, k), dtype=np.int32
+        )
+        out = np.zeros((g.n, k), dtype=np.int32)
+        _compiled_product(g, block, out)
+        assert np.array_equal(out, g.to_scipy() @ block)
+
+    def test_compiled_product_adds_into_its_output(self):
+        # The level loop zeroes its product buffer every level because the
+        # compiled call accumulates; it must write the buffer in place.
+        g = cycle_graph(6)
+        block = np.eye(6, 2, dtype=np.int32)
+        out = np.zeros((6, 2), dtype=np.int32)
+        _compiled_product(g, block, out)
+        _compiled_product(g, block, out)
+        assert np.array_equal(out, 2 * (g.to_scipy() @ block))
+
+    def test_full_reach_ends_the_sweep(self, monkeypatch):
+        # Dropping (0, 15) from C16 leaves a path with 0 and 15 at its
+        # ends: 15 levels reach every vertex of both columns, and no
+        # sixteenth product runs to find nothing new.
+        g = cycle_graph(16)
+        calls = []
+        product = sparsetools.csr_matvecs
+
+        def counted(*args):
+            calls.append(args[2])
+            return product(*args)
+
+        monkeypatch.setattr(sparsetools, "csr_matvecs", counted)
+        rows = batched_removal_rows_multi(
+            g, np.full(2, 0), np.full(2, 15), np.array([0, 15])
+        )
+        assert calls == [2] * 15
+        oracle = _oracle(g, (0, 15))
+        assert np.array_equal(rows, oracle[[0, 15]])
+
+    def test_a_dynamics_run_builds_one_scipy_matrix(self, monkeypatch):
+        # The union BFS reads the graph's own CSR arrays, so the only scipy
+        # matrix a batched run builds is the one its initial APSP takes.
+        built = []
+        to_scipy = CSRGraph.to_scipy
+
+        def counted(graph):
+            built.append(graph)
+            return to_scipy(graph)
+
+        monkeypatch.setattr(CSRGraph, "to_scipy", counted)
+        result = SwapDynamics("sum").run(seed_graph("sparse", 24, 0))
+        assert result.converged and result.steps > 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "job",
+        [(0, 1, -1), (0, 1, 5), (0, 5, 1), (-1, 0, 1)],
+        ids=["negative-source", "source-past-n", "endpoint-past-n",
+             "negative-endpoint"],
+    )
+    def test_out_of_range_jobs_raise(self, job):
+        a, b, s = job
+        with pytest.raises(GraphError, match="out of range"):
+            batched_removal_rows_multi(path_graph(5), [a], [b], [s])

@@ -8,6 +8,9 @@ shows up as a failing finding with its file:line in the assertion.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -303,3 +306,36 @@ def test_only_the_shared_writers_take_write_faults():
             ):
                 sites.add(path.relative_to(REPO_ROOT).as_posix())
     assert sites == {"src/repro/io/fsutil.py", "src/repro/io/jsonl_store.py"}
+
+
+# scipy loads on first use, never on import (DESIGN.md §2 item 2): the
+# union BFS binds scipy's compiled CSR product inside the function, and
+# nothing else reaches into scipy's private modules.  A module-level import
+# of the product put scipy.sparse on every cold start (importing the six
+# packages below took 0.232 instead of 0.143 s).
+
+def test_importing_the_library_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import repro, repro.core, repro.graphs, repro.experiments, "
+        "repro.service, repro.io\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_one_module_binds_scipys_compiled_product():
+    users = {
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if "scipy.sparse._sparsetools" in path.read_text()
+    }
+    assert users == {"src/repro/graphs/repair.py"}
