@@ -21,7 +21,8 @@ worker count.  ``jsonl_path`` streams finished records to disk in record
 order through :class:`~repro.io.jsonl_store.JsonlStore`, opening with a
 run-config header (:data:`CENSUS_CONFIG_KEY`) that ``resume=True``
 validates, together with every resumed record, before continuing an
-interrupted fleet — see DESIGN.md §7 and §12.
+interrupted fleet; ``checkpoint_dir`` gives each slot a crash-safe in-task
+checkpoint to resume from on retry (DESIGN.md §7, §12 and §13).
 
 ``objective`` accepts any cost-model spec (:mod:`repro.core.costmodel`),
 so the same fleet machinery covers the interest and budget game variants.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from ..errors import ConfigurationError
 
@@ -47,8 +48,8 @@ from ..graphs import (
 )
 from ..rng import derive_seed
 from .costmodel import CostModel, cost_model_spec, resolve_cost_model
-from .dynamics import SwapDynamics
-from .equilibrium import is_equilibrium
+from .dynamics import SwapDynamics, _check_settings
+from .equilibrium import _check_mode, is_equilibrium
 
 __all__ = [
     "CENSUS_CONFIG_KEY",
@@ -63,6 +64,12 @@ InitialFamily = Literal["tree", "sparse", "dense"]
 CENSUS_CONFIG_KEY = "census_config"
 
 _CONFIG_VERSION = 1
+
+#: :func:`_run_slot`'s parameters: the head of every census task tuple.
+_SLOT_FIELDS = (
+    "n", "family", "seed", "objective", "schedule", "responder",
+    "max_steps", "verify", "audit_mode", "checkpoint_path", "checkpoint_every",
+)
 
 
 @dataclass
@@ -95,18 +102,63 @@ def seed_graph(family: InitialFamily, n: int, seed) -> CSRGraph:
     * ``sparse`` — connected G(n, m) with m = ⌈1.5 (n−1)⌉;
     * ``dense`` — connected G(n, m) with m = ⌈n lg n / 2⌉ (capped at C(n,2)).
     """
+    _check_family(family)
     if family == "tree":
         return random_tree(n, seed)
     if family == "sparse":
         m = min(n * (n - 1) // 2, max(n - 1, int(math.ceil(1.5 * (n - 1)))))
         return random_connected_gnm(n, m, seed)
-    if family == "dense":
-        m = min(
-            n * (n - 1) // 2,
-            max(n - 1, int(math.ceil(n * math.log2(max(n, 2)) / 2))),
+    m = min(
+        n * (n - 1) // 2,
+        max(n - 1, int(math.ceil(n * math.log2(max(n, 2)) / 2))),
+    )
+    return random_connected_gnm(n, m, seed)
+
+
+def _check_family(family: str) -> None:
+    if family not in get_args(InitialFamily):
+        raise ConfigurationError(f"unknown census family {family!r}")
+
+
+def _check_slot_args(families, schedules, responders, max_steps, audit_mode,
+                     engine_mode="batched") -> None:
+    """Raise here what every slot would raise, before any stream opens."""
+    for family in families:
+        _check_family(family)
+    for schedule in schedules:
+        for responder in responders:
+            _check_settings(schedule, responder, max_steps, engine_mode)
+    _check_mode(audit_mode)
+
+
+def _run_slot(
+    n, family, seed, objective, schedule, responder, max_steps, verify,
+    audit_mode, checkpoint_path, checkpoint_every, *, engine_mode, record,
+):
+    """Both censuses' slot: ``(model, initial, result, verified)`` of a run."""
+    # A spec string resolves per-n here (interest sets carry their own seed
+    # inside the spec, so the model is a pure function of (spec, n)); a
+    # CostModel instance passes straight through.
+    model = resolve_cost_model(objective, n)
+    initial = seed_graph(family, n, seed)
+    dynamics = SwapDynamics(
+        objective=model, schedule=schedule, responder=responder,
+        max_steps=max_steps, record=record, seed=derive_seed(seed, 1),
+        engine_mode=engine_mode,
+    )
+    result = dynamics.run(
+        initial, checkpoint=checkpoint_path, checkpoint_every=checkpoint_every
+    )
+    verified: bool | None = None
+    if verify and result.converged:
+        # A batched certificate that ended the run was this very audit; any
+        # other audit rides the engine's matrix when it kept one.
+        verified = (result.certified and audit_mode == "batched") or (
+            is_equilibrium(
+                result.graph, model, mode=audit_mode, base_dm=result.final_dm
+            )
         )
-        return random_connected_gnm(n, m, seed)
-    raise ConfigurationError(f"unknown census family {family!r}")
+    return model, initial, result, verified
 
 
 def _is_star(graph: CSRGraph) -> bool:
@@ -117,36 +169,13 @@ def _is_star(graph: CSRGraph) -> bool:
 
 
 def _census_task(task: tuple) -> CensusRecord:
-    """One trajectory of the census fleet, fully determined by its task.
-
-    Module-level and seeded purely from the task tuple, so records are
-    identical wherever (and in whatever order) the task runs.
-    """
-    (
-        n, family, seed, objective, schedule, responder,
-        max_steps, verify, audit_mode,
-    ) = task
-    # A spec string resolves per-n here (interest sets carry their own seed
-    # inside the spec, so the model is a pure function of (spec, n)); a
-    # CostModel instance passes straight through.
-    model = resolve_cost_model(objective, n)
-    initial = seed_graph(family, n, seed)
-    dyn = SwapDynamics(
-        objective=model,
-        schedule=schedule,
-        responder=responder,
-        max_steps=max_steps,
-        seed=derive_seed(seed, 1),
+    """One census slot; the task tuple is :data:`_SLOT_FIELDS`."""
+    # No engine option, and no trace: recording costs an n² pass per move.
+    model, initial, result, verified = _run_slot(
+        *task, engine_mode="batched", record=False
     )
-    result = dyn.run(initial)
+    n, family, seed, _, schedule, responder = task[:6]
     final = result.graph
-    verified: bool | None = None
-    if verify and result.converged:
-        # The endpoint audit rides the dynamics engine's own matrix, as in
-        # the trajectory census: no converged slot recomputes the APSP.
-        verified = is_equilibrium(
-            final, model, mode=audit_mode, base_dm=result.final_dm
-        )
     return CensusRecord(
         n=n,
         family=family,
@@ -201,6 +230,7 @@ def census_experiment(
     inside each task, so one census can sweep sizes under one variant.
     """
     spec = cost_model_spec(objective)  # canonical; validates the objective
+    _check_slot_args(families, [schedule], [responder], max_steps, audit_mode)
     task_objective = objective if isinstance(objective, CostModel) else spec
     config = {
         "objective": spec,
@@ -218,10 +248,7 @@ def census_experiment(
         name="census",
         point_fn=_census_task,
         grid={"n": list(n_values), "family": list(families)},
-        task_fields=(
-            "n", "family", "seed", "objective", "schedule", "responder",
-            "max_steps", "verify", "audit_mode",
-        ),
+        task_fields=_SLOT_FIELDS,
         coord_fields=(
             "n", "family", "seed", "objective", "schedule", "responder",
         ),

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -176,6 +176,10 @@ class DynamicsResult:
         engine only; ``None`` for the oracle path).  Endpoint audits pass it
         as ``base_dm`` so verifying a converged trajectory never recomputes
         the APSP the dynamics already hold; excluded from equality.
+    certified:
+        The batched engine's certificate (its ``is_equilibrium`` audit on
+        :attr:`final_dm`) ended the run; never for the oracle engine,
+        greedy or the ``"first"`` responder.  Excluded from equality.
     """
 
     graph: CSRGraph
@@ -189,6 +193,7 @@ class DynamicsResult:
     final_dm: "np.ndarray | None" = field(
         default=None, compare=False, repr=False
     )
+    certified: bool = field(default=False, compare=False)
 
     @property
     def exhausted(self) -> bool:
@@ -279,6 +284,17 @@ class _OracleEngine(_Engine):
         self.graph = swapped_graph(self.graph, swap)
 
 
+def _check_settings(schedule, responder, max_steps, engine_mode) -> None:
+    if schedule not in get_args(Schedule):
+        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    if responder not in get_args(Responder):
+        raise ConfigurationError(f"unknown responder {responder!r}")
+    if max_steps < 1:
+        raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+    if engine_mode not in get_args(EngineMode):
+        raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
+
+
 class SwapDynamics:
     """Configurable asynchronous swap dynamics.
 
@@ -325,14 +341,7 @@ class SwapDynamics:
             # Validate the spec eagerly; n-dependent models (interest sets)
             # materialize lazily in run() where the graph size is known.
             parse_cost_spec(objective)
-        if schedule not in ("round_robin", "random", "greedy"):
-            raise ConfigurationError(f"unknown schedule {schedule!r}")
-        if responder not in ("best", "first"):
-            raise ConfigurationError(f"unknown responder {responder!r}")
-        if max_steps < 1:
-            raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
-        if engine_mode not in ("batched", "oracle"):
-            raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
+        _check_settings(schedule, responder, max_steps, engine_mode)
         self.objective: "Objective | str | CostModel" = objective
         self.schedule: Schedule = schedule
         self.responder: Responder = responder
@@ -563,10 +572,11 @@ class SwapDynamics:
             ``certify`` settles the common convergent case in one scan;
             otherwise every vertex is activated in order until one moves.
             """
-            nonlocal activations
+            nonlocal activations, certified
             if engine.certify():
                 activations += n
                 dirty[:] = False
+                certified = True
                 return None
             for v in range(n):
                 br = respond(v)
@@ -580,8 +590,7 @@ class SwapDynamics:
             record_state()  # a resumed trace already holds this snapshot
         # Quiet visits in a row after which the schedule looks for rest.
         patience = n if self.schedule == "round_robin" else 2 * n
-        cycle = False
-        converged = False
+        cycle = converged = certified = False
         while steps < self.max_steps:
             guard_deadline()
             if self.schedule == "greedy":
@@ -628,4 +637,5 @@ class SwapDynamics:
             engine.graph, converged, cycle, steps, activations,
             moves, diam_trace, cost_trace,
             final_dm=engine.dm if engine.maintains_dm else None,
+            certified=certified,
         )

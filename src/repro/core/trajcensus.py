@@ -20,23 +20,12 @@ across the whole dataset), and the exact equilibrium audit of converged
 endpoints.
 
 :func:`trajectory_experiment` declares the census as an
-:class:`~repro.experiments.Experiment`, and
-:func:`~repro.experiments.run_fleet` runs it on the library's hardened
-infrastructure:
-
-* seeds derive from grid position, so records are bit-identical at any
-  worker count;
-* ``workers > 1`` shards trajectories over the persistent process pool
-  (:func:`~repro.parallel.get_shared_pool`), consuming chunk futures in
-  submission order so the stream keeps serial order;
-* ``jsonl_path`` streams records through the shared
-  :class:`~repro.io.jsonl_store.JsonlStore` (the same audited header /
-  atomic-rewrite / torn-line machinery the equilibrium census runs on), so
-  ``resume=True`` picks an interrupted fleet back up losslessly and a
-  changed configuration raises instead of mixing games;
-* ``checkpoint_dir`` gives each trajectory a crash-safe in-task
-  checkpoint, so killed or deadline-preempted slots resume on retry
-  (DESIGN.md §13).
+:class:`~repro.experiments.Experiment` whose slot is the equilibrium
+census's, so :func:`~repro.experiments.run_fleet` runs it on the same
+hardened fleet: seeds from grid position (records bit-identical at any
+worker count), sharding over the persistent process pool, a resumable
+audited JSONL stream (``jsonl_path``), and a crash-safe in-task checkpoint
+per slot (``checkpoint_dir``, DESIGN.md §13).
 
 ``repro experiment run trajectory`` is the command-line fleet runner; the
 ``dynamics-census`` CLI experiment renders aggregate tables.
@@ -45,25 +34,20 @@ infrastructure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from ..experiments.experiment import Experiment
 from ..io.hashing import graph_fingerprint
 from ..io.jsonl_store import maybe_decode_failure
-from ..rng import derive_seed
-from .census import InitialFamily, seed_graph
-from .costmodel import CostModel, cost_model_spec, resolve_cost_model
-from .dynamics import SwapDynamics
-from .equilibrium import is_equilibrium
+from .census import _SLOT_FIELDS, InitialFamily, _check_slot_args, _run_slot
+from .costmodel import CostModel, cost_model_spec
+from .dynamics import Responder, Schedule
 
 __all__ = [
     "TRAJ_CONFIG_KEY",
     "TrajectoryRecord",
     "trajectory_experiment",
 ]
-
-Schedule = Literal["round_robin", "random", "greedy"]
-Responder = Literal["best", "first"]
 
 #: First-line marker of the JSONL run-config header.
 TRAJ_CONFIG_KEY = "trajectory_census_config"
@@ -118,46 +102,24 @@ class TrajectoryRecord:
 
 
 def _trajectory_task(task: tuple) -> TrajectoryRecord:
-    """One trajectory, fully determined by its task tuple.
+    """One trajectory slot (:func:`~repro.core.census._run_slot`), recorded.
 
-    Module-level and seeded purely from the tuple, so the record is
-    identical wherever (and in whatever order) the task runs.
+    The task tuple is the slot's arguments, then ``replicate`` and
+    ``engine_mode``; seeded purely from it, the record is identical
+    wherever (and in whatever order) the task runs.
     """
-    (
-        n, family, replicate, seed, objective, schedule, responder,
-        max_steps, verify, audit_mode, engine_mode,
-        checkpoint_path, checkpoint_every,
-    ) = task
     # Deferred: repro.analysis imports repro.core.dynamics, so a module-top
     # import here would cycle during package init.
     from ..analysis.trajectories import summarize_trajectory
 
-    model = resolve_cost_model(objective, n)
-    initial = seed_graph(family, n, seed)
-    dyn = SwapDynamics(
-        objective=model,
-        schedule=schedule,
-        responder=responder,
-        max_steps=max_steps,
-        record=True,
-        seed=derive_seed(seed, 1),
-        engine_mode=engine_mode,
+    *slot, replicate, engine_mode = task
+    model, initial, result, verified = _run_slot(
+        *slot, engine_mode=engine_mode, record=True
     )
-    result = dyn.run(
-        initial,
-        checkpoint=checkpoint_path,
-        checkpoint_every=checkpoint_every if checkpoint_path else None,
-    )
+    n, family, seed, _, schedule, responder = slot[:6]
     summary = summarize_trajectory(result).as_dict()
     summary.pop("steps")  # duplicated by the outcome block
     final = result.graph
-    verified: bool | None = None
-    if verify and result.converged:
-        # The endpoint audit rides the dynamics engine's own matrix —
-        # verifying a converged trajectory never recomputes the APSP.
-        verified = is_equilibrium(
-            final, model, mode=audit_mode, base_dm=result.final_dm
-        )
     return TrajectoryRecord(
         n=n,
         family=family,
@@ -208,8 +170,8 @@ def trajectory_experiment(
     per-n inside each task.
 
     ``verify`` re-audits every converged endpoint with the exact
-    model-aware equilibrium checker (``audit_mode`` selects the kernel,
-    and the audit reuses the dynamics engine's final distance matrix).
+    model-aware equilibrium checker (``audit_mode`` selects the kernel; a
+    batched audit is the certificate that ended the run, if one did).
     ``engine_mode`` selects the dynamics engine — the default
     ``"batched"`` bound-then-verify kernel or the seed ``"oracle"``.  The
     oracle path replays the same best-response trajectories but counts
@@ -219,6 +181,8 @@ def trajectory_experiment(
     raises instead of silently mixing incompatible activation counts.
     """
     specs = [cost_model_spec(o) for o in objectives]
+    _check_slot_args(families, schedules, responders, max_steps, audit_mode,
+                     engine_mode)
     sizes = [int(n) for n in n_values]
     config = {
         "objectives": specs,
@@ -247,11 +211,7 @@ def trajectory_experiment(
             "family": list(families),
             "n": sizes,
         },
-        task_fields=(
-            "n", "family", "replicate", "seed", "objective", "schedule",
-            "responder", "max_steps", "verify", "audit_mode", "engine_mode",
-            "checkpoint_path", "checkpoint_every",
-        ),
+        task_fields=(*_SLOT_FIELDS, "replicate", "engine_mode"),
         coord_fields=(
             "n", "family", "replicate", "seed", "objective", "schedule",
             "responder",

@@ -64,7 +64,7 @@ def _execution_arguments(
                     help="give every slot a crash-safe in-task checkpoint "
                          "under DIR (DESIGN.md §13): killed or preempted "
                          "tasks resume mid-run on retry instead of "
-                         "restarting (checkpoint-capable experiments only)")
+                         "restarting")
     ap.add_argument("--checkpoint-every", type=int, default=None,
                     metavar="MOVES",
                     help="snapshot cadence in applied moves (requires "

@@ -198,14 +198,16 @@ def batched_removal_rows_multi(
         levels[at_s] = 0
         front = np.zeros(n * k, dtype=np.int32)
         front[at_s] = 1
-        reached = np.empty(n * k, dtype=np.int32)
+        # The product adds into ``reached``, zeroed once per block: a vertex
+        # enters a column's frontier once (counts stay <= degree) and each
+        # level's cancellation nets >= 0, so unreached vertices count 0.
+        reached = np.zeros(n * k, dtype=np.int32)
         unvisited = np.ones(n * k, dtype=bool)
         unvisited[at_s] = False
         newly = np.empty(n * k, dtype=bool)
         left = n * k - k  # (vertex, job) pairs not reached yet
         level = 0
         while left:
-            reached.fill(0)  # the product adds into its output
             csr_matvecs(n, n, k, indptr, indices, ones, front, reached)
             # Cancel the contribution that flowed through each job's
             # removed edge.

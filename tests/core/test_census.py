@@ -1,15 +1,21 @@
 """Census experiment tests."""
 
+import inspect
 import io
 import json
 import math
 
 import pytest
 
-from repro.core import census_experiment, equilibrium
+from repro.core import census_experiment, equilibrium, trajectory_experiment
+from repro.core import census as census_mod
+from repro.core import dynamics as dynamics_mod
+from repro.core import trajcensus
 from repro.core.census import _census_task, seed_graph
+from repro.errors import ConfigurationError
 from repro.experiments import run_fleet
 from repro.graphs import is_connected
+from repro.io import graph_fingerprint
 from repro.io.jsonl_store import write_records
 
 
@@ -89,8 +95,113 @@ class TestCensus:
             return original(graph)
 
         monkeypatch.setattr(equilibrium, "distance_matrix", counting)
-        task = (10, "sparse", 4, objective, "round_robin", "best",
-                20_000, True, "batched")
+        (task,) = census_experiment(
+            [10], families=("sparse",), replicates=1, objective=objective,
+            root_seed=4,
+        ).compile_tasks()
         record = _census_task(task)
         assert record.converged and record.verified_equilibrium is True
         assert calls == []
+
+
+def _count_audits(monkeypatch, *modules):
+    """Record every ``is_equilibrium`` call made through ``modules``.
+
+    A module that does not import ``is_equilibrium`` makes no such call.
+    """
+    calls = []
+    for module in modules:
+        original = getattr(module, "is_equilibrium", None)
+        if original is None:
+            continue
+
+        def counting(graph, objective, *, _original=original, **kw):
+            verdict = _original(graph, objective, **kw)
+            mode = kw.get("mode", "batched")
+            calls.append((graph, objective, mode, verdict))
+            return verdict
+
+        monkeypatch.setattr(module, "is_equilibrium", counting)
+    return calls
+
+
+class TestOneAuditPerSlot:
+    """The batched certificate that ended a run is the slot's audit."""
+
+    def test_slot_fields_are_the_slot_parameters(self):
+        # Both censuses splat their task tuples into the one slot.
+        params = tuple(inspect.signature(census_mod._run_slot).parameters)
+        fields = census_mod._SLOT_FIELDS
+        assert params[:len(fields)] == fields
+        assert census_experiment([8]).task_fields == fields
+        assert trajectory_experiment([8]).task_fields[:len(fields)] == fields
+
+    def test_census_certified_slots_are_audited_once(self, monkeypatch):
+        calls = _count_audits(monkeypatch, dynamics_mod, census_mod)
+        records = run_fleet(census_experiment([16], replicates=2))
+        assert len(records) == 6 and all(r.converged for r in records)
+        assert [r.verified_equilibrium for r in records] == [True] * 6
+        # One certificate per slot, and no second, identical audit.
+        assert len(calls) == 6
+
+    def test_trajectory_certified_slots_are_audited_once(self, monkeypatch):
+        calls = _count_audits(
+            monkeypatch, dynamics_mod, census_mod, trajcensus
+        )
+        records = run_fleet(trajectory_experiment([16], replicates=2))
+        assert len(records) == 6 and all(r.converged for r in records)
+        assert [r.verified_equilibrium for r in records] == [True] * 6
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("setting", [
+        {"audit_mode": "rebuild"},
+        {"engine_mode": "oracle"},
+        {"schedules": ("greedy",)},
+        {"responders": ("first",)},
+    ], ids=["rebuild", "oracle", "greedy", "first"])
+    def test_uncertified_endpoints_are_audited(self, monkeypatch, setting):
+        # The certificate did not end these runs (or audits another
+        # mode), so every converged slot runs exactly one audit of its own.
+        calls = _count_audits(monkeypatch, census_mod)
+        records = run_fleet(trajectory_experiment(
+            [10], families=("tree", "sparse"), replicates=1, root_seed=6,
+            **setting,
+        ))
+        converged = [r for r in records if r.converged]
+        assert converged
+        assert len(calls) == len(converged)
+        mode = setting.get("audit_mode", "batched")
+        for record, (graph, model, audit_mode, verdict) in zip(
+            converged, calls
+        ):
+            assert audit_mode == mode
+            assert graph_fingerprint(graph) == record.final_fingerprint
+            assert verdict == record.verified_equilibrium
+            assert verdict == equilibrium.is_equilibrium(graph, model)
+
+
+class TestBuilderValidation:
+    """A setting no slot can run fails in the builder, before any stream."""
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("families", ("tree", "clique"), "unknown census family"),
+        ("schedule", "sideways", "unknown schedule"),
+        ("responder", "worst", "unknown responder"),
+        ("max_steps", 0, "max_steps must be >= 1"),
+        ("audit_mode", "bogus", "unknown audit mode"),
+    ])
+    def test_census_rejects(self, name, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            census_experiment([8], replicates=1, **{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("families", ("tree", "clique"), "unknown census family"),
+        ("schedules", ("round_robin", "sideways"), "unknown schedule"),
+        ("responders", ("best", "worst"), "unknown responder"),
+        ("max_steps", 0, "max_steps must be >= 1"),
+        ("audit_mode", "bogus", "unknown audit mode"),
+        ("engine_mode", "turbo", "unknown engine_mode"),
+    ])
+    def test_trajectory_rejects(self, name, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            trajectory_experiment([8], replicates=1, **{name: value})

@@ -161,6 +161,41 @@ class TestInstrumentation:
         assert done.converged and not done.exhausted
 
 
+class TestCertified:
+    """``certified``: the batched certificate ended the run."""
+
+    def test_batched_best_response_run_is_certified(self):
+        res = SwapDynamics(objective="sum", seed=0).run(random_tree(12, 3))
+        assert res.converged and res.certified
+
+    @pytest.mark.parametrize("setting", [
+        {"engine_mode": "oracle"},
+        {"schedule": "greedy"},
+        {"responder": "first"},
+    ], ids=["oracle", "greedy", "first"])
+    def test_runs_converged_without_the_certificate(self, setting):
+        res = SwapDynamics(objective="sum", seed=0, **setting).run(
+            random_tree(12, 3)
+        )
+        assert res.converged and not res.certified
+
+    def test_unconverged_runs_are_not_certified(self):
+        exhausted = SwapDynamics(objective="sum", max_steps=1, seed=0).run(
+            path_graph(12)
+        )
+        assert exhausted.exhausted and not exhausted.certified
+        cycled = SwapDynamics(
+            "interest-sum:k=3,seed=0", seed=0, max_steps=500
+        ).run(random_connected_gnm(8, 12, 0))
+        assert cycled.cycle_detected and not cycled.certified
+
+    def test_excluded_from_equality(self):
+        from dataclasses import replace
+
+        res = SwapDynamics(objective="sum", seed=0).run(random_tree(12, 3))
+        assert replace(res, certified=not res.certified) == res
+
+
 class TestPerRunRNG:
     """A second run() on the same instance must replay the seed (ISSUE 4)."""
 

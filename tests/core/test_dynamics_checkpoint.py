@@ -83,6 +83,12 @@ class TestResumeBitIdentity:
         assert resumed.social_cost_trace == clean.social_cost_trace
         assert resumed.diameter_trace == clean.diameter_trace
         assert resumed.activations == clean.activations
+        # Equality ignores ``certified``, so compare it on its own: the
+        # resumed run's certificate ends it exactly as the clean run's did.
+        assert resumed.certified == clean.certified
+        assert clean.certified == (
+            engine_mode == "batched" and clean.converged
+        )
         assert not path.exists(), "a finished run clears its slot"
 
     def test_kill_at_first_snapshot_then_resume(

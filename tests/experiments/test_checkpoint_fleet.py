@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.census import census_experiment
 from repro.core.trajcensus import trajectory_experiment
 from repro.errors import ConfigurationError, DeadlineExceeded
 from repro.experiments import run_fleet
@@ -29,9 +30,18 @@ def _experiment(**overrides):
     return trajectory_experiment(**kwargs)
 
 
+def _census(**overrides):
+    kwargs = dict(n_values=[8], families=("tree",), replicates=2, root_seed=3)
+    kwargs.update(overrides)
+    return census_experiment(**kwargs)
+
+
 class TestDeclaration:
     def test_trajectory_experiment_supports_checkpoints(self):
         assert _experiment().supports_checkpoints
+
+    def test_census_experiment_supports_checkpoints(self):
+        assert _census().supports_checkpoints
 
     def test_compile_without_dir_leaves_slots_unarmed(self):
         exp = _experiment()
@@ -108,35 +118,46 @@ class TestDeadlinePreemption:
         # One ~0.3s task against a 0.05s budget: the deadline must land
         # mid-run, so the task checkpoint-and-yields (DESIGN.md §13)
         # rather than being retried past the budget.
-        exp = _experiment(
+        _yield_mid_task_then_heal(tmp_path, _experiment(
             n_values=[32], families=("sparse",), replicates=1,
             root_seed=5, max_steps=4000,
-        )
-        clean = tmp_path / "clean.jsonl"
-        run_fleet(exp, jsonl_path=clean)
+        ))
 
-        smoke = tmp_path / "smoke.jsonl"
-        ckpt = tmp_path / "ckpt"
-        # The sole task yields mid-run and is quarantined; with no later
-        # task left, the map finishes normally instead of raising (a
-        # multi-task fleet would raise at the next boundary).
-        run_fleet(
-            exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
-            deadline=time.monotonic() + 0.05,
-        )
-        failures = summarize_stream(smoke).failures
-        assert len(failures) == 1
-        (failure,) = failures
-        assert "DeadlineExceeded" in failure.error
-        # The quarantine record carries the slot's checkpoint progress,
-        # and the file actually holds a resumable snapshot.
-        assert failure.checkpoint is not None
-        assert peek_checkpoint(failure.checkpoint["path"]) is not None
+    def test_census_mid_slot_yield_heals_to_clean_bytes(self, tmp_path):
+        # The census slot records no trace, so a larger start runs as long
+        # (about 0.4 s with a snapshot per move).
+        _yield_mid_task_then_heal(tmp_path, _census(
+            n_values=[64], families=("dense",), replicates=1, root_seed=5,
+        ))
 
-        healed = run_fleet(
-            exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
-            resume=True, retry_failed=True,
-        )
-        assert not any(isinstance(r, FleetFailure) for r in healed)
-        assert smoke.read_bytes() == clean.read_bytes()
-        assert sorted(ckpt.glob("*.ckpt")) == []
+
+def _yield_mid_task_then_heal(tmp_path, exp):
+    """Preempt ``exp``'s sole slot mid-run, then heal it to clean bytes."""
+    clean = tmp_path / "clean.jsonl"
+    run_fleet(exp, jsonl_path=clean)
+
+    smoke = tmp_path / "smoke.jsonl"
+    ckpt = tmp_path / "ckpt"
+    # The sole task yields mid-run and is quarantined; with no later
+    # task left, the map finishes normally instead of raising (a
+    # multi-task fleet would raise at the next boundary).
+    run_fleet(
+        exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
+        deadline=time.monotonic() + 0.05,
+    )
+    failures = summarize_stream(smoke).failures
+    assert len(failures) == 1
+    (failure,) = failures
+    assert "DeadlineExceeded" in failure.error
+    # The quarantine record carries the slot's checkpoint progress,
+    # and the file actually holds a resumable snapshot.
+    assert failure.checkpoint is not None
+    assert peek_checkpoint(failure.checkpoint["path"]) is not None
+
+    healed = run_fleet(
+        exp, jsonl_path=smoke, checkpoint_dir=ckpt, checkpoint_every=1,
+        resume=True, retry_failed=True,
+    )
+    assert not any(isinstance(r, FleetFailure) for r in healed)
+    assert smoke.read_bytes() == clean.read_bytes()
+    assert sorted(ckpt.glob("*.ckpt")) == []

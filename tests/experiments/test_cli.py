@@ -52,6 +52,15 @@ class TestRun:
         assert "resuming" in capsys.readouterr().out
         assert out.read_bytes() == full
 
+    def test_census_slots_checkpoint(self, tmp_path):
+        out, ckpt = tmp_path / "census.jsonl", tmp_path / "ckpt"
+        assert run_tiny(out) == 0
+        clean = out.read_bytes()
+        assert run_tiny(out, "--checkpoint-dir", str(ckpt),
+                        "--checkpoint-every", "1") == 0
+        assert out.read_bytes() == clean
+        assert list(ckpt.iterdir()) == []
+
     def test_retry_failed_without_resume_rejected(self, tmp_path):
         # --retry-failed heals a streamed prefix; without --resume there is
         # none, and the stream must not be rewritten from scratch.
